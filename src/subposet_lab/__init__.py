@@ -16,6 +16,7 @@ from .errors import (
     InternalExhaustion,
     InvalidEmbedding,
     InvalidParams,
+    InvariantViolated,
     InvalidSpec,
     NotUniqueExtremum,
     OutOfRange,
@@ -39,6 +40,7 @@ from .families import (
     permutation_hit_count,
     permutation_hit_count_exhaustive,
     read_family,
+    symmetric_chain_partition,
     unrelated_below,
     unrelated_below_count,
     worst_set,

@@ -17,7 +17,7 @@ from typing import Sequence, Union
 import mpmath
 from mpmath import mp
 
-from .errors import InvalidParams
+from .errors import InvalidParams, InvariantViolated
 
 PRECISION = 50
 
@@ -167,16 +167,16 @@ def best_main_k(sizeP: int, h: int) -> BoundReport:
     """Minimum of bound_main over k in 2..k_max, recording the argmin.
 
     k_max = 2 + ceil(log2(|P| + 2)); past it the additive term provably
-    dominates, and for h >= 2 the interior minimum is asserted. The prescribed
-    k = ceil(log2(|P|/h)) is reported in the params whenever it is >= 2
-    (below that the plain chain bound |P| - 1 applies instead).
+    dominates, and for h >= 2 an argmin at k_max raises InvariantViolated.
+    The prescribed k = ceil(log2(|P|/h)) is reported in the params whenever
+    it is >= 2 (below that the plain chain bound |P| - 1 applies instead).
     """
     _check_shape(sizeP, h)
     k_max = 2 + ceil_log2(Fraction(sizeP + 2))
     sweep = [(bound_main(sizeP, h, k).coefficient, k) for k in range(2, k_max + 1)]
     coeff, arg_k = min(sweep, key=lambda pair: (pair[0], pair[1]))
-    if h >= 2:
-        assert arg_k < k_max, "minimum must be interior for h >= 2"
+    if h >= 2 and arg_k == k_max:
+        raise InvariantViolated(f"best_main_k({sizeP}, {h}): minimum at k_max = {k_max}")
     prescribed = ceil_log2(Fraction(sizeP, h))
     params = {
         "sizeP": sizeP,
@@ -388,7 +388,8 @@ def induced_exponent_chain(target: Union[Fraction, str, float]) -> InducedExpone
         c = exponents[-1]
         nxt = 2 * c / (2 * c + 1)
         i += 1
-        assert nxt == Fraction(2**i, 2 ** (i + 1) - 1)
+        if nxt != Fraction(2**i, 2 ** (i + 1) - 1):
+            raise InvariantViolated(f"exponent c_{i} = {nxt} breaks the closed form")
         exponents.append(nxt)
         g, b = ledger[-1]
         ledger.append((2 * g + 1, 2 * b))

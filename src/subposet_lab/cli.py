@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from . import bounds as bnd
 from .embedder import embedding_threshold, greedy_embed, removal_allowance
-from .errors import SubposetLabError
+from .errors import PreconditionViolated, SubposetLabError
 from .families import (
     IntervalChainSpec,
     SetFamily,
@@ -133,30 +133,18 @@ def _params_json(params: dict) -> dict:
 
 def _is_complete_equal_multilevel(p: Poset) -> int | None:
     """Layer width if p is a complete multilevel poset with equal layers."""
-    decomp = p.mirsky_decomposition()
-    widths = set(decomp.sizes)
-    if len(widths) != 1:
+    sizes = p.complete_layer_sizes()
+    if not sizes or len(set(sizes)) != 1:
         return None
-    for i, layer in enumerate(decomp.layers):
-        for j in range(i + 1, len(decomp.layers)):
-            for x in layer:
-                for y in decomp.layers[j]:
-                    if not p.less(x, y):
-                        return None
-    return widths.pop()
+    return sizes[0]
 
 
 def _diamond_width(p: Poset) -> int | None:
-    decomp = p.mirsky_decomposition()
-    if decomp.sizes[:1] != (1,) or len(decomp.sizes) != 3 or decomp.sizes[2] != 1:
+    """k if p is the diamond D_k: the complete poset with layers (1, k, 1)."""
+    sizes = p.complete_layer_sizes()
+    if sizes is None or len(sizes) != 3 or sizes[0] != 1 or sizes[2] != 1:
         return None
-    k = decomp.sizes[1]
-    expected = diamond(k)
-    if p.size != expected.size:
-        return None
-    from .posets import are_isomorphic
-
-    return k if p.size <= 8 and are_isomorphic(p, expected) else None
+    return sizes[1]
 
 
 def cmd_bounds(cfg: RunConfig) -> int:
@@ -256,6 +244,8 @@ def cmd_embed(cfg: RunConfig) -> int:
     if cfg.family_path:
         H = family_from_text(Path(cfg.family_path).read_text())
         spec = IntervalChainSpec.canonical(H.n, k)
+    elif cfg.n is None:
+        raise PreconditionViolated("embed needs --n or --family")
     else:
         spec = IntervalChainSpec.canonical(cfg.n, k)
         lo, hi = 3 * k - 3, cfg.n - k + 1

@@ -258,14 +258,8 @@ def span_certificate(pattern: Poset, emb: Embedding) -> SpanCertificate:
         raise InvalidEmbedding(f"layers have unequal widths {decomp.sizes}")
     a = widths.pop()
     h = len(decomp.layers)
-    for i, layer in enumerate(decomp.layers):
-        for j in range(i + 1, len(decomp.layers)):
-            for x in layer:
-                for y in decomp.layers[j]:
-                    if not pattern.less(x, y):
-                        raise InvalidEmbedding(
-                            "pattern is not a complete multilevel poset"
-                        )
+    if pattern.complete_layer_sizes() is None:
+        raise InvalidEmbedding("pattern is not a complete multilevel poset")
 
     def layer_images(i: int) -> list[Subset]:
         return [emb.images[e] for e in decomp.layers[i]]

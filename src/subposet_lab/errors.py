@@ -37,6 +37,10 @@ class InternalExhaustion(SubposetLabError):
     """The greedy embedding ran out of sets despite valid preconditions; indicates a bug."""
 
 
+class InvariantViolated(SubposetLabError):
+    """A computed result broke an identity that holds by proof; indicates a bug."""
+
+
 class InvalidParams(SubposetLabError):
     """A bound formula was evaluated outside its parameter domain."""
 

@@ -192,6 +192,35 @@ def lubell(fam: SetFamily) -> Fraction:
     return total
 
 
+def _bracket_key(mask: int, n: int) -> tuple[int, int]:
+    """Matched positions of the bracket matching on the indicator b_1..b_n
+    (a 0 opens a bracket, a later 1 closes it) and the mask's bits there."""
+    opened: list[int] = []
+    matched = 0
+    for i in range(n):
+        if not mask >> i & 1:
+            opened.append(i)
+        elif opened:
+            matched |= 1 << opened.pop() | 1 << i
+    return matched, mask & matched
+
+
+def symmetric_chain_partition(fam: SetFamily) -> tuple[tuple[Subset, ...], ...]:
+    """The family cut along the symmetric chain decomposition of 2^[n].
+
+    De Bruijn, van Ebbenhorst Tengbergen and Kruyswijk (1951): two subsets
+    lie on the same chain exactly when bracket matching leaves them the same
+    matched brackets; the unmatched positions read 1...10...0 and moving one
+    boundary step walks up the chain. Parts of chains are chains, so this
+    partitions any family into chains. Each chain is in canonical order and
+    chains are ordered by their first member.
+    """
+    chains: dict[tuple[int, int], list[Subset]] = {}
+    for s in fam:
+        chains.setdefault(_bracket_key(s.mask, fam.n), []).append(s)
+    return tuple(tuple(c) for c in chains.values())
+
+
 def _check_permutation(n: int, perm: Sequence[int]) -> None:
     if len(perm) != n or sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of [{n}]: {perm!r}")

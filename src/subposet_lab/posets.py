@@ -117,6 +117,21 @@ class Poset:
         ]
         return AntichainDecomposition(tuple(layers))
 
+    def complete_layer_sizes(self) -> tuple[int, ...] | None:
+        """Mirsky layer sizes if this is a complete multilevel poset, else None.
+
+        Complete means every element lies below every element of each higher
+        layer; such a poset is determined up to isomorphism by these sizes
+        (the diamond D_k has sizes (1, k, 1)).
+        """
+        decomp = self.mirsky_decomposition()
+        above = 0
+        for layer in reversed(decomp.layers):
+            if any(self.rows[x] != above for x in layer):
+                return None
+            above |= sum(1 << x for x in layer)
+        return decomp.sizes
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poset):
             return NotImplemented

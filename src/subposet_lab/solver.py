@@ -12,14 +12,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Union
 
-from .errors import GuardRefused, PFreenessViolated
-from .families import SetFamily, permutation_hit_count
+from .errors import (
+    GuardRefused,
+    InvariantViolated,
+    PFreenessViolated,
+    PreconditionViolated,
+)
+from .families import SetFamily, permutation_hit_count, symmetric_chain_partition
 from .posets import EmbeddingSearch, Poset, find_subposet
 
 N_GUARD = 7
+MAX_HOST_SETS = 512
 
 
 @dataclass(frozen=True)
@@ -59,63 +65,112 @@ def alpha(
 ) -> ExtremalResult:
     """Exact optimum over P-free subfamilies of H.
 
-    Branches include-first through H in canonical order, pruning when the
-    current value plus everything still ahead cannot beat the incumbent and
-    when adding a set would complete a copy of P (freeness is closed under
-    removal, so a completed copy kills the whole include branch). Include-first
-    order with strict improvement makes the witness the lexicographically
-    least optimum over canonical indices. Hitting the node budget returns the
-    incumbent flagged non-exhaustive (a valid lower bound).
+    Branches include-first through H in canonical order. Adding a set that
+    completes a copy of P kills the include branch (freeness is closed under
+    removal). A node is pruned when its chain-capacity bound cannot beat the
+    incumbent: H is cut into chains by the symmetric chain decomposition, and
+    any |P| sets on one chain hold a weak copy of P (an induced one when P is
+    a chain), so a P-free family takes at most cap = |P| - 1 sets of each
+    chain. The bound is the value so far plus, per chain, the cap - chosen
+    largest values among its undecided members; with no cap (induced mode,
+    P not a chain) it is the value so far plus everything still ahead. A
+    chain already holding cap sets refuses further sets without a freeness
+    check. Lubell values are scaled to integers by the lcm of the binomials
+    involved, so no node does Fraction arithmetic.
+
+    Include-first order with strict improvement makes the witness the
+    lexicographically least optimum over canonical indices. Hitting the node
+    budget returns the incumbent flagged non-exhaustive (a valid lower bound).
+    Hosts above MAX_HOST_SETS sets are refused: the search recurses once per
+    set.
     """
     if P.size < 1:
         raise ValueError("pattern must have at least one element")
     if objective not in ("cardinality", "lubell"):
         raise ValueError(f"unknown objective {objective!r}")
+    if len(H) > MAX_HOST_SETS:
+        raise PreconditionViolated(
+            f"host has {len(H)} sets; the exact search handles at most {MAX_HOST_SETS}"
+        )
     search = EmbeddingSearch(H, P, mode)
     members = H.sets
     m = len(members)
 
     if objective == "cardinality":
-        values: list = [1] * m
-        zero: Union[int, Fraction] = 0
+        scale = 1
+        values = [1] * m
     else:
-        values = [Fraction(1, comb(H.n, s.weight)) for s in members]
-        zero = Fraction(0)
-    suffix = [zero] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + values[i]
+        scale = lcm(*(comb(H.n, s.weight) for s in members))
+        values = [scale // comb(H.n, s.weight) for s in members]
 
-    best_value: Union[int, Fraction] = zero - 1
+    # For the set at position p of its chain with k of the chain's earlier
+    # sets chosen, the bound moves by inc[idx][k] on include and exc[idx][k]
+    # on exclude, where a chain's share is top(p, k) = the cap - k largest
+    # values among its members from position p on.
+    index = {s.mask: i for i, s in enumerate(members)}
+    chain_of = [0] * m
+    inc: list[list[int]] = [[]] * m
+    exc: list[list[int]] = [[]] * m
+    chains = symmetric_chain_partition(H)
+    if mode == "weak" or P.height() == P.size:
+        cap = P.size - 1
+    else:
+        cap = max(map(len, chains), default=0)  # never binds
+    root_bound = 0
+    for c, chain_sets in enumerate(chains):
+        idxs = [index[s.mask] for s in chain_sets]
+        top = []
+        for p in range(len(idxs) + 1):
+            ahead = sorted((values[i] for i in idxs[p:]), reverse=True)
+            top.append([sum(ahead[: cap - k]) for k in range(cap + 1)])
+        root_bound += top[0][0]
+        for p, idx in enumerate(idxs):
+            chain_of[idx] = c
+            inc[idx] = [
+                values[idx] + top[p + 1][k + 1] - top[p][k]
+                for k in range(min(cap - 1, p) + 1)
+            ]
+            exc[idx] = [top[p + 1][k] - top[p][k] for k in range(min(cap, p) + 1)]
+    chosen = [0] * len(chains)
+    embeds_using = search.embeds_using
+
+    best_value = -1
     best_mask = 0
     nodes = 0
 
-    def dfs(idx: int, cur_mask: int, cur_val) -> None:
+    def dfs(idx: int, cur_mask: int, bound: int) -> None:
+        # At a leaf every chain is decided and bound is the family's value.
         nonlocal best_value, best_mask, nodes
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise _BudgetExhausted
         if idx == m:
-            if cur_val > best_value:
-                best_value = cur_val
+            if bound > best_value:
+                best_value = bound
                 best_mask = cur_mask
             return
-        if cur_val + suffix[idx] <= best_value:
+        if bound <= best_value:
             return
-        if not search.embeds_using(cur_mask | (1 << idx), idx):
-            dfs(idx + 1, cur_mask | (1 << idx), cur_val + values[idx])
-        dfs(idx + 1, cur_mask, cur_val)
+        c = chain_of[idx]
+        k = chosen[c]
+        if k < cap and not embeds_using(cur_mask | (1 << idx), idx):
+            chosen[c] = k + 1
+            dfs(idx + 1, cur_mask | (1 << idx), bound + inc[idx][k])
+            chosen[c] = k
+        dfs(idx + 1, cur_mask, bound + exc[idx][k])
 
     exhaustive = True
     try:
-        dfs(0, 0, zero)
+        dfs(0, 0, root_bound)
     except _BudgetExhausted:
         exhaustive = False
 
-    if best_mask == 0 and best_value < zero:
+    if best_value < 0:
         # Budget died before reaching any leaf; the empty family is always valid.
-        best_value = zero
+        best_value = 0
+    value = best_value if objective == "cardinality" else Fraction(best_value, scale)
     witness = SetFamily(H.n, (members[i] for i in range(m) if best_mask >> i & 1))
-    return ExtremalResult(best_value, witness, mode, objective, exhaustive, nodes)
+    return ExtremalResult(value, witness, mode, objective, exhaustive, nodes)
 
 
 def _guard(n: int, override: bool) -> None:
@@ -213,7 +268,10 @@ def verify_double_counting(
                     m2 |= 1 << images[low.bit_length() - 1]
                 moved.add(m2)
             pairs_by_perms += len(fam_masks & moved)
-        assert pairs_by_sets <= alpha_res.value * factorial(n)
+        if pairs_by_sets > alpha_res.value * factorial(n):
+            raise InvariantViolated(
+                f"{pairs_by_sets} pairs exceed alpha * n! = {alpha_res.value * factorial(n)}"
+            )
     return DoubleCountingReport(
         lhs=lhs,
         alpha_value=alpha_res.value,

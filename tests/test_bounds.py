@@ -25,7 +25,7 @@ from subposet_lab.bounds import (
     min_valid_n,
     to_interval,
 )
-from subposet_lab.errors import InvalidParams
+from subposet_lab.errors import InvalidParams, InvariantViolated
 
 
 class TestRationalFormulas:
@@ -114,6 +114,21 @@ class TestBestParameterSweeps:
         assert ceil_log2(Fraction(9)) == 4
         assert ceil_log2(Fraction(1)) == 0
         assert ceil_log2(Fraction(7, 2)) == 2
+
+
+    def test_best_main_k_boundary_minimum_raises(self, monkeypatch):
+        # Raised, not asserted, so the check survives python -O.
+        from subposet_lab import bounds
+
+        real = bounds.bound_main
+
+        def decreasing(sizeP, h, k):
+            report = real(sizeP, h, k)
+            return bounds.BoundReport(report.name, report.side, Fraction(1, k), report.params)
+
+        monkeypatch.setattr(bounds, "bound_main", decreasing)
+        with pytest.raises(InvariantViolated):
+            bounds.best_main_k(10, 2)
 
 
 class TestLogarithmicBounds:

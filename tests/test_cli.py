@@ -37,6 +37,14 @@ class TestBoundsCommand:
         assert header == "poset_spec,sizeP,h,bound_name,params,coefficient,side"
         assert all(r.split(",")[0] == "chain:4" for r in rows)
 
+    def test_diamond_width_row_beyond_eight_elements(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--poset", "diamond:7", "--format", "json")
+        assert code == 0
+        rows = [r for r in json.loads(out)["rows"] if r["bound_name"] == "diamond_width"]
+        assert len(rows) == 1 and rows[0]["params"] == {"k": 7}
+        # log2(9) + 2
+        assert abs(float(rows[0]["coefficient"]) - 5.169925001442312) < 1e-12
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--poset", "chain:0")
         assert code == 2
@@ -96,6 +104,18 @@ class TestAlphaCommand:
         assert json.loads(out)["value"] == "1"
 
 
+    def test_host_above_cap_refused(self, capsys, tmp_path):
+        from subposet_lab.families import SetFamily, family_to_text
+
+        path = tmp_path / "cube10.txt"
+        path.write_text(family_to_text(SetFamily.power_set(10)))
+        code, out, err = run_cli(
+            capsys, "alpha", "--family", str(path), "--poset", "chain:2", "--budget", "5000"
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 class TestChainCommand:
     def test_emits_family_file(self, capsys):
         code, out, _ = run_cli(capsys, "chain", "--n", "4", "--k", "2")
@@ -138,6 +158,11 @@ class TestEmbedCommand:
         )
         assert code == 0
         assert json.loads(out)["total_consumption"] <= len(window)
+
+    def test_needs_n_or_family(self, capsys):
+        code, out, err = run_cli(capsys, "embed", "--poset", "diamond:2", "--k", "2")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
     def test_too_small_family_fails_cleanly(self, capsys, tmp_path):
         path = tmp_path / "tiny.txt"

@@ -21,6 +21,7 @@ from subposet_lab.families import (
     lubell,
     permutation_hit_count,
     permutation_hit_count_exhaustive,
+    symmetric_chain_partition,
     unrelated_below,
     unrelated_below_count,
     worst_set,
@@ -357,3 +358,39 @@ class TestPermutationHitCount:
         fam = SetFamily.from_masks(n, rng.sample(range(1 << n), rng.randint(3, 8)))
         a = Subset(n, rng.randrange(1 << n))
         assert permutation_hit_count(fam, a) == permutation_hit_count_exhaustive(fam, a)
+
+
+class TestSymmetricChainPartition:
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_cube_gives_saturated_symmetric_chains(self, n):
+        chains = symmetric_chain_partition(SetFamily.power_set(n))
+        assert len(chains) == comb(n, n // 2)
+        assert sum(len(c) for c in chains) == 1 << n
+        for c in chains:
+            assert c[0].weight + c[-1].weight == n
+            for lo, hi in zip(c, c[1:]):
+                assert lo.is_proper_subset(hi) and hi.weight == lo.weight + 1
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_partitions_any_family_into_chains(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        fam = SetFamily.from_masks(n, rng.sample(range(1 << n), rng.randint(0, 1 << n)))
+        chains = symmetric_chain_partition(fam)
+        members = [s for c in chains for s in c]
+        assert sorted(s.mask for s in members) == sorted(fam.masks())
+        order = {s.mask: i for i, s in enumerate(fam)}
+        for c in chains:
+            assert [order[s.mask] for s in c] == sorted(order[s.mask] for s in c)
+            for lo, hi in zip(c, c[1:]):
+                assert lo.is_proper_subset(hi)
+
+    def test_restriction_keeps_cube_chains(self):
+        cube = symmetric_chain_partition(SetFamily.power_set(5))
+        chain_of = {s.mask: i for i, c in enumerate(cube) for s in c}
+        fam = SetFamily.levels(5, [1, 3, 4])
+        for c in symmetric_chain_partition(fam):
+            assert len({chain_of[s.mask] for s in c}) == 1
+        assert len(symmetric_chain_partition(fam)) == len(
+            {chain_of[s.mask] for s in fam}
+        )

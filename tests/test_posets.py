@@ -110,6 +110,24 @@ class TestHeightAndMirsky:
         assert antichain(4).mirsky_decomposition().sizes == (4,)
         assert complete_multilevel((2, 3)).mirsky_decomposition().sizes == (2, 3)
 
+    def test_complete_layer_sizes(self):
+        assert diamond(7).complete_layer_sizes() == (1, 7, 1)
+        assert chain(4).complete_layer_sizes() == (1, 1, 1, 1)
+        assert complete_multilevel((2, 3, 2)).complete_layer_sizes() == (2, 3, 2)
+        assert antichain(3).complete_layer_sizes() == (3,)
+        assert product(diamond(2), diamond(2)).complete_layer_sizes() == (1, 2, 1, 2, 1)
+        assert poset_from_relations([(0, 1)], 3).complete_layer_sizes() is None
+        # N poset: 0 < 2, 1 < 2, 1 < 3 leaves 0 and 3 incomparable
+        assert poset_from_relations([(0, 2), (1, 2), (1, 3)], 4).complete_layer_sizes() is None
+
+    def test_complete_layer_sizes_agree_with_isomorphism(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            p = random_poset(rng, rng.randint(1, 6))
+            sizes = p.complete_layer_sizes()
+            layered = complete_multilevel(p.mirsky_decomposition().sizes)
+            assert (sizes is not None) == are_isomorphic(p, layered)
+
     def test_layers_partition_and_are_antichains(self):
         rng = random.Random(2)
         for _ in range(40):

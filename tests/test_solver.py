@@ -3,23 +3,42 @@ from fractions import Fraction
 
 import pytest
 
-from subposet_lab.errors import GuardRefused, PFreenessViolated
+from subposet_lab.errors import GuardRefused, PFreenessViolated, PreconditionViolated
 from subposet_lab.families import (
     IntervalChainSpec,
     SetFamily,
     Subset,
     apply_permutation,
     interval_chain,
+    lubell,
 )
 from subposet_lab.posets import antichain, chain, diamond, find_subposet
 from subposet_lab.solver import (
+    MAX_HOST_SETS,
     alpha,
     la_exact,
     lubell_max,
     verify_double_counting,
 )
 
-from conftest import brute_alpha, random_family, random_poset
+from conftest import brute_alpha, brute_contains, random_family, random_poset
+
+
+def first_optimum(H, P, mode, objective):
+    """Brute force: the optimum reached first by an include-first walk in
+    canonical order, i.e. the best value with the lexicographically largest
+    include vector over canonical indices."""
+    members = H.sets
+    best = None
+    for picks in range(1 << len(members)):
+        chosen = SetFamily(H.n, (members[i] for i in range(len(members)) if picks >> i & 1))
+        if brute_contains(chosen, P, mode):
+            continue
+        value = len(chosen) if objective == "cardinality" else lubell(chosen)
+        key = (value, tuple(picks >> i & 1 for i in range(len(members))))
+        if best is None or key > best[0]:
+            best = (key, chosen)
+    return best[0][0], best[1]
 
 
 def maximal_chain_family(n):
@@ -64,6 +83,34 @@ class TestAlpha:
             fast = alpha(H, P, mode, objective)
             slow = brute_alpha(H, P, mode, objective)
             assert fast.value == slow
+
+    @pytest.mark.parametrize("objective", ["cardinality", "lubell"])
+    @pytest.mark.parametrize("mode", ["weak", "induced"])
+    def test_value_and_witness_match_include_first_brute_force(self, objective, mode):
+        rng = random.Random(14)
+        for _ in range(10):
+            n = rng.randint(2, 4)
+            H = random_family(rng, n, rng.randint(3, 9))
+            P = chain(rng.randint(2, 3)) if rng.random() < 0.5 else random_poset(
+                rng, rng.randint(2, 4)
+            )
+            fast = alpha(H, P, mode, objective)
+            value, witness = first_optimum(H, P, mode, objective)
+            assert fast.exhaustive
+            assert fast.value == value == brute_alpha(H, P, mode, objective)
+            assert fast.witness == witness
+
+    def test_lubell_value_is_exact_fraction(self):
+        H = SetFamily.levels(4, [1, 2])
+        r = alpha(H, chain(2), "weak", "lubell")
+        assert isinstance(r.value, Fraction) and r.value == 1
+
+    def test_refuses_hosts_above_cap(self):
+        with pytest.raises(PreconditionViolated):
+            alpha(SetFamily.power_set(10), chain(2), node_budget=10)
+        assert len(SetFamily.power_set(9)) == MAX_HOST_SETS
+        r = alpha(SetFamily.power_set(9), chain(2), node_budget=2000)
+        assert not r.exhaustive and find_subposet(r.witness, chain(2)) is None
 
     def test_value_invariant_under_permutation(self):
         rng = random.Random(11)
@@ -118,6 +165,12 @@ class TestLaExact:
             binomials = sorted((comb(n, j) for j in range(n + 1)), reverse=True)
             for k in range(1, n + 1):
                 assert la_exact(n, chain(k + 1)).value == sum(binomials[:k])
+
+    def test_chain_capacity_prunes_two_largest_levels(self, la5_chain3):
+        r = la5_chain3
+        assert r.value == 20 and r.exhaustive
+        assert r.nodes_explored <= 200_000
+        assert sorted(s.weight for s in r.witness) == [2] * 10 + [3] * 10
 
     def test_guard(self):
         with pytest.raises(GuardRefused):
