@@ -237,12 +237,10 @@ def bound_corollary_interval(sizeP: int, h: int) -> BoundReport:
 
 
 def bound_dk(k: int) -> BoundReport:
-    """Coefficient log2(k+2) + 2 for the width-k diamond."""
+    """Coefficient log2(k+2) + 2 for the width-k diamond, k >= 2."""
     if k < 2:
         raise InvalidParams(f"need k >= 2, got {k}")
-    log_part = log2_coefficient(k + 2)
-    coeff = log_part + 2 if isinstance(log_part, Fraction) else log_part + to_interval(2)
-    return BoundReport("diamond_width", "upper", coeff, {"k": k})
+    return bound_dk_any(k)
 
 
 def bound_dk_any(a: int) -> BoundReport:

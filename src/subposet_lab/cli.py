@@ -3,18 +3,16 @@ greedy embeddings, and the verification suites.
 
 Identical invocations produce byte-identical output: no timestamps, no
 wall-clock dependence (budgets are node counts), and suite results are
-gathered in input order even when SUBPOSET_LAB_THREADS enables parallelism.
+reported in input order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -37,8 +35,6 @@ from .families import (
 from .posets import Poset, chain, diamond, parse_poset_spec
 from .solver import alpha, la_exact, lubell_max, verify_double_counting
 
-THREADS_ENV = "SUBPOSET_LAB_THREADS"
-
 SUITES = (
     "levelsize",
     "unrelated",
@@ -52,12 +48,16 @@ SUITES = (
 
 @dataclass
 class RunConfig:
-    """Validated arguments for one CLI invocation."""
+    """Validated arguments for one CLI invocation.
+
+    The fields are the parser's destinations, so a parsed namespace fills
+    them directly; `k_values` arrives as the raw `--k` text.
+    """
 
     command: str
     poset_spec: str | None = None
     n: int | None = None
-    k_values: tuple[int, ...] = ()
+    k_values: tuple[int, ...] | str = ()
     mode: str = "weak"
     objective: str = "cardinality"
     node_budget: int | None = None
@@ -69,9 +69,10 @@ class RunConfig:
     samples: int = 20
     seed: int = 1
     steps: int = 64
-    threads: int = 1
 
     def __post_init__(self) -> None:
+        if isinstance(self.k_values, str):
+            self.k_values = _parse_k_range(self.k_values)
         if self.node_budget is not None and self.node_budget <= 0:
             raise ValueError("node budget must be positive")
 
@@ -85,14 +86,6 @@ def _parse_k_range(text: str) -> tuple[int, ...]:
     if not values:
         raise ValueError(f"empty k range {text!r}")
     return values
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -286,17 +279,11 @@ class Check:
     run: Callable[[], str]  # returns detail, raises on failure
 
 
-def _run_checks(checks: Sequence[Check], threads: int) -> list[tuple[str, bool, str]]:
-    def attempt(check: Check) -> tuple[str, bool, str]:
-        try:
-            return (check.name, True, check.run())
-        except Exception as exc:  # deliberate: any failure is a red check
-            return (check.name, False, f"{type(exc).__name__}: {exc}")
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(attempt, checks))
-    return [attempt(c) for c in checks]
+def _run_check(check: Check) -> tuple[str, bool, str]:
+    try:
+        return (check.name, True, check.run())
+    except Exception as exc:  # deliberate: any failure is a red check
+        return (check.name, False, f"{type(exc).__name__}: {exc}")
 
 
 def _suite_levelsize(cfg: RunConfig) -> list[Check]:
@@ -527,9 +514,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     payload = []
     all_ok = True
     for name in names:
-        checks = _SUITE_BUILDERS[name](cfg)
-        results = _run_checks(checks, cfg.threads)
-        for check_name, ok, detail in results:
+        for check_name, ok, detail in map(_run_check, _SUITE_BUILDERS[name](cfg)):
             all_ok &= ok
             lines.append(f"[{'ok' if ok else 'FAIL'}] {check_name}: {detail}")
             payload.append({"check": check_name, "ok": ok, "detail": detail})
@@ -558,86 +543,62 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Options are stored under RunConfig's field names (dest); metavar keeps
+    # the help text showing the option's own name.
     def add_common(sp, fmt_default="table"):
-        sp.add_argument("--format", choices=("table", "json", "csv"), default=fmt_default)
+        sp.add_argument(
+            "--format", dest="fmt", choices=("table", "json", "csv"), default=fmt_default
+        )
         sp.add_argument("--output", default=None, help="write to a file instead of stdout")
 
     sp = sub.add_parser("bounds", help="coefficient bound table for a poset")
-    sp.add_argument("--poset", required=True)
+    sp.add_argument("--poset", dest="poset_spec", metavar="POSET", required=True)
     add_common(sp)
 
     sp = sub.add_parser("exact", help="exact La(n, P) by branch and bound")
-    sp.add_argument("--poset", required=True)
+    sp.add_argument("--poset", dest="poset_spec", metavar="POSET", required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--mode", choices=("weak", "induced"), default="weak")
     sp.add_argument("--objective", choices=("cardinality", "lubell"), default="cardinality")
-    sp.add_argument("--budget", type=int, default=None, help="node budget")
+    sp.add_argument(
+        "--budget", dest="node_budget", metavar="BUDGET", type=int, help="node budget"
+    )
     sp.add_argument("--override-guard", action="store_true")
     add_common(sp, "json")
 
     sp = sub.add_parser("alpha", help="exact alpha(H, P) for a family file")
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--poset", required=True)
+    sp.add_argument("--family", dest="family_path", metavar="FAMILY", required=True)
+    sp.add_argument("--poset", dest="poset_spec", metavar="POSET", required=True)
     sp.add_argument("--mode", choices=("weak", "induced"), default="weak")
     sp.add_argument("--objective", choices=("cardinality", "lubell"), default="cardinality")
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--budget", dest="node_budget", metavar="BUDGET", type=int)
     add_common(sp, "json")
 
     sp = sub.add_parser("chain", help="emit the canonical k-interval chain as a family file")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", required=True)
+    sp.add_argument("--k", dest="k_values", metavar="K", required=True)
     sp.add_argument("--output", default=None)
 
     sp = sub.add_parser("embed", help="greedy-embed a poset into an interval chain window")
-    sp.add_argument("--poset", required=True)
-    sp.add_argument("--k", required=True)
+    sp.add_argument("--poset", dest="poset_spec", metavar="POSET", required=True)
+    sp.add_argument("--k", dest="k_values", metavar="K", required=True)
     sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--family", default=None, help="family file to embed into")
+    sp.add_argument(
+        "--family", dest="family_path", metavar="FAMILY", help="family file to embed into"
+    )
     add_common(sp, "json")
 
     sp = sub.add_parser("verify", help="run verification suites")
     sp.add_argument("--suite", choices=SUITES + ("all",), default="all")
-    sp.add_argument("--k", default=None, help="k or k range like 2..5")
+    sp.add_argument(
+        "--k", dest="k_values", metavar="K", default=(), help="k or k range like 2..5"
+    )
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--samples", type=int, default=20)
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--steps", type=int, default=64)
     add_common(sp)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.threads = _threads_from_env()
-    if hasattr(args, "poset"):
-        cfg.poset_spec = args.poset
-    if getattr(args, "n", None) is not None:
-        cfg.n = args.n
-    if getattr(args, "k", None) is not None:
-        cfg.k_values = _parse_k_range(str(args.k))
-    if hasattr(args, "mode"):
-        cfg.mode = args.mode
-    if hasattr(args, "objective"):
-        cfg.objective = args.objective
-    if getattr(args, "budget", None) is not None:
-        cfg.node_budget = args.budget
-    if getattr(args, "override_guard", False):
-        cfg.override_guard = True
-    if hasattr(args, "format"):
-        cfg.fmt = args.format
-    if getattr(args, "output", None):
-        cfg.output = args.output
-    if getattr(args, "family", None):
-        cfg.family_path = args.family
-    if hasattr(args, "suite"):
-        cfg.suite = args.suite
-    if hasattr(args, "samples"):
-        cfg.samples = args.samples
-    if hasattr(args, "seed"):
-        cfg.seed = args.seed
-    if hasattr(args, "steps"):
-        cfg.steps = args.steps
-    return cfg
 
 
 _COMMANDS = {
@@ -654,7 +615,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        cfg = RunConfig(**vars(args))
         return _COMMANDS[args.command](cfg)
     except SubposetLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

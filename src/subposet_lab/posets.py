@@ -287,8 +287,6 @@ def inclusion_poset(fam: SetFamily) -> Poset:
 
 # --- subposet embedding search ----------------------------------------------
 
-_NONE, _BELOW, _ABOVE, _INCOMP = 0, 1, 2, 3
-
 
 class _HostView:
     """Comparability bitmasks of a host poset or set family."""
@@ -321,6 +319,12 @@ class EmbeddingSearch:
     Candidate sets are propagated forward after each assignment, so branches
     that starve a later element are cut immediately. The search is exhaustive:
     a None result is a proof that no embedding exists.
+
+    rel[u][e][z] is the mask of host candidates left for pattern element u
+    (u != e) once e is imaged at host index z: the host's below / above row
+    when u lies below / above e, the non-neighbours of z when they are
+    incomparable in induced mode, and every index otherwise. The mode is
+    settled once, when the tables are built.
     """
 
     __slots__ = (
@@ -329,8 +333,8 @@ class EmbeddingSearch:
         "mode",
         "order",
         "rel",
-        "full_mask",
-        "_forced_orders",
+        "_plan",
+        "_pinned_plans",
         "_twin_reps",
         "_need_above",
         "_need_below",
@@ -339,28 +343,34 @@ class EmbeddingSearch:
     def __init__(self, host: Union[Poset, SetFamily], pattern: Poset, mode: str):
         if mode not in ("weak", "induced"):
             raise ValueError(f"mode must be 'weak' or 'induced', got {mode!r}")
-        self.host = _HostView(host)
+        self.host = host = _HostView(host)
         self.pattern = pattern
         self.mode = mode
         self.order = sorted(
             range(pattern.size), key=lambda e: (-pattern.degree(e), e)
         )
         q = pattern.size
-        rel = [[_NONE] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(q):
-                if a == b:
-                    continue
-                if pattern.less(a, b):
-                    rel[a][b] = _BELOW
-                elif pattern.less(b, a):
-                    rel[a][b] = _ABOVE
-                else:
-                    rel[a][b] = _INCOMP
-        self.rel = rel
-        self.full_mask = (1 << self.host.size) - 1
-        self._forced_orders = [
-            [e] + [x for x in self.order if x != e] for e in range(q)
+        full = (1 << host.size) - 1
+        if mode == "induced":
+            incomparable = [
+                full & ~(host.above[z] | host.below[z] | 1 << z)
+                for z in range(host.size)
+            ]
+        else:
+            incomparable = [full] * host.size
+        self.rel = [
+            [
+                host.below if pattern.less(u, e)
+                else host.above if pattern.less(e, u)
+                else incomparable
+                for e in range(q)
+            ]
+            for u in range(q)
+        ]
+        self._plan = self._plan_for(self.order)
+        # embeds_using pins its element first, then follows the usual order.
+        self._pinned_plans = [
+            self._plan_for([e] + [x for x in self.order if x != e]) for e in range(q)
         ]
         # Elements with identical up- and down-sets are swappable, so a copy
         # through one exists iff a copy through any of its twins does.
@@ -375,140 +385,89 @@ class EmbeddingSearch:
         self._need_above = [pattern.above_mask(e).bit_count() for e in range(q)]
         self._need_below = [pattern.below_mask(e).bit_count() for e in range(q)]
 
-    def _constraint_mask(self, kind: int, host_idx: int) -> int:
-        # Candidates for an element in relation `kind` to one imaged at host_idx.
-        if kind == _BELOW:
-            # pattern element sits below: its image must be below host_idx.
-            return self.host.below[host_idx]
-        if kind == _ABOVE:
-            return self.host.above[host_idx]
-        if kind == _INCOMP and self.mode == "induced":
-            return self.full_mask & ~(
-                self.host.above[host_idx]
-                | self.host.below[host_idx]
-                | (1 << host_idx)
-            )
-        return self.full_mask
+    def _plan_for(self, order: Sequence[int]) -> tuple:
+        # Per depth: the element assigned there and, for each later element,
+        # the host-mask table its candidates are narrowed by.
+        return tuple(
+            (e, tuple((u, self.rel[u][e]) for u in order[depth + 1 :]))
+            for depth, e in enumerate(order)
+        )
 
-    def run(
-        self,
-        allowed_mask: int | None = None,
-        forced: tuple[int, int] | None = None,
+    @staticmethod
+    def _search(
+        plan: tuple,
+        depth: int,
+        images: list[int],
+        cand: list[int],
+        used: int,
         node_budget: int | None = None,
     ) -> Iterator[tuple[int, ...]]:
-        """Yield image tuples (indexed by pattern element id).
-
-        `allowed_mask` restricts host candidates; `forced` pins pattern
-        element e to host index z before the search starts.
-        """
-        allowed = self.full_mask if allowed_mask is None else allowed_mask
-        q = self.pattern.size
-        if q == 0:
-            yield ()
-            return
-        order = self.order
-        images = [-1] * q
-        cand = [allowed] * q
-        used = 0
+        """Yield image tuples (indexed by pattern element id) for every way to
+        assign the plan's elements from `depth` on, given the images, candidate
+        masks and used host indices so far; nodes count against the budget."""
+        last = len(plan)
         nodes = 0
 
-        if forced is not None:
-            e, z = forced
-            if not cand[e] >> z & 1:
-                return
-            images[e] = z
-            used = 1 << z
-            for u in range(q):
-                if u != e:
-                    cand[u] &= self._constraint_mask(self.rel[u][e], z)
-            order = [e] + [x for x in order if x != e]
-
-        start = 1 if forced is not None else 0
-
-        def assign(depth: int) -> Iterator[tuple[int, ...]]:
-            nonlocal used, nodes
-            if depth == len(order):
+        def assign(depth: int, cand: list[int], used: int) -> Iterator[tuple[int, ...]]:
+            nonlocal nodes
+            if depth == last:
                 yield tuple(images)
                 return
-            elem = order[depth]
+            elem, later = plan[depth]
             choices = cand[elem] & ~used
             while choices:
                 z = choices & -choices
                 choices ^= z
-                zi = z.bit_length() - 1
                 nodes += 1
                 if node_budget is not None and nodes > node_budget:
                     raise SearchBudgetExceeded(
                         f"embedding search exceeded {node_budget} nodes"
                     )
-                saved = [cand[u] for u in range(q)]
-                ok = True
-                for u in range(q):
-                    if images[u] == -1 and u != elem:
-                        cand[u] &= self._constraint_mask(self.rel[u][elem], zi)
-                        if cand[u] & ~(used | z) == 0:
-                            ok = False
-                if ok:
+                zi = z.bit_length() - 1
+                used_z = used | z
+                narrowed = cand.copy()
+                for u, masks in later:
+                    c = narrowed[u] & masks[zi]
+                    if not c & ~used_z:
+                        break
+                    narrowed[u] = c
+                else:
                     images[elem] = zi
-                    used |= z
-                    yield from assign(depth + 1)
-                    images[elem] = -1
-                    used &= ~z
-                for u in range(q):
-                    cand[u] = saved[u]
+                    # Yield a full assignment here: a generator per leaf
+                    # measurably slows the short freeness checks.
+                    if depth + 1 == last:
+                        yield tuple(images)
+                    else:
+                        yield from assign(depth + 1, narrowed, used_z)
 
-        yield from assign(start)
+        return assign(depth, cand, used)
+
+    def run(self, node_budget: int | None = None) -> Iterator[tuple[int, ...]]:
+        """Yield image tuples (indexed by pattern element id), all of them."""
+        q = self.pattern.size
+        full = (1 << self.host.size) - 1
+        return self._search(self._plan, 0, [-1] * q, [full] * q, 0, node_budget)
 
     def embeds_using(self, allowed_mask: int, host_idx: int) -> bool:
         """Is there a copy of the pattern inside `allowed_mask` whose image
-        includes host_idx? Boolean fast path for incremental freeness checks."""
+        includes host_idx (which must lie in `allowed_mask`)? Boolean fast
+        path for incremental freeness checks."""
         above = self.host.above[host_idx] & allowed_mask
         below = self.host.below[host_idx] & allowed_mask
         n_above = above.bit_count()
         n_below = below.bit_count()
+        rel = self.rel
         for e in self._twin_reps:
             if n_above < self._need_above[e] or n_below < self._need_below[e]:
                 continue
-            if self._forced_search(allowed_mask, e, host_idx):
+            # Pin e to host_idx and narrow the others by it, then go on from depth 1.
+            images = [-1] * len(rel)
+            images[e] = host_idx
+            cand = [allowed_mask & row[e][host_idx] for row in rel]
+            found = self._search(self._pinned_plans[e], 1, images, cand, 1 << host_idx)
+            if next(found, None) is not None:
                 return True
         return False
-
-    def _forced_search(self, allowed: int, e: int, z: int) -> bool:
-        q = self.pattern.size
-        rel = self.rel
-        order = self._forced_orders[e]
-        images = [-1] * q
-        cand = [allowed] * q
-        images[e] = z
-        for u in range(q):
-            if u != e:
-                cand[u] &= self._constraint_mask(rel[u][e], z)
-
-        def assign(depth: int, used: int) -> bool:
-            if depth == q:
-                return True
-            elem = order[depth]
-            choices = cand[elem] & ~used
-            while choices:
-                zbit = choices & -choices
-                choices ^= zbit
-                zi = zbit.bit_length() - 1
-                saved = cand.copy()
-                ok = True
-                for u in range(q):
-                    if images[u] == -1 and u != elem:
-                        cand[u] &= self._constraint_mask(rel[u][elem], zi)
-                        if cand[u] & ~(used | zbit) == 0:
-                            ok = False
-                if ok:
-                    images[elem] = zi
-                    if assign(depth + 1, used | zbit):
-                        return True
-                    images[elem] = -1
-                cand[:] = saved
-            return False
-
-        return assign(1, 1 << z)
 
 
 def iter_subposet_embeddings(

@@ -20,31 +20,41 @@ from subposet_lab.posets import Poset, chain, diamond
 from subposet_lab.solver import la_exact
 
 
+def _is_copy(images: tuple[int, ...], pattern: Poset, mode: str) -> bool:
+    """Do these set masks, indexed by pattern id, form a copy of the pattern?"""
+    q = pattern.size
+    for a in range(q):
+        for b in range(q):
+            if a == b:
+                continue
+            ma, mb = images[a], images[b]
+            img_less = ma != mb and ma & mb == ma
+            if pattern.less(a, b) and not img_less:
+                return False
+            if mode == "induced" and not pattern.less(a, b) and img_less:
+                return False
+    return True
+
+
 def brute_contains(fam: SetFamily, pattern: Poset, mode: str) -> bool:
     """Pattern containment by trying every injection of pattern ids into sets."""
     masks = fam.masks()
-    q = pattern.size
-    if q > len(masks):
-        return False
-    for injection in itertools.permutations(range(len(masks)), q):
-        ok = True
-        for a in range(q):
-            for b in range(q):
-                if a == b:
-                    continue
-                ma, mb = masks[injection[a]], masks[injection[b]]
-                img_less = ma != mb and ma & mb == ma
-                if pattern.less(a, b) and not img_less:
-                    ok = False
-                    break
-                if mode == "induced" and not pattern.less(a, b) and img_less:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+    return any(
+        _is_copy(images, pattern, mode)
+        for images in itertools.permutations(masks, pattern.size)
+    )
+
+
+def brute_contains_through(
+    fam: SetFamily, pattern: Poset, mode: str, allowed: int, z: int
+) -> bool:
+    """A copy among the sets whose canonical index is in `allowed`, using set z?"""
+    masks = fam.masks()
+    pool = [m for i, m in enumerate(masks) if allowed >> i & 1]
+    return any(
+        masks[z] in images and _is_copy(images, pattern, mode)
+        for images in itertools.permutations(pool, pattern.size)
+    )
 
 
 def brute_poset_contains(host: Poset, pattern: Poset, mode: str) -> bool:

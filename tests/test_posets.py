@@ -12,6 +12,7 @@ from subposet_lab.errors import (
 )
 from subposet_lab.families import SetFamily, Subset
 from subposet_lab.posets import (
+    EmbeddingSearch,
     Poset,
     antichain,
     are_isomorphic,
@@ -28,7 +29,12 @@ from subposet_lab.posets import (
     product,
 )
 
-from conftest import brute_contains, brute_poset_contains, random_poset
+from conftest import (
+    brute_contains,
+    brute_contains_through,
+    brute_poset_contains,
+    random_poset,
+)
 
 
 class TestConstruction:
@@ -238,6 +244,32 @@ class TestFindSubposet:
             if a != b and a & b == a
         )
         assert len(seen) == expected
+
+
+class TestEmbedsUsing:
+    """The solver's freeness fast path against injections that use set z."""
+
+    @pytest.mark.parametrize("mode", ["weak", "induced"])
+    def test_matches_brute_force(self, mode):
+        rng = random.Random(6)
+        twins = [antichain(3), complete_multilevel((2, 2)), diamond(2)]
+        for trial in range(120):
+            n = rng.randint(1, 4)
+            host = SetFamily.from_masks(
+                n, rng.sample(range(1 << n), rng.randint(1, min(8, 1 << n)))
+            )
+            if trial % 2:
+                pattern = twins[trial // 2 % len(twins)]
+            else:
+                pattern = random_poset(rng, rng.randint(1, 4))
+            search = EmbeddingSearch(host, pattern, mode)
+            for _ in range(3):
+                z = rng.randrange(len(host))
+                allowed = rng.randrange(1 << len(host)) | 1 << z
+                expected = brute_contains_through(host, pattern, mode, allowed, z)
+                assert search.embeds_using(allowed, z) == expected, (
+                    host.masks(), pattern, mode, bin(allowed), z
+                )
 
 
 class TestEmbedIntoDiamondProduct:
