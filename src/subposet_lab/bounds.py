@@ -24,15 +24,36 @@ PRECISION = 50
 _iv = mpmath.ctx_iv.MPIntervalContext()
 _iv.dps = PRECISION + 10
 
-Coefficient = Union[Fraction, "mpmath.ctx_iv.ivmpf"]
+Interval = mpmath.ctx_iv.ivmpf
+Coefficient = Union[Fraction, Interval]
+# What a coefficient may be; anything else in a report's params is plain data.
+COEFFICIENT_TYPES = (Fraction, Interval)
 
 
-def to_interval(x: Union[int, Fraction]) -> "mpmath.ctx_iv.ivmpf":
+def to_interval(x: Union[int, Fraction]) -> Interval:
     frac = Fraction(x)
     return _iv.mpf(frac.numerator) / _iv.mpf(frac.denominator)
 
 
-def log2_interval(x: Union[int, Fraction]) -> "mpmath.ctx_iv.ivmpf":
+def _interval(x: Union[int, Coefficient]) -> Interval:
+    return x if isinstance(x, Interval) else to_interval(x)
+
+
+def _exact(a, b) -> bool:
+    return isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))
+
+
+def _add(a: Union[int, Coefficient], b: Union[int, Coefficient]) -> Coefficient:
+    """a + b: an exact Fraction when both are rational, else an interval."""
+    return Fraction(a) + b if _exact(a, b) else _interval(a) + _interval(b)
+
+
+def _mul(a: Union[int, Coefficient], b: Union[int, Coefficient]) -> Coefficient:
+    """a * b: an exact Fraction when both are rational, else an interval."""
+    return Fraction(a) * b if _exact(a, b) else _interval(a) * _interval(b)
+
+
+def log2_interval(x: Union[int, Fraction]) -> Interval:
     return _iv.log(to_interval(x)) / _iv.log(2)
 
 
@@ -63,7 +84,7 @@ def ceil_log2(x: Fraction) -> int:
     return t
 
 
-def _endpoints(x: "mpmath.ctx_iv.ivmpf"):
+def _endpoints(x: Interval):
     a_raw, b_raw = x._mpi_
     with mp.workdps(PRECISION + 20):
         return mp.make_mpf(a_raw), mp.make_mpf(b_raw)
@@ -78,35 +99,13 @@ def coefficient_str(c: Coefficient) -> str:
         return mp.nstr((lo + hi) / 2, PRECISION)
 
 
-def coefficient_float(c: Coefficient) -> float:
-    if isinstance(c, Fraction):
-        return float(c)
-    lo, hi = _endpoints(c)
-    return float((lo + hi) / 2)
-
-
 def certainly_less(a: Coefficient, b: Coefficient) -> bool:
     """True only when a < b is certain at the working precision."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a < b
-    ia = to_interval(a) if isinstance(a, Fraction) else a
-    ib = to_interval(b) if isinstance(b, Fraction) else b
-    return ia.b < ib.a
+    return a < b if _exact(a, b) else _interval(a).b < _interval(b).a
 
 
 def certainly_le(a: Coefficient, b: Coefficient) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a <= b
-    ia = to_interval(a) if isinstance(a, Fraction) else a
-    ib = to_interval(b) if isinstance(b, Fraction) else b
-    return ia.b <= ib.a
-
-
-def coefficient_min(values: Sequence[Coefficient]) -> Coefficient:
-    """Minimum of exact coefficients (all Fractions)."""
-    if not all(isinstance(v, Fraction) for v in values):
-        raise InvalidParams("coefficient_min needs exact rational inputs")
-    return min(values)
+    return a <= b if _exact(a, b) else _interval(a).b <= _interval(b).a
 
 
 @dataclass(frozen=True)
@@ -219,14 +218,8 @@ def bound_corollary_interval(sizeP: int, h: int) -> BoundReport:
     """(3/2) log2(|P|/h) h + 3.5 h when |P| > 2h, else the chain bound |P| - 1."""
     _check_shape(sizeP, h)
     if sizeP > 2 * h:
-        ratio = Fraction(sizeP, h)
-        log_part = log2_coefficient(ratio)
-        if isinstance(log_part, Fraction):
-            coeff: Coefficient = Fraction(3, 2) * log_part * h + Fraction(7, 2) * h
-        else:
-            coeff = to_interval(Fraction(3 * h, 2)) * log_part + to_interval(
-                Fraction(7 * h, 2)
-            )
+        log_part = log2_coefficient(Fraction(sizeP, h))
+        coeff = _add(_mul(Fraction(3 * h, 2), log_part), Fraction(7 * h, 2))
         branch = "log"
     else:
         coeff = Fraction(sizeP - 1)
@@ -247,8 +240,7 @@ def bound_dk_any(a: int) -> BoundReport:
     """Diamond-width coefficient extended to width 1 (log2(3) + 2)."""
     if a < 1:
         raise InvalidParams(f"need width >= 1, got {a}")
-    log_part = log2_coefficient(a + 2)
-    coeff = log_part + 2 if isinstance(log_part, Fraction) else log_part + to_interval(2)
+    coeff = _add(log2_coefficient(a + 2), 2)
     return BoundReport("diamond_width", "upper", coeff, {"k": a})
 
 
@@ -260,16 +252,7 @@ def bound_product_composition(parts: Sequence[BoundReport]) -> BoundReport:
         raise InvalidParams("only upper bounds compose additively")
     total: Coefficient = Fraction(0)
     for p in parts:
-        if isinstance(total, Fraction) and isinstance(p.coefficient, Fraction):
-            total = total + p.coefficient
-        else:
-            ia = to_interval(total) if isinstance(total, Fraction) else total
-            ib = (
-                to_interval(p.coefficient)
-                if isinstance(p.coefficient, Fraction)
-                else p.coefficient
-            )
-            total = ia + ib
+        total = _add(total, p.coefficient)
     return BoundReport(
         "product_composition",
         "upper",
@@ -283,26 +266,22 @@ def bound_corollary_diamond(layer_sizes: Sequence[int]) -> BoundReport:
 
     The sum is what diamond-width bounds compose to along the layers; Jensen
     gives the closed form h log2(|P|/h + 2) + 2h, equal exactly when all
-    layers match. Both are computed and the ordering is asserted.
+    layers match. Both are computed and the ordering is checked; it holds by
+    concavity, so a failure raises InvariantViolated.
     """
     sizes = tuple(layer_sizes)
     if not sizes or any(a < 1 for a in sizes):
         raise InvalidParams(f"layer sizes must all be >= 1, got {sizes}")
     h = len(sizes)
     total = bound_product_composition([bound_dk_any(a) for a in sizes])
-    jensen_arg = Fraction(sum(sizes), h) + 2
-    log_part = log2_coefficient(jensen_arg)
-    if isinstance(log_part, Fraction):
-        jensen: Coefficient = h * log_part + 2 * h
-    else:
-        jensen = to_interval(h) * log_part + to_interval(2 * h)
+    jensen = _add(_mul(h, log2_coefficient(Fraction(sum(sizes), h) + 2)), 2 * h)
     all_equal = len(set(sizes)) == 1
     if all_equal:
         ordered = True  # both expressions coincide symbolically
     else:
         ordered = certainly_less(total.coefficient, jensen)
     if not ordered:
-        raise InvalidParams(
+        raise InvariantViolated(
             f"layer sum unexpectedly exceeds its Jensen form for {sizes}"
         )
     return BoundReport(
@@ -323,12 +302,7 @@ def lower_bound_complete_multilevel(a: int, h: int) -> BoundReport:
     if h <= 2 or a < 2:
         coeff: Coefficient = Fraction(0)
     else:
-        log_part = log2_coefficient(a)
-        coeff = (
-            (h - 2) * log_part
-            if isinstance(log_part, Fraction)
-            else to_interval(h - 2) * log_part
-        )
+        coeff = _mul(h - 2, log2_coefficient(a))
     return BoundReport("middle_levels_lower", "lower", coeff, {"a": a, "h": h})
 
 
@@ -365,7 +339,7 @@ class InducedExponentTrace:
     def min_index(self) -> int:
         return len(self.exponents) - 1
 
-    def constant_interval(self, C: Union[int, Fraction]) -> "mpmath.ctx_iv.ivmpf":
+    def constant_interval(self, C: Union[int, Fraction]) -> Interval:
         """Numeric enclosure of the final constant for a concrete C."""
         g, b = self.constant_ledger[-1]
         geom = _iv.mpf(2) * _iv.sqrt(_iv.mpf(2)) / _iv.sqrt(_iv.pi)

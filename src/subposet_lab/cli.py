@@ -32,7 +32,7 @@ from .families import (
     unrelated_below_count,
     worst_set,
 )
-from .posets import Poset, chain, diamond, parse_poset_spec
+from .posets import chain, diamond, parse_poset_spec
 from .solver import alpha, la_exact, lubell_max, verify_double_counting
 
 SUITES = (
@@ -99,45 +99,18 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _param_value(value):
+    """A bound parameter as printed: coefficients as strings, the rest as is."""
+    if isinstance(value, bnd.COEFFICIENT_TYPES):
+        return bnd.coefficient_str(value)
+    return value
+
+
 def _params_str(params: dict) -> str:
-    parts = []
-    for key in sorted(params):
-        value = params[key]
-        if isinstance(value, (Fraction,)) or type(value).__name__ == "ivmpf":
-            value = bnd.coefficient_str(value)
-        parts.append(f"{key}={value}")
-    return ";".join(parts)
-
-
-def _params_json(params: dict) -> dict:
-    out = {}
-    for key, value in params.items():
-        if isinstance(value, Fraction) or type(value).__name__ == "ivmpf":
-            out[key] = bnd.coefficient_str(value)
-        elif isinstance(value, tuple):
-            out[key] = list(value)
-        else:
-            out[key] = value
-    return out
+    return ";".join(f"{key}={params[key]}" for key in sorted(params))
 
 
 # --- bounds ------------------------------------------------------------------
-
-
-def _is_complete_equal_multilevel(p: Poset) -> int | None:
-    """Layer width if p is a complete multilevel poset with equal layers."""
-    sizes = p.complete_layer_sizes()
-    if not sizes or len(set(sizes)) != 1:
-        return None
-    return sizes[0]
-
-
-def _diamond_width(p: Poset) -> int | None:
-    """k if p is the diamond D_k: the complete poset with layers (1, k, 1)."""
-    sizes = p.complete_layer_sizes()
-    if sizes is None or len(sizes) != 3 or sizes[0] != 1 or sizes[2] != 1:
-        return None
-    return sizes[1]
 
 
 def cmd_bounds(cfg: RunConfig) -> int:
@@ -153,12 +126,13 @@ def cmd_bounds(cfg: RunConfig) -> int:
     reports.append(bnd.best_main_k(sizeP, h))
     reports.append(bnd.bound_corollary_interval(sizeP, h))
     reports.append(bnd.bound_corollary_diamond(layers))
-    width = _diamond_width(p)
-    if width is not None and width >= 2:
-        reports.append(bnd.bound_dk(width))
-    equal_width = _is_complete_equal_multilevel(p)
-    if equal_width is not None:
-        reports.append(bnd.lower_bound_complete_multilevel(equal_width, h))
+    sizes = p.complete_layer_sizes()
+    if sizes is not None:
+        # The diamond D_k is the complete poset with layers (1, k, 1).
+        if len(sizes) == 3 and sizes[0] == sizes[2] == 1 and sizes[1] >= 2:
+            reports.append(bnd.bound_dk(sizes[1]))
+        if len(set(sizes)) == 1:
+            reports.append(bnd.lower_bound_complete_multilevel(sizes[0], h))
 
     rows = [
         {
@@ -166,15 +140,14 @@ def cmd_bounds(cfg: RunConfig) -> int:
             "sizeP": sizeP,
             "h": h,
             "bound_name": r.name,
-            "params": r.params,
+            "params": {key: _param_value(v) for key, v in r.params.items()},
             "coefficient": r.coefficient_as_str(),
             "side": r.side,
         }
         for r in reports
     ]
     if cfg.fmt == "json":
-        payload = {"schema": 1, "rows": [dict(row, params=_params_json(row["params"])) for row in rows]}
-        _emit(_json_dumps(payload), cfg.output)
+        _emit(_json_dumps({"schema": 1, "rows": rows}), cfg.output)
     elif cfg.fmt == "csv":
         lines = ["poset_spec,sizeP,h,bound_name,params,coefficient,side"]
         for row in rows:

@@ -155,7 +155,6 @@ def greedy_embed(
     steps: list[GreedyStep] = []
     images: dict[int, Subset] = {}
     chosen_all: list[Subset] = []
-    prev_removed: set[int] = set()
 
     for i in range(h, 0, -1):
         layer = decomp.layers[i - 1]
@@ -177,7 +176,7 @@ def greedy_embed(
             fresh = [
                 s
                 for s in removed
-                if s.mask not in prev_removed
+                if s.mask not in unusable
                 and all(s.mask != t.mask for t in placed)
             ]
             if len(fresh) > allowance:
@@ -186,7 +185,6 @@ def greedy_embed(
                     f"allowance {allowance}; this is a bug"
                 )
             unusable = {s.mask for s in removed}
-            prev_removed = set(unusable)
             steps.append(GreedyStep(i, tuple(placed), tuple(removed)))
         else:
             steps.append(GreedyStep(i, tuple(placed), ()))
@@ -248,18 +246,14 @@ def span_certificate(pattern: Poset, emb: Embedding) -> SpanCertificate:
     equal-width complete multilevel poset into a set family."""
     if emb.target_kind != "family":
         raise InvalidEmbedding("span certificates apply to family targets")
-    try:
-        check_embedding(pattern, emb)
-    except InvalidEmbedding:
-        raise
-    decomp = pattern.mirsky_decomposition()
-    widths = set(decomp.sizes)
-    if len(widths) != 1:
-        raise InvalidEmbedding(f"layers have unequal widths {decomp.sizes}")
-    a = widths.pop()
-    h = len(decomp.layers)
-    if pattern.complete_layer_sizes() is None:
+    check_embedding(pattern, emb)
+    sizes = pattern.complete_layer_sizes()
+    if sizes is None:
         raise InvalidEmbedding("pattern is not a complete multilevel poset")
+    if len(set(sizes)) != 1:
+        raise InvalidEmbedding(f"layers have unequal widths {sizes}")
+    a, h = sizes[0], len(sizes)
+    decomp = pattern.mirsky_decomposition()
 
     def layer_images(i: int) -> list[Subset]:
         return [emb.images[e] for e in decomp.layers[i]]

@@ -390,22 +390,32 @@ def permutation_hit_count(fam: SetFamily, a: Subset) -> int:
     return fam.count_of_size(w) * factorial(w) * factorial(fam.n - w)
 
 
+def permutation_images(fam: SetFamily) -> Iterator[set[int]]:
+    """For each of the n! permutations pi of [n], the masks {S^pi : S in fam}.
+
+    Brute force: every member is imaged under every permutation, so callers
+    keep n small.
+    """
+    masks = fam.masks()
+    for images in itertools.permutations(range(fam.n)):
+        moved = set()
+        for mask in masks:
+            image = 0
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                image |= 1 << images[low.bit_length() - 1]
+            moved.add(image)
+        yield moved
+
+
 def permutation_hit_count_exhaustive(fam: SetFamily, a: Subset) -> int:
     """Count the same permutations by brute force over all n! of them."""
     if fam.n != a.n:
         raise ValueError("ground sets differ")
     if fam.n > 8:
         raise ValueError("exhaustive count is factorial; keep n <= 8")
-    n = fam.n
-    hits = 0
-    for images in itertools.permutations(range(1, n + 1)):
-        pi_of = {i + 1: images[i] for i in range(n)}
-        moved = {
-            frozenset(pi_of[e] for e in s.elements()) for s in fam
-        }
-        if frozenset(a.elements()) in moved:
-            hits += 1
-    return hits
+    return sum(1 for moved in permutation_images(fam) if a.mask in moved)
 
 
 # --- family file format -----------------------------------------------------

@@ -9,7 +9,6 @@ reachable through pruning.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
@@ -21,7 +20,12 @@ from .errors import (
     PFreenessViolated,
     PreconditionViolated,
 )
-from .families import SetFamily, permutation_hit_count, symmetric_chain_partition
+from .families import (
+    SetFamily,
+    permutation_hit_count,
+    permutation_images,
+    symmetric_chain_partition,
+)
 from .posets import EmbeddingSearch, Poset, find_subposet
 
 N_GUARD = 7
@@ -255,19 +259,8 @@ def verify_double_counting(
         if n > 8:
             raise ValueError("exhaustive permutation mode is factorial; keep n <= 8")
         pairs_by_sets = sum(permutation_hit_count(H, a) for a in A_family)
-        fam_masks = frozenset(s.mask for s in A_family)
-        pairs_by_perms = 0
-        for images in itertools.permutations(range(n)):
-            moved = set()
-            for s in H:
-                m2 = 0
-                sm = s.mask
-                while sm:
-                    low = sm & -sm
-                    sm ^= low
-                    m2 |= 1 << images[low.bit_length() - 1]
-                moved.add(m2)
-            pairs_by_perms += len(fam_masks & moved)
+        fam_masks = frozenset(A_family.masks())
+        pairs_by_perms = sum(len(fam_masks & moved) for moved in permutation_images(H))
         if pairs_by_sets > alpha_res.value * factorial(n):
             raise InvariantViolated(
                 f"{pairs_by_sets} pairs exceed alpha * n! = {alpha_res.value * factorial(n)}"

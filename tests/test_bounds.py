@@ -195,6 +195,15 @@ class TestLogarithmicBounds:
                 swept = best_main_k(a * h, h).coefficient
                 assert lower <= swept or certainly_less(lower, to_interval(swept))
 
+    def test_jensen_order_failure_raises(self, monkeypatch):
+        # The layer sum never exceeds its Jensen form (concavity), so a
+        # failed check is a broken invariant, not a bad argument.
+        from subposet_lab import bounds
+
+        monkeypatch.setattr(bounds, "certainly_less", lambda a, b: False)
+        with pytest.raises(InvariantViolated):
+            bounds.bound_corollary_diamond((1, 2, 1))
+
 
 class TestMinValidN:
     def test_k2(self):

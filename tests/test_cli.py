@@ -1,11 +1,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from subposet_lab.cli import main
 from subposet_lab.families import family_from_text
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -43,6 +47,24 @@ class TestBoundsCommand:
         assert len(rows) == 1 and rows[0]["params"] == {"k": 7}
         # log2(9) + 2
         assert abs(float(rows[0]["coefficient"]) - 5.169925001442312) < 1e-12
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("bounds_diamond7.txt", ["--poset", "diamond:7"]),
+            ("bounds_K444.json", ["--poset", "K:4,4,4", "--format", "json"]),
+            (
+                "bounds_product_diamonds.csv",
+                ["--poset", "product:(diamond:1,diamond:2)", "--format", "csv"],
+            ),
+        ],
+    )
+    def test_stdout_matches_golden_text(self, capsys, golden, argv):
+        # Pins every 50-digit interval string byte for byte; the CSV stays
+        # unquoted even though its params hold commas.
+        code, out, _ = run_cli(capsys, "bounds", *argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
 
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--poset", "chain:0")

@@ -21,6 +21,7 @@ from subposet_lab.families import (
     lubell,
     permutation_hit_count,
     permutation_hit_count_exhaustive,
+    permutation_images,
     symmetric_chain_partition,
     unrelated_below,
     unrelated_below_count,
@@ -358,6 +359,19 @@ class TestPermutationHitCount:
         fam = SetFamily.from_masks(n, rng.sample(range(1 << n), rng.randint(3, 8)))
         a = Subset(n, rng.randrange(1 << n))
         assert permutation_hit_count(fam, a) == permutation_hit_count_exhaustive(fam, a)
+
+    def test_images_follow_apply_permutation(self):
+        rng = random.Random(3)
+        fam = SetFamily.from_masks(4, rng.sample(range(16), 6))
+        perms = list(itertools.permutations(range(1, 5)))
+        images = list(permutation_images(fam))
+        assert len(images) == len(perms)
+        for perm, moved in zip(perms, images):
+            assert moved == set(apply_permutation(fam, perm).masks())
+
+    def test_exhaustive_count_refuses_large_n(self):
+        with pytest.raises(ValueError):
+            permutation_hit_count_exhaustive(SetFamily(9), Subset(9, 0))
 
 
 class TestSymmetricChainPartition:
