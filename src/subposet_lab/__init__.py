@@ -7,6 +7,7 @@ The package splits into:
 - solver: exact alpha / La / Lubell-maximum computations by branch and bound
 - bounds: closed-form coefficient bounds and the exponent recursion
 - embedder: greedy antichain embedding, interior shift, middle-level witnesses
+- verify: the verification suites, the paper's lemmas run as checks
 - cli: the subposet-lab command-line driver
 """
 
@@ -39,12 +40,10 @@ from .families import (
     lubell,
     permutation_hit_count,
     permutation_hit_count_exhaustive,
-    read_family,
     symmetric_chain_partition,
     unrelated_below,
     unrelated_below_count,
     worst_set,
-    write_family,
 )
 from .posets import (
     AntichainDecomposition,

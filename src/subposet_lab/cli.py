@@ -1,5 +1,6 @@
 """Batch command-line driver: bounds tables, exact searches, chain emission,
-greedy embeddings, and the verification suites.
+greedy embeddings, and the verification suites' report (the suites live in
+`verify`).
 
 Identical invocations produce byte-identical output: no timestamps, no
 wall-clock dependence (budgets are node counts), and suite results are
@@ -10,40 +11,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import bounds as bnd
-from .embedder import embedding_threshold, greedy_embed, removal_allowance
+from . import verify
+from .embedder import greedy_embed
 from .errors import PreconditionViolated, SubposetLabError
-from .families import (
-    IntervalChainSpec,
-    SetFamily,
-    Subset,
-    family_from_text,
-    family_to_text,
-    interval_chain,
-    unrelated_below,
-    unrelated_below_count,
-    worst_set,
-)
-from .posets import chain, diamond, parse_poset_spec
-from .solver import alpha, la_exact, lubell_max, verify_double_counting
-
-SUITES = (
-    "levelsize",
-    "unrelated",
-    "worstset",
-    "counting",
-    "greedy",
-    "soundness",
-    "recursion",
-)
+from .families import IntervalChainSpec, family_from_text, family_to_text, interval_chain
+from .posets import parse_poset_spec
+from .solver import alpha, la_exact, lubell_max
 
 
 @dataclass
@@ -110,9 +89,6 @@ def _params_str(params: dict) -> str:
     return ";".join(f"{key}={params[key]}" for key in sorted(params))
 
 
-# --- bounds ------------------------------------------------------------------
-
-
 def cmd_bounds(cfg: RunConfig) -> int:
     p = parse_poset_spec(cfg.poset_spec)
     sizeP, h = p.size, p.height()
@@ -177,9 +153,6 @@ def cmd_bounds(cfg: RunConfig) -> int:
     return 0
 
 
-# --- exact / alpha -------------------------------------------------------------
-
-
 def cmd_exact(cfg: RunConfig) -> int:
     p = parse_poset_spec(cfg.poset_spec)
     if cfg.objective == "cardinality":
@@ -214,8 +187,7 @@ def cmd_embed(cfg: RunConfig) -> int:
         raise PreconditionViolated("embed needs --n or --family")
     else:
         spec = IntervalChainSpec.canonical(cfg.n, k)
-        lo, hi = 3 * k - 3, cfg.n - k + 1
-        H = interval_chain(spec).restrict_sizes(lo, hi)
+        H = interval_chain(spec).restrict_sizes(*spec.embedding_window)
     embedding, trace = greedy_embed(H, p, spec)
     payload = {
         "schema": 1,
@@ -243,269 +215,22 @@ def cmd_embed(cfg: RunConfig) -> int:
     return 0
 
 
-# --- verify -------------------------------------------------------------------
-
-
-@dataclass
-class Check:
-    name: str
-    run: Callable[[], str]  # returns detail, raises on failure
-
-
-def _run_check(check: Check) -> tuple[str, bool, str]:
-    try:
-        return (check.name, True, check.run())
-    except Exception as exc:  # deliberate: any failure is a red check
-        return (check.name, False, f"{type(exc).__name__}: {exc}")
-
-
-def _suite_levelsize(cfg: RunConfig) -> list[Check]:
-    ks = cfg.k_values or (2, 3, 4, 5)
-    n_max = cfg.n or 14
-
-    def make(k: int) -> Check:
-        def run() -> str:
-            count = 0
-            for n in range(2 * k, n_max + 1):
-                spec = IntervalChainSpec.canonical(n, k)
-                fam = interval_chain(spec)
-                for m in range(k, n - k + 1):
-                    enumerated = fam.count_of_size(m)
-                    expected = 1 << (k - 1)
-                    if enumerated != expected:
-                        raise AssertionError(
-                            f"k={k} n={n} m={m}: {enumerated} != {expected}"
-                        )
-                    count += 1
-            return f"{count} level counts equal 2^(k-1)"
-
-        return Check(f"levelsize k={k}", run)
-
-    return [make(k) for k in ks]
-
-
-def _suite_unrelated(cfg: RunConfig) -> list[Check]:
-    ks = cfg.k_values or (2, 3, 4)
-    n_max = cfg.n or 14
-
-    def make(k: int) -> Check:
-        def run() -> str:
-            expected = unrelated_below_count(k)
-            count = 0
-            for n in range(4 * k - 4, n_max + 1):
-                spec = IntervalChainSpec.canonical(n, k)
-                for m in range(3 * k - 3, n - k + 2):
-                    got = len(unrelated_below(spec, m))
-                    if got != expected:
-                        raise AssertionError(f"k={k} n={n} m={m}: {got} != {expected}")
-                    count += 1
-            return f"{count} collections of size {expected}"
-
-        return Check(f"unrelated k={k}", run)
-
-    return [make(k) for k in ks]
-
-
-def _suite_worstset(cfg: RunConfig) -> list[Check]:
-    ks = cfg.k_values or (2, 3, 4)
-    n_max = cfg.n or 12
-
-    def make(k: int) -> Check:
-        def run() -> str:
-            qualifying = 0
-            for n in range(2 * k, n_max + 1):
-                spec = IntervalChainSpec.canonical(n, k)
-                fam = interval_chain(spec)
-                # Valid through m = n-k+1, the same cap the embedding window
-                # uses; one level higher the top of the chain degenerates and
-                # the partner is no longer unique.
-                for m in range(k, n - k + 2):
-                    blocker = worst_set(spec, m)
-                    level_m = [s for s in fam if s.weight == m]
-                    level_up = [s for s in fam if s.weight == m + 1]
-                    for a in fam:
-                        if a.weight >= m:
-                            continue
-                        unrelated_m = [s for s in level_m if not a.related(s)]
-                        if not unrelated_m:
-                            continue
-                        if any(not a.related(s) for s in level_up):
-                            continue
-                        if unrelated_m != [blocker]:
-                            raise AssertionError(
-                                f"k={k} n={n} m={m} {a}: partners "
-                                f"{[str(s) for s in unrelated_m]}"
-                            )
-                        qualifying += 1
-            return f"{qualifying} qualifying sets, all with the unique partner"
-
-        return Check(f"worstset k={k}", run)
-
-    return [make(k) for k in ks]
-
-
-def _counting_instance(rng: random.Random, idx: int) -> Check:
-    from .families import permutation_hit_count, permutation_hit_count_exhaustive
-
-    def run() -> str:
-        n = rng.randint(4, 6)
-        universe = list(range(1 << n))
-        H = SetFamily.from_masks(n, rng.sample(universe, rng.randint(6, 12)))
-        patterns = [chain(2), chain(3), diamond(1), diamond(2)]
-        P = patterns[rng.randrange(len(patterns))]
-        a = Subset(n, rng.randrange(1 << n))
-        closed = permutation_hit_count(H, a)
-        brute = permutation_hit_count_exhaustive(H, a)
-        if closed != brute:
-            raise AssertionError(f"hit count {closed} != exhaustive {brute}")
-        # build a pattern-free family greedily from random candidates
-        from .posets import find_subposet
-
-        members: list[Subset] = []
-        for mask in rng.sample(universe, 1 << (n - 1)):
-            trial = SetFamily(n, members + [Subset(n, mask)])
-            if find_subposet(trial, P, "weak") is None:
-                members = list(trial)
-        report = verify_double_counting(H, P, SetFamily(n, members))
-        if not report.holds:
-            raise AssertionError(f"sum {report.lhs} > alpha {report.alpha_value}")
-        if not report.identity_holds:
-            raise AssertionError(
-                f"pair counts differ: {report.pairs_by_sets} vs "
-                f"{report.pairs_by_permutations}"
-            )
-        return (
-            f"n={n} |H|={len(H)} sum={report.lhs} <= alpha={report.alpha_value}, "
-            f"pairs={report.pairs_by_sets}"
-        )
-
-    return Check(f"counting instance {idx}", run)
-
-
-def _suite_counting(cfg: RunConfig) -> list[Check]:
-    rng = random.Random(cfg.seed)
-    seeds = [rng.randrange(1 << 30) for _ in range(cfg.samples)]
-    return [
-        _counting_instance(random.Random(seed), idx)
-        for idx, seed in enumerate(seeds)
-    ]
-
-
-def _suite_greedy(cfg: RunConfig) -> list[Check]:
-    k = cfg.k_values[0] if cfg.k_values else 2
-    n = cfg.n or 10
-    spec = IntervalChainSpec.canonical(n, k)
-    window = interval_chain(spec).restrict_sizes(3 * k - 3, n - k + 1)
-    patterns = [
-        ("chain:3", chain(3)),
-        ("diamond:1", diamond(1)),
-        ("diamond:2", diamond(2)),
-        ("K:1,2", parse_poset_spec("K:1,2")),
-    ]
-    checks = []
-    for label, P in patterns:
-        def run(P=P, label=label) -> str:
-            rng = random.Random(cfg.seed)
-            threshold = embedding_threshold(P, k)
-            sets = list(window)
-            cap = removal_allowance(k)
-            for _ in range(cfg.samples):
-                H = SetFamily(n, rng.sample(sets, threshold))
-                _, trace = greedy_embed(H, P, spec)
-                fresh = trace.new_removals()
-                if fresh and max(fresh) > cap:
-                    raise AssertionError(f"step removed {max(fresh)} > {cap}")
-            return f"{cfg.samples} samples at threshold {threshold}, removals <= {cap}"
-
-        checks.append(Check(f"greedy {label}", run))
-
-        def run_alpha(P=P, label=label) -> str:
-            full = interval_chain(spec)
-            best = alpha(full, P, "weak", "cardinality")
-            limit = embedding_threshold(P, k) - 1
-            if best.value > limit:
-                raise AssertionError(f"alpha {best.value} > {limit}")
-            return f"alpha(C_{k}^0[{n}]) = {best.value} <= {limit}"
-
-        checks.append(Check(f"greedy alpha {label}", run_alpha))
-    return checks
-
-
-def _suite_soundness(cfg: RunConfig) -> list[Check]:
-    k = cfg.k_values[0] if cfg.k_values else 2
-    n = bnd.min_valid_n(k)
-    checks = []
-    for label, P in (("chain:3", chain(3)), ("diamond:1", diamond(1))):
-        def run(P=P, label=label) -> str:
-            coeff = bnd.bound_main(P.size, P.height(), k).coefficient
-            cap = coeff * comb(n, n // 2)
-            exact = la_exact(n, P, "weak")
-            if exact.value > cap:
-                raise AssertionError(f"exact {exact.value} > bound {cap}")
-            return f"n={n}: exact {exact.value} <= {cap}"
-
-        checks.append(Check(f"soundness {label} k={k}", run))
-    return checks
-
-
-def _suite_recursion(cfg: RunConfig) -> list[Check]:
-    def run() -> str:
-        c = Fraction(1)
-        for i in range(cfg.steps + 1):
-            expected = Fraction(2**i, 2 ** (i + 1) - 1)
-            if c != expected:
-                raise AssertionError(f"c_{i} = {c} != {expected}")
-            c = 2 * c / (2 * c + 1)
-        return f"exponent identities hold through index {cfg.steps}"
-
-    def run_target() -> str:
-        trace = bnd.induced_exponent_chain(Fraction(51, 100))
-        want = next(
-            i for i in range(200) if Fraction(2**i, 2 ** (i + 1) - 1) < Fraction(51, 100)
-        )
-        if trace.min_index != want:
-            raise AssertionError(f"min index {trace.min_index} != {want}")
-        return f"first exponent below 51/100 is index {trace.min_index}"
-
-    return [Check("recursion identities", run), Check("recursion target", run_target)]
-
-
-_SUITE_BUILDERS = {
-    "levelsize": _suite_levelsize,
-    "unrelated": _suite_unrelated,
-    "worstset": _suite_worstset,
-    "counting": _suite_counting,
-    "greedy": _suite_greedy,
-    "soundness": _suite_soundness,
-    "recursion": _suite_recursion,
-}
-
-
 def cmd_verify(cfg: RunConfig) -> int:
-    names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
-    lines = []
-    payload = []
-    all_ok = True
-    for name in names:
-        for check_name, ok, detail in map(_run_check, _SUITE_BUILDERS[name](cfg)):
-            all_ok &= ok
-            lines.append(f"[{'ok' if ok else 'FAIL'}] {check_name}: {detail}")
-            payload.append({"check": check_name, "ok": ok, "detail": detail})
-    summary = "PASS" if all_ok else "FAIL"
+    names = list(verify.SUITES) if cfg.suite == "all" else [cfg.suite]
+    records = verify.run(
+        names, k_values=cfg.k_values, n=cfg.n, samples=cfg.samples, seed=cfg.seed, steps=cfg.steps
+    )
+    all_ok = all(ok for _, ok, _ in records)
     if cfg.fmt == "json":
-        _emit(
-            _json_dumps(
-                {"schema": 1, "suite": cfg.suite, "checks": payload, "pass": all_ok}
-            ),
-            cfg.output,
-        )
+        checks = [{"check": name, "ok": ok, "detail": detail} for name, ok, detail in records]
+        text = _json_dumps({"schema": 1, "suite": cfg.suite, "checks": checks, "pass": all_ok})
     else:
-        lines.append(f"{summary} ({sum(1 for p in payload if p['ok'])}/{len(payload)} checks)")
-        _emit("\n".join(lines) + "\n", cfg.output)
+        lines = [f"[{'ok' if ok else 'FAIL'}] {name}: {detail}" for name, ok, detail in records]
+        passed = sum(ok for _, ok, _ in records)
+        lines.append(f"{'PASS' if all_ok else 'FAIL'} ({passed}/{len(records)} checks)")
+        text = "\n".join(lines) + "\n"
+    _emit(text, cfg.output)
     return 0 if all_ok else 1
-
-
-# --- argument parsing -----------------------------------------------------------
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -562,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sp, "json")
 
     sp = sub.add_parser("verify", help="run verification suites")
-    sp.add_argument("--suite", choices=SUITES + ("all",), default="all")
+    sp.add_argument("--suite", choices=tuple(verify.SUITES) + ("all",), default="all")
     sp.add_argument(
         "--k", dest="k_values", metavar="K", default=(), help="k or k range like 2..5"
     )
@@ -590,10 +315,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = RunConfig(**vars(args))
         return _COMMANDS[args.command](cfg)
-    except SubposetLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (SubposetLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -132,7 +132,7 @@ def greedy_embed(
         )
         return emb_back, trace_back
 
-    lo, hi = 3 * spec.k - 3, spec.n - spec.k + 1
+    lo, hi = spec.embedding_window
     for s in H:
         if not spec.contains(s):
             raise PreconditionViolated(f"{s} is not a member of the chain")

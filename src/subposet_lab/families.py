@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence
 
 from .errors import OutOfRange
 
@@ -46,14 +46,6 @@ class Subset:
                 raise ValueError(f"element {e} outside [{n}]")
             mask |= 1 << (e - 1)
         return cls(n, mask)
-
-    @classmethod
-    def from_indicator(cls, bits: Sequence[int]) -> "Subset":
-        mask = 0
-        for i, b in enumerate(bits):
-            if b:
-                mask |= 1 << i
-        return cls(len(bits), mask)
 
     @property
     def weight(self) -> int:
@@ -262,6 +254,12 @@ class IntervalChainSpec:
         return cls(n, k, base)
 
     @property
+    def embedding_window(self) -> tuple[int, int]:
+        """Sizes [3k-3, n-k+1] within which a greedy embedding step discards
+        at most (3k-5) 2^(k-2) sets."""
+        return 3 * self.k - 3, self.n - self.k + 1
+
+    @property
     def is_canonical(self) -> bool:
         return all(s.mask == (1 << i) - 1 for i, s in enumerate(self.base))
 
@@ -341,15 +339,15 @@ def unrelated_below_count(k: int) -> int:
 def unrelated_below(spec: IntervalChainSpec, m: int) -> SetFamily:
     """Chain sets of size <= m-1 unrelated to at least one chain set of size >= m.
 
-    Enumerated directly; for 3k-3 <= m <= n-k+1 its cardinality is the closed
-    form unrelated_below_count(k), independent of m and n.
+    Enumerated directly; for m in the embedding window [3k-3, n-k+1] its
+    cardinality is the closed form unrelated_below_count(k), independent of m
+    and n.
     """
     if spec.k < 2:
         raise OutOfRange(f"need k >= 2, got {spec.k}")
-    if not 3 * spec.k - 3 <= m <= spec.n - spec.k + 1:
-        raise OutOfRange(
-            f"m={m} outside [{3 * spec.k - 3}, {spec.n - spec.k + 1}]"
-        )
+    lo, hi = spec.embedding_window
+    if not lo <= m <= hi:
+        raise OutOfRange(f"m={m} outside [{lo}, {hi}]")
     chain = interval_chain(spec)
     big = [s for s in chain if s.weight >= m]
     return SetFamily(
@@ -446,11 +444,3 @@ def family_from_text(text: str) -> SetFamily:
         else:
             sets.append(Subset.from_elements(n, (int(tok) for tok in ln.split(","))))
     return SetFamily(n, sets)
-
-
-def write_family(fam: SetFamily, fp: TextIO) -> None:
-    fp.write(family_to_text(fam))
-
-
-def read_family(fp: TextIO) -> SetFamily:
-    return family_from_text(fp.read())

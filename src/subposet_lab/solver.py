@@ -178,10 +178,18 @@ def alpha(
 
 
 def _guard(n: int, override: bool) -> None:
+    """Refuse a whole-cube search before 2^[n] is built."""
+    if n < 0:
+        raise PreconditionViolated(f"need n >= 0, got {n}")
     if n > N_GUARD and not override:
         raise GuardRefused(
             f"n={n} exceeds the exhaustive-search guard ({N_GUARD}); "
             "pass override=True (CLI: --override-guard) to search anyway"
+        )
+    # 2^n > MAX_HOST_SETS exactly when n reaches its bit length; no 2^n is built.
+    if n >= MAX_HOST_SETS.bit_length():
+        raise PreconditionViolated(
+            f"host has 2^{n} sets; the exact search handles at most {MAX_HOST_SETS}"
         )
 
 
@@ -240,9 +248,11 @@ def verify_double_counting(
     P: Poset,
     A_family: SetFamily,
     mode: str = "weak",
-    exhaustive: bool | None = None,
 ) -> DoubleCountingReport:
-    """Check the double-counting inequality for a concrete P-free family."""
+    """Check the double-counting inequality for a concrete P-free family.
+
+    The pair count is taken both ways (exhaustive mode) exactly when n <= 6.
+    """
     if H.n != A_family.n:
         raise ValueError("H and the family live over different ground sets")
     if find_subposet(A_family, P, mode) is not None:
@@ -252,12 +262,9 @@ def verify_double_counting(
     for a in A_family:
         lhs += Fraction(H.count_of_size(a.weight), comb(n, a.weight))
     alpha_res = alpha(H, P, mode)
-    if exhaustive is None:
-        exhaustive = n <= 6
+    exhaustive = n <= 6
     pairs_by_sets = pairs_by_perms = None
     if exhaustive:
-        if n > 8:
-            raise ValueError("exhaustive permutation mode is factorial; keep n <= 8")
         pairs_by_sets = sum(permutation_hit_count(H, a) for a in A_family)
         fam_masks = frozenset(A_family.masks())
         pairs_by_perms = sum(len(fam_masks & moved) for moved in permutation_images(H))

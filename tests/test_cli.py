@@ -99,6 +99,11 @@ class TestExactCommand:
         assert code == 2 and out == ""
         assert err == "error: node budget must be positive\n"
 
+    def test_negative_n_refused(self, capsys):
+        code, out, err = run_cli(capsys, "exact", "--n", "-1", "--poset", "chain:3")
+        assert code == 2 and out == ""
+        assert err == "error: need n >= 0, got -1\n"
+
     def test_budget_flags_nonexhaustive(self, capsys):
         code, out, _ = run_cli(
             capsys, "exact", "--n", "4", "--poset", "chain:2", "--budget", "10"
@@ -239,6 +244,49 @@ class TestVerifyCommand:
             capsys, "verify", "--suite", "counting", "--samples", "3", "--seed", "5"
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["levelsize", "--n", "0", "--k", "2"], "levelsize: need n >= 4, got 0"),
+            (["levelsize", "--n", "3", "--k", "2"], "levelsize: need n >= 4, got 3"),
+            (["levelsize", "--k", "0"], "levelsize: need k >= 1, got 0"),
+            (["unrelated", "--k", "1"], "unrelated: need k >= 2, got 1"),
+            (["unrelated", "--k", "2", "--n", "3"], "unrelated: need n >= 4, got 3"),
+            (["worstset", "--k", "1..2"], "worstset: need k >= 2, got 1"),
+            (["counting", "--samples", "-2"], "counting: need samples >= 1, got -2"),
+            (["counting", "--samples", "0"], "counting: need samples >= 1, got 0"),
+            (["greedy", "--k", "1"], "greedy: need k >= 2, got 1"),
+            (["greedy", "--n", "3"], "greedy: need window sets in C_2[3] >= 6, got 0"),
+            (["greedy", "--samples", "0"], "greedy: need samples >= 1, got 0"),
+            (
+                ["soundness", "--k", "3"],
+                "soundness: k=3 needs n = min_valid_n(k) = 10, "
+                "above the exact-search guard (7)",
+            ),
+            (["recursion", "--steps", "-1"], "recursion: need steps >= 0, got -1"),
+            (["all", "--n", "0"], "levelsize: need n >= 4, got 0"),
+        ],
+    )
+    def test_bad_suite_input_refused(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "verify", "--suite", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("verify_all.txt", []),
+            (
+                "verify_all_samples5_seed7.json",
+                ["--format", "json", "--samples", "5", "--seed", "7"],
+            ),
+        ],
+    )
+    def test_stdout_matches_golden_text(self, capsys, golden, argv):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", *argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
 
 
 class TestDeterminism:

@@ -274,6 +274,7 @@ class TestUnrelatedBelow:
 
     def test_window_enforced(self):
         spec = IntervalChainSpec.canonical(10, 3)
+        assert spec.embedding_window == (6, 8)
         with pytest.raises(OutOfRange):
             unrelated_below(spec, 5)  # below 3k-3
         with pytest.raises(OutOfRange):

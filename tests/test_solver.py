@@ -182,6 +182,23 @@ class TestLaExact:
         assert not r.exhaustive
         assert r.value >= 0
 
+    @pytest.mark.parametrize("search", [la_exact, lubell_max])
+    def test_cube_above_host_cap_refused_before_it_is_built(self, search, monkeypatch):
+        build = SetFamily.power_set
+
+        def guarded_power_set(n):
+            assert n <= 9, f"built 2^[{n}]"
+            return build(n)
+
+        monkeypatch.setattr(SetFamily, "power_set", staticmethod(guarded_power_set))
+        with pytest.raises(PreconditionViolated, match=r"^host has 2\^16 sets; .* at most 512$"):
+            search(16, chain(2), override=True)
+        assert search(9, chain(2), override=True, node_budget=5).value >= 0
+
+    def test_negative_n_refused(self):
+        with pytest.raises(PreconditionViolated, match=r"^need n >= 0, got -1$"):
+            la_exact(-1, chain(2))
+
 
 class TestLubellMax:
     def test_two_element_ground_set(self):
