@@ -1,14 +1,16 @@
 """Exact extremal computations over set families at desk scale.
 
 alpha() maximizes cardinality or Lubell mass over pattern-free subfamilies of
-a fixed family by depth-first branch and bound in canonical order; it is the
-brute-force oracle against which every closed-form bound is checked. The
-n-guard on whole-cube searches reflects that 2^(2^n) subfamily spaces are only
+a fixed family by depth-first branch and bound; it is the brute-force oracle
+against which every closed-form bound is checked. On unions of full levels it
+also prunes with the paper's double count over interval chains. The n-guard
+on whole-cube searches reflects that 2^(2^n) subfamily spaces are only
 reachable through pruning.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
@@ -21,7 +23,9 @@ from .errors import (
     PreconditionViolated,
 )
 from .families import (
+    IntervalChainSpec,
     SetFamily,
+    interval_chain,
     permutation_hit_count,
     permutation_images,
     symmetric_chain_partition,
@@ -30,12 +34,17 @@ from .posets import EmbeddingSearch, Poset, find_subposet
 
 N_GUARD = 7
 MAX_HOST_SETS = 512
+# Double-count rows use the k-interval chains for k <= ROW_MAX_K, and a row's
+# capacity search is dropped, with its row, after CAPACITY_NODE_CAP nodes.
+ROW_MAX_K = 3
+CAPACITY_NODE_CAP = 200_000
+_ROW_CACHE: dict[tuple, tuple[int, dict[int, int], int] | None] = {}
 
 
 @dataclass(frozen=True)
 class ExtremalResult:
     """Outcome of an exact search: the optimum, a witness family attaining it,
-    and whether the search ran to completion."""
+    whether the search ran to completion, and the nodes of all its passes."""
 
     value: Union[int, Fraction]
     witness: SetFamily
@@ -60,6 +69,117 @@ class _BudgetExhausted(Exception):
     pass
 
 
+class _Found(Exception):
+    pass
+
+
+def _complete_levels(H: SetFamily) -> tuple[int, ...]:
+    """H's set sizes if H is a union of full levels of 2^[n], else ()."""
+    sizes = Counter(s.weight for s in H)
+    if any(count != comb(H.n, w) for w, count in sizes.items()):
+        return ()
+    return tuple(sorted(sizes))
+
+
+def double_count_rows(
+    H: SetFamily, P: Poset, mode: str
+) -> tuple[tuple[int, dict[int, int], int], ...]:
+    """The paper's double count over k-interval chains, as knapsack rows.
+
+    Let H be a union of full levels of 2^[n] and G the canonical k-interval
+    chain restricted to H's levels. Every permuted copy of G meets a P-free
+    F within H in at most alpha(G, P, mode) sets, and a size-w set lies in
+    N_w(G) w! (n-w)! of the n! copies, so averaging over the permutations
+    gives sum over A in F of N_|A|(G) / C(n, |A|) <= alpha(G, P, mode).
+
+    Returns one (k, {w: N_w(G)}, alpha(G, P, mode)) row per
+    1 <= k <= min(ROW_MAX_K, n - 1) whose capacity search finished within
+    CAPACITY_NODE_CAP nodes, and no rows when H is not a union of full levels,
+    where the double count does not hold. Capacities are cached per
+    (n, k, levels, P, mode).
+    """
+    levels = _complete_levels(H)
+    if not levels:
+        return ()
+    rows = []
+    for k in range(1, min(ROW_MAX_K, H.n - 1) + 1):
+        key = (H.n, k, levels, P.rows, mode)
+        if key not in _ROW_CACHE:
+            chain_sets = interval_chain(IntervalChainSpec.canonical(H.n, k))
+            G = SetFamily(H.n, (s for s in chain_sets if s.weight in levels))
+            # No rows for G: it can be a union of full levels itself (H holds
+            # levels 0 and n only), and building its rows would recurse.
+            found = _search(G, P, mode, "cardinality", CAPACITY_NODE_CAP, ())
+            counts = dict(Counter(s.weight for s in G))
+            _ROW_CACHE[key] = (k, counts, found.value) if found.exhaustive else None
+        if _ROW_CACHE[key] is not None:
+            rows.append(_ROW_CACHE[key])
+    return tuple(rows)
+
+
+def _chain_tables(order: list[int], chains: list[list[int]], values: list[int], cap: int):
+    """Chain-capacity increments for branching through H in `order`.
+
+    For the set at position p of its chain with k of the chain's earlier sets
+    chosen, the bound moves by inc[p][k] on include and exc[p][k] on exclude,
+    where a chain's share is top(p, k) = the cap - k largest values among its
+    members from position p on. Tables are indexed by branching position.
+    """
+    position = [0] * len(order)
+    for p, i in enumerate(order):
+        position[i] = p
+    chain_of = [0] * len(order)
+    inc: list[list[int]] = [[]] * len(order)
+    exc: list[list[int]] = [[]] * len(order)
+    root_bound = 0
+    for c, members in enumerate(chains):
+        ps = sorted(position[i] for i in members)
+        top = []
+        for j in range(len(ps) + 1):
+            ahead = sorted((values[order[p]] for p in ps[j:]), reverse=True)
+            top.append([sum(ahead[: cap - k]) for k in range(cap + 1)])
+        root_bound += top[0][0]
+        for j, p in enumerate(ps):
+            chain_of[p] = c
+            inc[p] = [
+                values[order[p]] + top[j + 1][k + 1] - top[j][k]
+                for k in range(min(cap - 1, j) + 1)
+            ]
+            exc[p] = [top[j + 1][k] - top[j][k] for k in range(min(cap, j) + 1)]
+    return chain_of, inc, exc, root_bound
+
+
+def _knapsack_bound(weights: list[int], values: list[int]):
+    """bound(p, r): the floor of the fractional knapsack optimum over items
+    p, p+1, ... with capacity r.
+
+    Runs of equal (weight, value) items, such as the sets of one level, are
+    filled greedily by value per weight; a run is cut short at the capacity.
+    """
+    runs: list[list[int]] = []  # [start, end, weight, value]
+    for p, item in enumerate(zip(weights, values)):
+        if runs and runs[-1][2:] == list(item):
+            runs[-1][1] = p + 1
+        else:
+            runs.append([p, p + 1, *item])
+    runs.sort(key=lambda run: Fraction(run[3], run[2]), reverse=True)
+    ahead = [
+        [(end - max(start, p), w, v) for start, end, w, v in runs if end > p]
+        for p in range(len(weights) + 1)
+    ]
+
+    def bound(p: int, r: int) -> int:
+        got = 0
+        for count, w, v in ahead[p]:
+            if count * w > r:
+                return got + r * v // w
+            got += count * v
+            r -= count * w
+        return got
+
+    return bound
+
+
 def alpha(
     H: SetFamily,
     P: Poset,
@@ -69,24 +189,44 @@ def alpha(
 ) -> ExtremalResult:
     """Exact optimum over P-free subfamilies of H.
 
-    Branches include-first through H in canonical order. Adding a set that
-    completes a copy of P kills the include branch (freeness is closed under
-    removal). A node is pruned when its chain-capacity bound cannot beat the
-    incumbent: H is cut into chains by the symmetric chain decomposition, and
-    any |P| sets on one chain hold a weak copy of P (an induced one when P is
-    a chain), so a P-free family takes at most cap = |P| - 1 sets of each
-    chain. The bound is the value so far plus, per chain, the cap - chosen
-    largest values among its undecided members; with no cap (induced mode,
-    P not a chain) it is the value so far plus everything still ahead. A
-    chain already holding cap sets refuses further sets without a freeness
-    check. Lubell values are scaled to integers by the lcm of the binomials
-    involved, so no node does Fraction arithmetic.
+    Branches include-first through H. Adding a set that completes a copy of
+    P kills the include branch (freeness is closed under removal). A node is
+    pruned when its chain-capacity bound cannot beat the incumbent: H is cut
+    into chains by the symmetric chain decomposition, and any |P| sets on one
+    chain hold a weak copy of P (an induced one when P is a chain), so a
+    P-free family takes at most cap = |P| - 1 sets of each chain. The bound
+    is the value so far plus, per chain, the cap - chosen largest values
+    among its undecided members; with no cap (induced mode, P not a chain) it
+    is the value so far plus everything still ahead. A chain already holding
+    cap sets refuses further sets without a freeness check. Lubell values are
+    scaled to integers by the lcm of the binomials involved, so no node does
+    Fraction arithmetic.
 
-    Include-first order with strict improvement makes the witness the
-    lexicographically least optimum over canonical indices. Hitting the node
-    budget returns the incumbent flagged non-exhaustive (a valid lower bound).
-    Hosts above MAX_HOST_SETS sets are refused: the search recurses once per
-    set.
+    When H is a union of full levels of 2^[n] (the power set, a middle-levels
+    window), the knapsack rows of double_count_rows prune too: a node is cut
+    when the value so far plus the floor of the fractional knapsack optimum
+    of the undecided sets under one row's remaining capacity cannot beat the
+    incumbent, and a set that overflows a row is refused without a freeness
+    check. Such hosts are searched twice (once when the first order below is
+    the canonical one):
+
+    1. to exhaustion for the optimum v, in the order where good families
+       come early: middle-out (by |2|A| - n|, then canonically) for
+       cardinality, from the outer levels inward for Lubell mass;
+    2. include-first in canonical order with the incumbent at v - 1,
+       stopping at the first family of value v.
+
+    Other hosts (interval chains, arbitrary families) get no rows and only
+    the include-first pass. Either way include-first order with strict
+    improvement makes the witness the lexicographically least optimum over
+    canonical indices, and nodes_explored counts the nodes of both passes
+    (not those of the capacity searches behind the rows).
+
+    Hitting the node budget returns a valid lower bound flagged
+    non-exhaustive: a stop in the first pass returns its incumbent, which
+    need not be the include-first witness; a stop in the second pass returns
+    the proven value v with the first pass's witness. Hosts
+    above MAX_HOST_SETS sets are refused: the search recurses once per set.
     """
     if P.size < 1:
         raise ValueError("pattern must have at least one element")
@@ -96,6 +236,18 @@ def alpha(
         raise PreconditionViolated(
             f"host has {len(H)} sets; the exact search handles at most {MAX_HOST_SETS}"
         )
+    return _search(H, P, mode, objective, node_budget, double_count_rows(H, P, mode))
+
+
+def _search(
+    H: SetFamily,
+    P: Poset,
+    mode: str,
+    objective: str,
+    node_budget: int | None,
+    rows: tuple[tuple[int, dict[int, int], int], ...],
+) -> ExtremalResult:
+    """alpha's branch and bound, pruning with the given double-count rows."""
     search = EmbeddingSearch(H, P, mode)
     members = H.sets
     m = len(members)
@@ -106,68 +258,136 @@ def alpha(
     else:
         scale = lcm(*(comb(H.n, s.weight) for s in members))
         values = [scale // comb(H.n, s.weight) for s in members]
-
-    # For the set at position p of its chain with k of the chain's earlier
-    # sets chosen, the bound moves by inc[idx][k] on include and exc[idx][k]
-    # on exclude, where a chain's share is top(p, k) = the cap - k largest
-    # values among its members from position p on.
     index = {s.mask: i for i, s in enumerate(members)}
-    chain_of = [0] * m
-    inc: list[list[int]] = [[]] * m
-    exc: list[list[int]] = [[]] * m
-    chains = symmetric_chain_partition(H)
+    chains = [[index[s.mask] for s in c] for c in symmetric_chain_partition(H)]
     if mode == "weak" or P.height() == P.size:
         cap = P.size - 1
     else:
         cap = max(map(len, chains), default=0)  # never binds
-    root_bound = 0
-    for c, chain_sets in enumerate(chains):
-        idxs = [index[s.mask] for s in chain_sets]
-        top = []
-        for p in range(len(idxs) + 1):
-            ahead = sorted((values[i] for i in idxs[p:]), reverse=True)
-            top.append([sum(ahead[: cap - k]) for k in range(cap + 1)])
-        root_bound += top[0][0]
-        for p, idx in enumerate(idxs):
-            chain_of[idx] = c
-            inc[idx] = [
-                values[idx] + top[p + 1][k + 1] - top[p][k]
-                for k in range(min(cap - 1, p) + 1)
-            ]
-            exc[idx] = [top[p + 1][k] - top[p][k] for k in range(min(cap, p) + 1)]
-    chosen = [0] * len(chains)
+    # Row weights N_w / C(n, w) and capacities, scaled by the lcm of the binomials.
+    unit = lcm(*(comb(H.n, s.weight) for s in members))
+    row_weights = [
+        [counts[s.weight] * (unit // comb(H.n, s.weight)) for s in members]
+        for _, counts, _ in rows
+    ]
+    row_caps = tuple(capacity * unit for _, _, capacity in rows)
     embeds_using = search.embeds_using
 
     best_value = -1
     best_mask = 0
     nodes = 0
 
-    def dfs(idx: int, cur_mask: int, bound: int) -> None:
-        # At a leaf every chain is decided and bound is the family's value.
-        nonlocal best_value, best_mask, nodes
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise _BudgetExhausted
-        if idx == m:
-            if bound > best_value:
-                best_value = bound
-                best_mask = cur_mask
-            return
-        if bound <= best_value:
-            return
-        c = chain_of[idx]
-        k = chosen[c]
-        if k < cap and not embeds_using(cur_mask | (1 << idx), idx):
-            chosen[c] = k + 1
-            dfs(idx + 1, cur_mask | (1 << idx), bound + inc[idx][k])
-            chosen[c] = k
-        dfs(idx + 1, cur_mask, bound + exc[idx][k])
+    def walk(order: list[int], stop_at_first: bool) -> None:
+        """Branch through H in `order`, include first, improving the incumbent;
+        with stop_at_first the first improving leaf ends the walk. Without
+        rows the order is canonical."""
+        chain_of, inc, exc, root_bound = _chain_tables(order, chains, values, cap)
+        chosen = [0] * len(chains)
 
+        def plain(idx: int, cur_mask: int, bound: int) -> None:
+            # At a leaf every chain is decided and bound is the family's value.
+            nonlocal best_value, best_mask, nodes
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                raise _BudgetExhausted
+            if idx == m:
+                if bound > best_value:
+                    best_value = bound
+                    best_mask = cur_mask
+                return
+            if bound <= best_value:
+                return
+            c = chain_of[idx]
+            k = chosen[c]
+            if k < cap and not embeds_using(cur_mask | (1 << idx), idx):
+                chosen[c] = k + 1
+                plain(idx + 1, cur_mask | (1 << idx), bound + inc[idx][k])
+                chosen[c] = k
+            plain(idx + 1, cur_mask, bound + exc[idx][k])
+
+        if not rows:
+            try:
+                plain(0, 0, root_bound)
+            finally:
+                # The closure refers to itself; dropping it frees this pass's
+                # tables now instead of at the next cycle collection.
+                plain = None
+            return
+        weights = [tuple(w[i] for w in row_weights) for i in order]
+        knapsacks = [
+            _knapsack_bound([w[i] for i in order], [values[i] for i in order])
+            for w in row_weights
+        ]
+        # (p, unused capacity per row) -> (the least knapsack bound of the
+        # sets from p on, the unused capacities after taking set p, or None
+        # when it overflows a row). Kept apart from plain(), whose hosts
+        # have no rows, so those pay nothing per node for them.
+        memo: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...] | None]] = {}
+
+        def rowed(p: int, cur_mask: int, value: int, bound: int, left: tuple) -> None:
+            nonlocal best_value, best_mask, nodes
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                raise _BudgetExhausted
+            if p == m:
+                if bound > best_value:
+                    best_value = bound
+                    best_mask = cur_mask
+                    if stop_at_first:
+                        raise _Found
+                return
+            if bound <= best_value:
+                return
+            got = memo.get((p, left))
+            if got is None:
+                after = tuple(r - w for r, w in zip(left, weights[p]))
+                got = memo[p, left] = (
+                    min(knapsack(p, r) for knapsack, r in zip(knapsacks, left)),
+                    after if min(after) >= 0 else None,
+                )
+            room, taken = got
+            if value + room <= best_value:
+                return
+            i = order[p]
+            c = chain_of[p]
+            k = chosen[c]
+            if taken is not None and k < cap and not embeds_using(cur_mask | (1 << i), i):
+                chosen[c] = k + 1
+                rowed(p + 1, cur_mask | (1 << i), value + values[i], bound + inc[p][k], taken)
+                chosen[c] = k
+            rowed(p + 1, cur_mask, value, bound + exc[p][k], left)
+
+        try:
+            rowed(0, 0, 0, root_bound, row_caps)
+        except _Found:
+            pass
+        finally:
+            rowed = None  # as for plain()
+
+    canonical = list(range(m))
+    first = canonical
+    if rows:
+        # Look first where the optimum usually lies: the middle levels hold
+        # the most sets, the outer ones weigh most in Lubell mass.
+        outward = 1 if objective == "cardinality" else -1
+        distance = [outward * abs(2 * s.weight - H.n) for s in members]
+        first = sorted(canonical, key=lambda i: (distance[i], i))
     exhaustive = True
+    second_pass = False
     try:
-        dfs(0, 0, root_bound)
+        if first != canonical:
+            walk(first, False)
+            second_pass = True
+            best_value -= 1
+        # When the value pass would branch in canonical order anyway, this
+        # one pass finds both the value and the canonical witness.
+        walk(canonical, second_pass)
     except _BudgetExhausted:
         exhaustive = False
+        if second_pass:
+            # No second-pass leaf was reached (the first one ends the pass):
+            # the incumbent is still the first pass's optimum and witness.
+            best_value += 1
 
     if best_value < 0:
         # Budget died before reaching any leaf; the empty family is always valid.

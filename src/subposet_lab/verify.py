@@ -173,6 +173,11 @@ def _greedy_alpha(P, spec, threshold: int) -> str:
 
 
 def _greedy(k_values, n, samples, seed, **_):
+    # The check names carry no k, so one run checks one k.
+    if len(k_values) > 1:
+        raise PreconditionViolated(
+            f"greedy: takes one k, got k={k_values[0]}..{k_values[-1]}"
+        )
     k = k_values[0] if k_values else 2
     n = 10 if n is None else n
     _need("greedy", "k", k, 2)
@@ -206,18 +211,21 @@ def _main_bound_holds(P, k: int, n: int) -> str:
 
 
 def _soundness(k_values, **_):
-    k = k_values[0] if k_values else 2
-    _need("soundness", "k", k, 2)
-    n = bounds.min_valid_n(k)
-    if n > solver.N_GUARD:
-        raise PreconditionViolated(
-            f"soundness: k={k} needs n = min_valid_n(k) = {n}, "
-            f"above the exact-search guard ({solver.N_GUARD})"
-        )
-    return [
-        (f"soundness {label} k={k}", _main_bound_holds, (P, k, n))
-        for label, P in (("chain:3", posets.chain(3)), ("diamond:1", posets.diamond(1)))
-    ]
+    ks = k_values or (2,)
+    _need("soundness", "k", min(ks), 2)
+    checks = []
+    for k in ks:
+        n = bounds.min_valid_n(k)
+        if n > solver.N_GUARD:
+            raise PreconditionViolated(
+                f"soundness: k={k} needs n = min_valid_n(k) = {n}, "
+                f"above the exact-search guard ({solver.N_GUARD})"
+            )
+        checks += [
+            (f"soundness {label} k={k}", _main_bound_holds, (P, k, n))
+            for label, P in (("chain:3", posets.chain(3)), ("diamond:1", posets.diamond(1)))
+        ]
+    return checks
 
 
 def _exponent_identities(steps: int) -> str:

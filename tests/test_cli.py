@@ -266,6 +266,12 @@ class TestVerifyCommand:
             ),
             (["recursion", "--steps", "-1"], "recursion: need steps >= 0, got -1"),
             (["all", "--n", "0"], "levelsize: need n >= 4, got 0"),
+            (["greedy", "--k", "2..3"], "greedy: takes one k, got k=2..3"),
+            (
+                ["soundness", "--k", "2..4"],
+                "soundness: k=3 needs n = min_valid_n(k) = 10, "
+                "above the exact-search guard (7)",
+            ),
         ],
     )
     def test_bad_suite_input_refused(self, capsys, argv, message):

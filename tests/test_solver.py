@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from subposet_lab import solver
 from subposet_lab.errors import GuardRefused, PFreenessViolated, PreconditionViolated
 from subposet_lab.families import (
     IntervalChainSpec,
@@ -16,6 +18,7 @@ from subposet_lab.posets import antichain, chain, diamond, find_subposet
 from subposet_lab.solver import (
     MAX_HOST_SETS,
     alpha,
+    double_count_rows,
     la_exact,
     lubell_max,
     verify_double_counting,
@@ -109,8 +112,12 @@ class TestAlpha:
         with pytest.raises(PreconditionViolated):
             alpha(SetFamily.power_set(10), chain(2), node_budget=10)
         assert len(SetFamily.power_set(9)) == MAX_HOST_SETS
+        # The double-count rows settle Sperner on the largest accepted cube.
         r = alpha(SetFamily.power_set(9), chain(2), node_budget=2000)
-        assert not r.exhaustive and find_subposet(r.witness, chain(2)) is None
+        assert r.exhaustive and r.value == comb(9, 4)
+        assert find_subposet(r.witness, chain(2)) is None
+        capped = alpha(SetFamily.power_set(9), chain(2), node_budget=1000)
+        assert not capped.exhaustive and find_subposet(capped.witness, chain(2)) is None
 
     def test_value_invariant_under_permutation(self):
         rng = random.Random(11)
@@ -146,6 +153,100 @@ class TestAlpha:
         assert first.nodes_explored == second.nodes_explored
 
 
+def random_level_union(rng, max_sets):
+    """A random union of full levels of 2^[n], 2 <= n <= 5, of at most max_sets sets."""
+    while True:
+        n = rng.randint(2, 5)
+        levels = [w for w in range(n + 1) if rng.random() < 0.5]
+        if levels and sum(comb(n, w) for w in levels) <= max_sets:
+            return SetFamily.levels(n, levels)
+
+
+def row_load(row, fam):
+    """The double count's left side for one row: sum of N_|A| / C(n, |A|)."""
+    _, counts, _ = row
+    return sum((Fraction(counts[s.weight], comb(fam.n, s.weight)) for s in fam), Fraction(0))
+
+
+class TestDoubleCountRows:
+    def test_cube_rows(self):
+        rows = double_count_rows(SetFamily.power_set(5), chain(3), "weak")
+        assert [(k, capacity) for k, _, capacity in rows] == [(1, 2), (2, 4), (3, 8)]
+        # A size-w set lies in 2^(k-1) of the chain's sets inside [k, n - k].
+        assert rows[2][1] == {0: 1, 1: 3, 2: 4, 3: 4, 4: 3, 5: 1}
+
+    def test_no_rows_without_full_levels(self):
+        rng = random.Random(21)
+        chain_host = interval_chain(IntervalChainSpec.canonical(5, 2))
+        assert double_count_rows(chain_host, chain(2), "weak") == ()
+        level = SetFamily.levels(5, [2])
+        assert double_count_rows(level, chain(2), "weak")
+        assert double_count_rows(level.without(level.sets[3:4]), chain(2), "weak") == ()
+        for _ in range(30):
+            n = rng.randint(2, 5)
+            H = random_family(rng, n, rng.randint(1, 1 << n))
+            full = all(H.count_of_size(s.weight) == comb(n, s.weight) for s in H)
+            assert bool(double_count_rows(H, chain(2), "weak")) == full
+
+    @pytest.mark.parametrize("objective", ["cardinality", "lubell"])
+    @pytest.mark.parametrize("mode", ["weak", "induced"])
+    def test_value_and_witness_match_include_first_brute_force(self, objective, mode):
+        rng = random.Random(22)
+        for _ in range(8):
+            H = random_level_union(rng, 8)
+            P = chain(rng.randint(2, 3)) if rng.random() < 0.5 else random_poset(
+                rng, rng.randint(2, 3)
+            )
+            rows = double_count_rows(H, P, mode)
+            assert rows
+            fast = alpha(H, P, mode, objective)
+            value, witness = first_optimum(H, P, mode, objective)
+            assert fast.exhaustive
+            assert fast.value == value == brute_alpha(H, P, mode, objective)
+            assert fast.witness == witness
+            assert all(row_load(row, fast.witness) <= row[2] for row in rows)
+
+    def test_rows_hold_on_cube_witnesses(self):
+        for n, P, mode in [(5, chain(3), "weak"), (4, diamond(2), "weak"), (4, diamond(2), "induced")]:
+            r = la_exact(n, P, mode)
+            rows = double_count_rows(SetFamily.power_set(n), P, mode)
+            assert len(rows) == 3
+            assert all(row_load(row, r.witness) <= row[2] for row in rows)
+
+    def test_capacity_searches_are_not_counted(self, monkeypatch):
+        monkeypatch.setattr(solver, "_ROW_CACHE", {})
+        cold = la_exact(5, chain(3))
+        warm = la_exact(5, chain(3))
+        assert cold.nodes_explored == warm.nodes_explored
+        assert cold.witness == warm.witness
+        monkeypatch.setattr(solver, "_ROW_CACHE", {})
+        budgeted = la_exact(5, chain(3), node_budget=cold.nodes_explored)
+        assert budgeted.exhaustive and budgeted.nodes_explored == cold.nodes_explored
+
+    def test_unfinished_capacity_search_drops_its_row(self, monkeypatch):
+        monkeypatch.setattr(solver, "_ROW_CACHE", {})
+        monkeypatch.setattr(solver, "CAPACITY_NODE_CAP", 5)
+        assert double_count_rows(SetFamily.power_set(5), chain(3), "weak") == ()
+        r = la_exact(4, chain(3))
+        assert r.value == 10 and r.exhaustive
+
+    def test_budget_stops_in_either_pass(self):
+        full = la_exact(5, chain(3))
+        # The first pass reaches its first leaf after 33 nodes.
+        for budget in (10, 40, full.nodes_explored - 1):
+            r = la_exact(5, chain(3), node_budget=budget)
+            assert not r.exhaustive and r.value <= full.value
+            assert len(r.witness) == r.value
+            assert find_subposet(r.witness, chain(3)) is None
+        # A stop in the include-first pass keeps the proven value.
+        assert r.value == full.value
+
+    def test_whole_cubes_at_six_and_seven(self):
+        assert la_exact(6, chain(3)).value == 35
+        r = la_exact(7, chain(2))
+        assert r.exhaustive and r.value == 35
+
+
 class TestLaExact:
     def test_sperner_n3(self):
         assert la_exact(3, chain(2)).value == 3
@@ -159,8 +260,6 @@ class TestLaExact:
 
     def test_largest_binomial_sums(self):
         # longest-chain-free optimum is the sum of the k largest binomials
-        from math import comb
-
         for n in range(1, 5):
             binomials = sorted((comb(n, j) for j in range(n + 1)), reverse=True)
             for k in range(1, n + 1):
@@ -213,8 +312,6 @@ class TestLubellMax:
         assert r.value == Fraction(8, 3)  # frozen from exhaustive enumeration
 
     def test_value_bounds_cardinality_ratio(self):
-        from math import comb
-
         r = la_exact(3, diamond(2))
         lu = lubell_max(3, diamond(2), mode="weak")
         assert lu.value >= Fraction(r.value, comb(3, 1))

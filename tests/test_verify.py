@@ -1,6 +1,6 @@
 import pytest
 
-from subposet_lab import families, verify
+from subposet_lab import bounds, families, verify
 from subposet_lab.errors import PreconditionViolated
 
 PARAMS = dict(k_values=(), n=None, samples=2, seed=1, steps=3)
@@ -31,3 +31,14 @@ def test_inputs_refused_before_any_check_runs(monkeypatch):
     with pytest.raises(PreconditionViolated, match="recursion: need steps >= 0, got -1"):
         verify.run(["levelsize", "recursion"], **{**PARAMS, "steps": -1})
     assert built == []
+
+
+def test_soundness_runs_every_k(monkeypatch):
+    monkeypatch.setattr(bounds, "min_valid_n", lambda k: 4)
+    records = verify.run(["soundness"], **{**PARAMS, "k_values": (2, 3)})
+    assert [name for name, _, _ in records] == [
+        "soundness chain:3 k=2",
+        "soundness diamond:1 k=2",
+        "soundness chain:3 k=3",
+        "soundness diamond:1 k=3",
+    ]
