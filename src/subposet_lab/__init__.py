@@ -38,6 +38,7 @@ from .families import (
     interval_chain,
     level_count,
     lubell,
+    min_chain_partition,
     permutation_hit_count,
     permutation_hit_count_exhaustive,
     symmetric_chain_partition,

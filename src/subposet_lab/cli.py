@@ -233,8 +233,15 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if all_ok else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error like any other bad input: one `error:` line, exit 2."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="subposet-lab",
         description="Interval chains, exact forbidden-subposet searches, and "
         "coefficient bounds over the subset lattice.",
@@ -310,9 +317,8 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = RunConfig(**vars(args))
         return _COMMANDS[args.command](cfg)
     except (SubposetLabError, ValueError, OSError) as exc:

@@ -9,6 +9,7 @@ values are exact (ints and Fractions); this module never touches floats.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -211,6 +212,66 @@ def symmetric_chain_partition(fam: SetFamily) -> tuple[tuple[Subset, ...], ...]:
     for s in fam:
         chains.setdefault(_bracket_key(s.mask, fam.n), []).append(s)
     return tuple(tuple(c) for c in chains.values())
+
+
+def min_chain_partition(fam: SetFamily) -> tuple[tuple[Subset, ...], ...]:
+    """A partition of the family into as few chains as its width (Dilworth).
+
+    Starts from the symmetric chain cut, which is already minimum when it has
+    as many chains as the family's largest level (an antichain), as on any
+    union of full levels; it is then returned unchanged. Otherwise linking
+    each set to its successor on its chain is a matching from sets to strict
+    supersets, and augmenting paths (Kuhn; the least-index superset first)
+    grow it to a maximum matching, whose chains number len(fam) minus its
+    size, which is the width. Chains are listed and ordered as in
+    symmetric_chain_partition.
+    """
+    scd = symmetric_chain_partition(fam)
+    if len(scd) == max(Counter(s.weight for s in fam).values(), default=0):
+        return scd
+    masks = fam.masks()
+    index = {m: i for i, m in enumerate(masks)}
+    # Canonical order lists sets by weight, so strict supersets come later.
+    up = [
+        sum(1 << j for j in range(i + 1, len(masks)) if a & masks[j] == a)
+        for i, a in enumerate(masks)
+    ]
+    succ = [-1] * len(masks)
+    pred = [-1] * len(masks)
+    for c in scd:
+        for a, b in zip(c, c[1:]):
+            succ[index[a.mask]] = index[b.mask]
+            pred[index[b.mask]] = index[a.mask]
+    seen = 0
+
+    def augment(i: int) -> bool:
+        # Link i to a superset, freeing one from its predecessor if need be.
+        nonlocal seen
+        free = up[i] & ~seen
+        while free:
+            j = (free & -free).bit_length() - 1
+            free &= free - 1
+            seen |= 1 << j
+            if pred[j] < 0 or augment(pred[j]):
+                succ[i], pred[j] = j, i
+                return True
+            free &= ~seen
+        return False
+
+    for i in range(len(masks)):
+        # A search that fails leaves `seen` as it was useful: the sets it
+        # marked cannot be freed until some augmentation succeeds.
+        if succ[i] < 0 and augment(i):
+            seen = 0
+    chains = []
+    for i in range(len(masks)):
+        if pred[i] < 0:
+            chain = []
+            while i >= 0:
+                chain.append(fam.sets[i])
+                i = succ[i]
+            chains.append(tuple(chain))
+    return tuple(chains)
 
 
 def _check_permutation(n: int, perm: Sequence[int]) -> None:

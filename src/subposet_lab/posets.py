@@ -1,9 +1,11 @@
 """Finite strict partial orders, standard constructors, and subposet search.
 
 A Poset stores its full transitive closure as per-element bitmask rows
-(bit j of row i means i < j), so embedding checks are O(1) lookups. Sizes
-stay small (<= ~20 elements) throughout, which keeps every decomposition
-and search here exact and cheap.
+(bit j of row i means i < j), so embedding checks are O(1) lookups. The spec
+parser refuses posets of more than MAX_SPEC_ELEMENTS = 64 elements before
+building them: construction checks closure in quadratic time and the
+embedding search is exponential in the pattern, while the specs in use have
+at most 12 elements.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import (
     CycleDetected,
@@ -318,7 +320,10 @@ class EmbeddingSearch:
     Pattern elements are assigned in descending-degree order (ties by id).
     Candidate sets are propagated forward after each assignment, so branches
     that starve a later element are cut immediately. The search is exhaustive:
-    a None result is a proof that no embedding exists.
+    finding nothing is a proof that no embedding exists. embeddings() and
+    embeds_using() run the one backtracking loop, _extend, which builds no
+    generator or closure per call and stops at the first leaf its callback
+    accepts.
 
     rel[u][e][z] is the mask of host candidates left for pattern element u
     (u != e) once e is imaged at host index z: the host's below / above row
@@ -393,60 +398,34 @@ class EmbeddingSearch:
             for depth, e in enumerate(order)
         )
 
-    @staticmethod
-    def _search(
-        plan: tuple,
-        depth: int,
-        images: list[int],
-        cand: list[int],
-        used: int,
-        node_budget: int | None = None,
-    ) -> Iterator[tuple[int, ...]]:
-        """Yield image tuples (indexed by pattern element id) for every way to
-        assign the plan's elements from `depth` on, given the images, candidate
-        masks and used host indices so far; nodes count against the budget."""
-        last = len(plan)
-        nodes = 0
+    def embeddings(
+        self, limit: int | None = None, node_budget: int | None = None
+    ) -> list[tuple[int, ...]]:
+        """Image tuples (indexed by pattern element id) in search order, the
+        first `limit` of them or all; every candidate tried counts as a node
+        against the budget."""
+        found: list[tuple[int, ...]] = []
 
-        def assign(depth: int, cand: list[int], used: int) -> Iterator[tuple[int, ...]]:
-            nonlocal nodes
-            if depth == last:
-                yield tuple(images)
-                return
-            elem, later = plan[depth]
-            choices = cand[elem] & ~used
-            while choices:
-                z = choices & -choices
-                choices ^= z
+        def keep(images: list[int]) -> bool:
+            found.append(tuple(images))
+            return len(found) == limit
+
+        tick = None
+        if node_budget is not None:
+            nodes = 0
+
+            def tick() -> None:
+                nonlocal nodes
                 nodes += 1
-                if node_budget is not None and nodes > node_budget:
+                if nodes > node_budget:
                     raise SearchBudgetExceeded(
                         f"embedding search exceeded {node_budget} nodes"
                     )
-                zi = z.bit_length() - 1
-                used_z = used | z
-                narrowed = cand.copy()
-                for u, masks in later:
-                    c = narrowed[u] & masks[zi]
-                    if not c & ~used_z:
-                        break
-                    narrowed[u] = c
-                else:
-                    images[elem] = zi
-                    # Yield a full assignment here: a generator per leaf
-                    # measurably slows the short freeness checks.
-                    if depth + 1 == last:
-                        yield tuple(images)
-                    else:
-                        yield from assign(depth + 1, narrowed, used_z)
 
-        return assign(depth, cand, used)
-
-    def run(self, node_budget: int | None = None) -> Iterator[tuple[int, ...]]:
-        """Yield image tuples (indexed by pattern element id), all of them."""
         q = self.pattern.size
         full = (1 << self.host.size) - 1
-        return self._search(self._plan, 0, [-1] * q, [full] * q, 0, node_budget)
+        _extend(self._plan, 0, [-1] * q, [full] * q, 0, keep, tick)
+        return found
 
     def embeds_using(self, allowed_mask: int, host_idx: int) -> bool:
         """Is there a copy of the pattern inside `allowed_mask` whose image
@@ -464,10 +443,57 @@ class EmbeddingSearch:
             images = [-1] * len(rel)
             images[e] = host_idx
             cand = [allowed_mask & row[e][host_idx] for row in rel]
-            found = self._search(self._pinned_plans[e], 1, images, cand, 1 << host_idx)
-            if next(found, None) is not None:
+            if _extend(self._pinned_plans[e], 1, images, cand, 1 << host_idx, _stop, None):
                 return True
         return False
+
+
+def _stop(images: list[int]) -> bool:
+    return True
+
+
+def _extend(
+    plan: tuple,
+    depth: int,
+    images: list[int],
+    cand: list[int],
+    used: int,
+    leaf: Callable[[list[int]], bool],
+    tick: Callable[[], None] | None,
+) -> bool:
+    """Assign the plan's elements from `depth` on, given the images, candidate
+    masks and used host indices so far, and call leaf(images) at each full
+    assignment. Returns True, ending the search, as soon as a leaf does; tick,
+    when given, is called once per candidate tried."""
+    if depth == len(plan):
+        return leaf(images)
+    elem, later = plan[depth]
+    depth += 1
+    choices = cand[elem] & ~used
+    while choices:
+        z = choices & -choices
+        choices ^= z
+        if tick is not None:
+            tick()
+        zi = z.bit_length() - 1
+        used_z = used | z
+        narrowed = cand.copy()
+        for u, masks in later:
+            c = narrowed[u] & masks[zi]
+            if not c & ~used_z:
+                break
+            narrowed[u] = c
+        else:
+            images[elem] = zi
+            if _extend(plan, depth, images, narrowed, used_z, leaf, tick):
+                return True
+    return False
+
+
+def _as_embedding(search: EmbeddingSearch, images: tuple[int, ...]) -> Embedding:
+    if search.host.labels is None:
+        return Embedding(search.mode, "poset", images)
+    return Embedding(search.mode, "family", tuple(search.host.labels[i] for i in images))
 
 
 def iter_subposet_embeddings(
@@ -476,14 +502,11 @@ def iter_subposet_embeddings(
     mode: str = "weak",
     node_budget: int | None = None,
 ) -> Iterator[Embedding]:
-    """All order-preserving injections of `pattern` into `host`, lazily."""
+    """All order-preserving injections of `pattern` into `host`. The search
+    runs to the end (or to the budget) before the first one is yielded."""
     search = EmbeddingSearch(host, pattern, mode)
-    kind = "poset" if isinstance(host, Poset) else "family"
-    for images in search.run(node_budget=node_budget):
-        if kind == "family":
-            yield Embedding(mode, kind, tuple(search.host.labels[i] for i in images))
-        else:
-            yield Embedding(mode, kind, images)
+    for images in search.embeddings(node_budget=node_budget):
+        yield _as_embedding(search, images)
 
 
 def find_subposet(
@@ -492,8 +515,11 @@ def find_subposet(
     mode: str = "weak",
     node_budget: int | None = None,
 ) -> Embedding | None:
-    """First embedding of `pattern` in `host`, or None (exhaustively verified)."""
-    return next(iter_subposet_embeddings(host, pattern, mode, node_budget), None)
+    """First embedding of `pattern` in `host`, or None (exhaustively verified).
+    The search stops at the first copy."""
+    search = EmbeddingSearch(host, pattern, mode)
+    found = search.embeddings(limit=1, node_budget=node_budget)
+    return _as_embedding(search, found[0]) if found else None
 
 
 def check_embedding(
@@ -561,6 +587,16 @@ def embed_into_diamond_product(p: Poset) -> DiamondProductEmbedding:
 # chain:3 | diamond:2 | K:2,2,2 | antichain:4 | product:(spec,spec,...) |
 # edges:path (a file with a `size N` header and `u < v` lines).
 
+MAX_SPEC_ELEMENTS = 64
+
+
+def _check_spec_size(size: int, what: str) -> None:
+    """Refuse a spec of more than MAX_SPEC_ELEMENTS elements before it is built."""
+    if size > MAX_SPEC_ELEMENTS:
+        raise ParseError(
+            f"{what} has {size} elements; poset specs are capped at {MAX_SPEC_ELEMENTS}"
+        )
+
 
 def _split_top_level(text: str) -> list[str]:
     parts, depth, start = [], 0, 0
@@ -600,6 +636,7 @@ def parse_edge_list(text: str) -> Poset:
                 raise ParseError(f"bad edge line (want 'u < v'): {raw!r}") from exc
     if size is None:
         raise ParseError("edge list needs a 'size N' header line")
+    _check_spec_size(size, "edge list")
     try:
         return poset_from_relations(pairs, size)
     except ValueError as exc:
@@ -614,22 +651,29 @@ def parse_poset_spec(spec: str) -> Poset:
     if not sep:
         raise ParseError(f"poset spec needs a ':', got {spec!r}")
     try:
-        if head == "chain":
-            return chain(int(rest))
-        if head == "antichain":
-            return antichain(int(rest))
-        if head == "diamond":
-            return diamond(int(rest))
+        if head in ("chain", "antichain", "diamond"):
+            k = int(rest)
+            _check_spec_size(k + 2 if head == "diamond" else k, spec)
+            return {"chain": chain, "antichain": antichain, "diamond": diamond}[head](k)
         if head == "k":
-            return complete_multilevel(tuple(int(t) for t in rest.split(",")))
+            sizes = tuple(int(t) for t in rest.split(","))
+            _check_spec_size(sum(sizes), spec)
+            return complete_multilevel(sizes)
         if head == "product":
             rest = rest.strip()
+            # Products nest by recursion; one-element factors keep them small.
+            if rest.count("(") > MAX_SPEC_ELEMENTS:
+                raise ParseError(
+                    f"product spec nests {rest.count('(')} products; "
+                    f"at most {MAX_SPEC_ELEMENTS} are allowed"
+                )
             if not (rest.startswith("(") and rest.endswith(")")):
                 raise ParseError(f"product spec needs parentheses: {spec!r}")
             parts = _split_top_level(rest[1:-1])
             if len(parts) < 2:
                 raise ParseError("product needs at least two factors")
             posets = [parse_poset_spec(part) for part in parts]
+            _check_spec_size(sum(map(len, posets)) - len(posets) + 1, spec)
             result = posets[0]
             for nxt in posets[1:]:
                 result = product(result, nxt)

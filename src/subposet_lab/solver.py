@@ -26,9 +26,9 @@ from .families import (
     IntervalChainSpec,
     SetFamily,
     interval_chain,
+    min_chain_partition,
     permutation_hit_count,
     permutation_images,
-    symmetric_chain_partition,
 )
 from .posets import EmbeddingSearch, Poset, find_subposet
 
@@ -86,16 +86,19 @@ def double_count_rows(
 ) -> tuple[tuple[int, dict[int, int], int], ...]:
     """The paper's double count over k-interval chains, as knapsack rows.
 
-    Let H be a union of full levels of 2^[n] and G the canonical k-interval
-    chain restricted to H's levels. Every permuted copy of G meets a P-free
-    F within H in at most alpha(G, P, mode) sets, and a size-w set lies in
-    N_w(G) w! (n-w)! of the n! copies, so averaging over the permutations
-    gives sum over A in F of N_|A|(G) / C(n, |A|) <= alpha(G, P, mode).
+    Let G be the canonical k-interval chain restricted to the set sizes
+    occurring in H. Every permuted copy of G meets a P-free F within H in at
+    most alpha(G, P, mode) sets, and a size-w set lies in N_w(G) w! (n-w)! of
+    the n! copies, so averaging over the permutations gives
+    sum over A in F of N_|A|(G) / C(n, |A|) <= alpha(G, P, mode).
+    This holds for every host H within 2^[n].
 
     Returns one (k, {w: N_w(G)}, alpha(G, P, mode)) row per
     1 <= k <= min(ROW_MAX_K, n - 1) whose capacity search finished within
-    CAPACITY_NODE_CAP nodes, and no rows when H is not a union of full levels,
-    where the double count does not hold. Capacities are cached per
+    CAPACITY_NODE_CAP nodes when H is a union of full levels of 2^[n], and no
+    rows for any other host. The rows are withheld there for cost, not
+    validity: on a sparse host they bind little, and their capacity searches
+    can cost more than the search they prune. Capacities are cached per
     (n, k, levels, P, mode).
     """
     levels = _complete_levels(H)
@@ -192,7 +195,8 @@ def alpha(
     Branches include-first through H. Adding a set that completes a copy of
     P kills the include branch (freeness is closed under removal). A node is
     pruned when its chain-capacity bound cannot beat the incumbent: H is cut
-    into chains by the symmetric chain decomposition, and any |P| sets on one
+    into as few chains as its width (min_chain_partition: the symmetric chain
+    decomposition's cut, made minimum by matching), and any |P| sets on one
     chain hold a weak copy of P (an induced one when P is a chain), so a
     P-free family takes at most cap = |P| - 1 sets of each chain. The bound
     is the value so far plus, per chain, the cap - chosen largest values
@@ -216,8 +220,8 @@ def alpha(
     2. include-first in canonical order with the incumbent at v - 1,
        stopping at the first family of value v.
 
-    Other hosts (interval chains, arbitrary families) get no rows and only
-    the include-first pass. Either way include-first order with strict
+    Other hosts (interval chains, arbitrary families) get no rows, for cost
+    (see double_count_rows), and only the include-first pass. Either way include-first order with strict
     improvement makes the witness the lexicographically least optimum over
     canonical indices, and nodes_explored counts the nodes of both passes
     (not those of the capacity searches behind the rows).
@@ -258,12 +262,14 @@ def _search(
     else:
         scale = lcm(*(comb(H.n, s.weight) for s in members))
         values = [scale // comb(H.n, s.weight) for s in members]
-    index = {s.mask: i for i, s in enumerate(members)}
-    chains = [[index[s.mask] for s in c] for c in symmetric_chain_partition(H)]
     if mode == "weak" or P.height() == P.size:
+        index = {s.mask: i for i, s in enumerate(members)}
+        chains = [[index[s.mask] for s in c] for c in min_chain_partition(H)]
         cap = P.size - 1
     else:
-        cap = max(map(len, chains), default=0)  # never binds
+        # No cap: every set is a chain of its own that may hold it.
+        chains = [[i] for i in range(m)]
+        cap = 1
     # Row weights N_w / C(n, w) and capacities, scaled by the lcm of the binomials.
     unit = lcm(*(comb(H.n, s.weight) for s in members))
     row_weights = [

@@ -20,7 +20,7 @@ from subposet_lab.posets import Poset, chain, diamond
 from subposet_lab.solver import la_exact
 
 
-def _is_copy(images: tuple[int, ...], pattern: Poset, mode: str) -> bool:
+def is_copy(images: tuple[int, ...], pattern: Poset, mode: str) -> bool:
     """Do these set masks, indexed by pattern id, form a copy of the pattern?"""
     q = pattern.size
     for a in range(q):
@@ -40,7 +40,7 @@ def brute_contains(fam: SetFamily, pattern: Poset, mode: str) -> bool:
     """Pattern containment by trying every injection of pattern ids into sets."""
     masks = fam.masks()
     return any(
-        _is_copy(images, pattern, mode)
+        is_copy(images, pattern, mode)
         for images in itertools.permutations(masks, pattern.size)
     )
 
@@ -52,7 +52,7 @@ def brute_contains_through(
     masks = fam.masks()
     pool = [m for i, m in enumerate(masks) if allowed >> i & 1]
     return any(
-        masks[z] in images and _is_copy(images, pattern, mode)
+        masks[z] in images and is_copy(images, pattern, mode)
         for images in itertools.permutations(pool, pattern.size)
     )
 

@@ -19,6 +19,7 @@ from subposet_lab.families import (
     interval_chain,
     level_count,
     lubell,
+    min_chain_partition,
     permutation_hit_count,
     permutation_hit_count_exhaustive,
     permutation_images,
@@ -409,3 +410,66 @@ class TestSymmetricChainPartition:
         assert len(symmetric_chain_partition(fam)) == len(
             {chain_of[s.mask] for s in fam}
         )
+
+
+def brute_width(fam):
+    """The largest antichain, by trying every subfamily."""
+    masks = fam.masks()
+    return max(
+        (
+            len(pick)
+            for r in range(len(masks) + 1)
+            for pick in itertools.combinations(masks, r)
+            if all(a & b not in (a, b) for a, b in itertools.combinations(pick, 2))
+        ),
+        default=0,
+    )
+
+
+def random_chain_family(rng, n, k):
+    order = list(range(n))
+    rng.shuffle(order)
+    base, mask = [Subset(n, 0)], 0
+    for bit in order:
+        mask |= 1 << bit
+        base.append(Subset(n, mask))
+    return interval_chain(IntervalChainSpec(n, k, tuple(base)))
+
+
+class TestMinChainPartition:
+    def check_partition(self, fam, chains):
+        members = [s for c in chains for s in c]
+        assert sorted(s.mask for s in members) == sorted(fam.masks())
+        for c in chains:
+            for lo, hi in zip(c, c[1:]):
+                assert lo.is_proper_subset(hi)
+        firsts = [fam.sets.index(c[0]) for c in chains]
+        assert firsts == sorted(firsts)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_chain_count_is_the_width(self, seed):
+        rng = random.Random(seed)
+        if seed % 2:
+            fam = random_chain_family(rng, rng.randint(3, 6), rng.randint(1, 3))
+            fam = SetFamily(fam.n, rng.sample(fam.sets, min(len(fam), 12)))
+        else:
+            n = rng.randint(1, 5)
+            fam = SetFamily.from_masks(n, rng.sample(range(1 << n), rng.randint(0, min(12, 1 << n))))
+        chains = min_chain_partition(fam)
+        self.check_partition(fam, chains)
+        assert len(chains) == brute_width(fam)
+
+    def test_interval_chain_needs_fewer_chains_than_the_cut(self):
+        fam = interval_chain(IntervalChainSpec.canonical(12, 3))
+        assert len(symmetric_chain_partition(fam)) == 12
+        chains = min_chain_partition(fam)
+        self.check_partition(fam, chains)
+        assert len(chains) == max(fam.count_of_size(w) for w in range(13)) == 4
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_full_levels_keep_the_cut(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(0, 7)
+        levels = [w for w in range(n + 1) if rng.random() < 0.5]
+        fam = SetFamily.levels(n, levels)
+        assert min_chain_partition(fam) == symmetric_chain_partition(fam)

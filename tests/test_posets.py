@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -33,6 +34,7 @@ from conftest import (
     brute_contains,
     brute_contains_through,
     brute_poset_contains,
+    is_copy,
     random_poset,
 )
 
@@ -246,6 +248,38 @@ class TestFindSubposet:
         assert len(seen) == expected
 
 
+class TestEmbeddingEnumeration:
+    def test_find_stops_at_the_first_copy(self):
+        host = SetFamily.power_set(4)
+        # chain(2) has 65 copies in 2^[4]; the first is found within 2 nodes.
+        emb = find_subposet(host, chain(2), "weak", node_budget=2)
+        assert emb is not None
+        check_embedding(chain(2), emb)
+        with pytest.raises(SearchBudgetExceeded):
+            list(iter_subposet_embeddings(host, chain(2), "weak", node_budget=2))
+
+    @pytest.mark.parametrize("mode", ["weak", "induced"])
+    def test_iter_yields_each_embedding_once(self, mode):
+        rng = random.Random(7)
+        for trial in range(40):
+            n = rng.randint(1, 3)
+            host = SetFamily.from_masks(
+                n, rng.sample(range(1 << n), rng.randint(1, min(6, 1 << n)))
+            )
+            pattern = random_poset(rng, rng.randint(1, 3))
+            got = [
+                tuple(s.mask for s in emb.images)
+                for emb in iter_subposet_embeddings(host, pattern, mode)
+            ]
+            expected = {
+                images
+                for images in itertools.permutations(host.masks(), pattern.size)
+                if is_copy(images, pattern, mode)
+            }
+            assert len(got) == len(set(got))
+            assert set(got) == expected, (host.masks(), pattern, mode)
+
+
 class TestEmbedsUsing:
     """The solver's freeness fast path against injections that use set z."""
 
@@ -270,6 +304,15 @@ class TestEmbedsUsing:
                 assert search.embeds_using(allowed, z) == expected, (
                     host.masks(), pattern, mode, bin(allowed), z
                 )
+
+    @pytest.mark.parametrize("mode", ["weak", "induced"])
+    def test_one_element_pattern_embeds_through_any_allowed_set(self, mode):
+        host = SetFamily.power_set(3)
+        for pattern in (chain(1), antichain(1)):
+            search = EmbeddingSearch(host, pattern, mode)
+            for z in range(len(host)):
+                assert search.embeds_using(1 << z, z)
+                assert search.embeds_using((1 << len(host)) - 1, z)
 
 
 class TestEmbedIntoDiamondProduct:

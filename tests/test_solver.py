@@ -14,7 +14,7 @@ from subposet_lab.families import (
     interval_chain,
     lubell,
 )
-from subposet_lab.posets import antichain, chain, diamond, find_subposet
+from subposet_lab.posets import antichain, chain, diamond, find_subposet, parse_poset_spec
 from subposet_lab.solver import (
     MAX_HOST_SETS,
     alpha,
@@ -162,6 +162,17 @@ def random_level_union(rng, max_sets):
             return SetFamily.levels(n, levels)
 
 
+def random_interval_chain(rng, n, k):
+    """A k-interval chain over a uniformly random maximal chain of 2^[n]."""
+    order = list(range(n))
+    rng.shuffle(order)
+    base, mask = [Subset(n, 0)], 0
+    for bit in order:
+        mask |= 1 << bit
+        base.append(Subset(n, mask))
+    return interval_chain(IntervalChainSpec(n, k, tuple(base)))
+
+
 def row_load(row, fam):
     """The double count's left side for one row: sum of N_|A| / C(n, |A|)."""
     _, counts, _ = row
@@ -245,6 +256,78 @@ class TestDoubleCountRows:
         assert la_exact(6, chain(3)).value == 35
         r = la_exact(7, chain(2))
         assert r.exhaustive and r.value == 35
+
+
+    @pytest.mark.parametrize("mode", ["weak", "induced"])
+    def test_rows_hold_on_any_host(self, mode):
+        # The averaging argument needs no full levels: with G the canonical
+        # k-interval chain restricted to H's sizes, every P-free F within H
+        # has sum N_|A|(G) / C(n, |A|) <= alpha(G, P). Rows are withheld off
+        # full-level hosts for cost alone.
+        rng = random.Random(23)
+        for trial in range(24):
+            n = rng.randint(3, 5)
+            if trial % 2:
+                H = random_interval_chain(rng, n, rng.randint(1, 3))
+            else:
+                H = random_family(rng, n, rng.randint(1, 12))
+            P = chain(rng.randint(2, 3)) if trial % 3 else random_poset(rng, 3)
+            sizes = {s.weight for s in H}
+            F = alpha(H, P, mode).witness
+            for k in range(1, min(3, n - 1) + 1):
+                G = SetFamily(
+                    n,
+                    (s for s in interval_chain(IntervalChainSpec.canonical(n, k)) if s.weight in sizes),
+                )
+                row = (k, {w: G.count_of_size(w) for w in sizes}, alpha(G, P, mode).value)
+                assert row_load(row, F) <= row[2]
+
+
+class TestAgainstBruteForce:
+    """alpha off full-level hosts, where min_chain_partition shapes the bound."""
+
+    @pytest.mark.parametrize("objective", ["cardinality", "lubell"])
+    @pytest.mark.parametrize("mode", ["weak", "induced"])
+    def test_interval_chains_and_random_hosts(self, objective, mode):
+        rng = random.Random(24)
+        for trial in range(20):
+            if trial % 2:
+                n = rng.randint(3, 5)
+                H = random_interval_chain(rng, n, 1 if n == 5 else rng.randint(1, 2))
+            else:
+                H = random_family(rng, 4, rng.randint(4, 10))
+            P = chain(rng.randint(2, 3)) if trial % 3 else random_poset(rng, 3)
+            fast = alpha(H, P, mode, objective)
+            value, witness = first_optimum(H, P, mode, objective)
+            assert fast.exhaustive
+            assert fast.value == value == brute_alpha(H, P, mode, objective)
+            assert fast.witness == witness
+
+    def test_interval_chain_bound_uses_a_minimum_partition(self):
+        # C_3[12] has width 4; its symmetric chain cut has 12 chains, which
+        # put the chain:3 root bound at 24 and took 567,444 nodes.
+        r = alpha(interval_chain(IntervalChainSpec.canonical(12, 3)), chain(3))
+        assert (r.value, r.exhaustive, r.nodes_explored) == (8, True, 95_323)
+
+    @pytest.mark.parametrize(
+        "host, spec, mode, objective, nodes",
+        [
+            ((5, None), "chain:3", "weak", "cardinality", 92),
+            ((4, None), "diamond:2", "weak", "cardinality", 2182),
+            ((4, None), "K:2,2", "induced", "cardinality", 144),
+            ((4, None), "K:1,2", "induced", "cardinality", 2481),
+            ((4, None), "diamond:1", "induced", "lubell", 36),
+            ((5, None), "chain:2", "induced", "lubell", 67),
+            ((6, (2, 4)), "chain:3", "weak", "cardinality", 61),
+            ((5, (0, 2, 3)), "diamond:2", "weak", "lubell", 8607),
+        ],
+    )
+    def test_full_level_node_counts_are_pinned(self, host, spec, mode, objective, nodes):
+        # The symmetric chain cut is already minimum on full levels, so these
+        # searches branch and prune exactly as before min_chain_partition.
+        n, levels = host
+        H = SetFamily.power_set(n) if levels is None else SetFamily.levels(n, levels)
+        assert alpha(H, parse_poset_spec(spec), mode, objective).nodes_explored == nodes
 
 
 class TestLaExact:
