@@ -24,19 +24,25 @@ from .families import IntervalChainSpec, family_from_text, family_to_text, inter
 from .posets import parse_poset_spec
 from .solver import alpha, la_exact, lubell_max
 
+# Largest ground set `chain` and `embed` accept, and the most sets they may
+# enumerate for a chain: (n - k + 1) intervals of 2^k sets each bound its size.
+MAX_GROUND_SET = 64
+MAX_CHAIN_ENUMERATION = 1 << 20
+
 
 @dataclass
 class RunConfig:
     """Validated arguments for one CLI invocation.
 
     The fields are the parser's destinations, so a parsed namespace fills
-    them directly; `k_values` arrives as the raw `--k` text.
+    them directly; `k_values` arrives as verify's raw `--k` text.
     """
 
     command: str
     poset_spec: str | None = None
     n: int | None = None
     k_values: tuple[int, ...] | str = ()
+    k: int | None = None
     mode: str = "weak"
     objective: str = "cardinality"
     node_budget: int | None = None
@@ -171,29 +177,41 @@ def cmd_alpha(cfg: RunConfig) -> int:
     return 0 if result.exhaustive else 1
 
 
+def _chain_spec(n: int, k: int) -> IntervalChainSpec:
+    """The canonical chain `chain` and `embed --n` enumerate, refused up front
+    past MAX_GROUND_SET or MAX_CHAIN_ENUMERATION."""
+    if n > MAX_GROUND_SET:
+        raise PreconditionViolated(f"n={n} is above the ground-set cap {MAX_GROUND_SET}")
+    spec = IntervalChainSpec.canonical(n, k)
+    if (n - k + 1) << k > MAX_CHAIN_ENUMERATION:
+        raise PreconditionViolated(
+            f"the chain bound (n-k+1)*2^k = {(n - k + 1) << k} is above {MAX_CHAIN_ENUMERATION}"
+        )
+    return spec
+
+
 def cmd_chain(cfg: RunConfig) -> int:
-    spec = IntervalChainSpec.canonical(cfg.n, cfg.k_values[0])
+    spec = _chain_spec(cfg.n, cfg.k)
     _emit(family_to_text(interval_chain(spec)), cfg.output)
     return 0
 
 
 def cmd_embed(cfg: RunConfig) -> int:
     p = parse_poset_spec(cfg.poset_spec)
-    k = cfg.k_values[0]
     if cfg.family_path:
-        H = family_from_text(Path(cfg.family_path).read_text())
-        spec = IntervalChainSpec.canonical(H.n, k)
+        H = family_from_text(Path(cfg.family_path).read_text(), max_n=MAX_GROUND_SET)
+        spec = IntervalChainSpec.canonical(H.n, cfg.k)
     elif cfg.n is None:
         raise PreconditionViolated("embed needs --n or --family")
     else:
-        spec = IntervalChainSpec.canonical(cfg.n, k)
+        spec = _chain_spec(cfg.n, cfg.k)
         H = interval_chain(spec).restrict_sizes(*spec.embedding_window)
     embedding, trace = greedy_embed(H, p, spec)
     payload = {
         "schema": 1,
         "poset": cfg.poset_spec,
         "n": spec.n,
-        "k": k,
+        "k": cfg.k,
         "threshold": trace.threshold,
         "allowance": trace.allowance,
         "assignment": {
@@ -250,15 +268,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # Options are stored under RunConfig's field names (dest); metavar keeps
     # the help text showing the option's own name.
-    def add_common(sp, fmt_default="table"):
-        sp.add_argument(
-            "--format", dest="fmt", choices=("table", "json", "csv"), default=fmt_default
-        )
+    def add_output(sp, formats=()):
+        if formats:
+            sp.add_argument("--format", dest="fmt", choices=formats, default="table")
         sp.add_argument("--output", default=None, help="write to a file instead of stdout")
 
     sp = sub.add_parser("bounds", help="coefficient bound table for a poset")
     sp.add_argument("--poset", dest="poset_spec", metavar="POSET", required=True)
-    add_common(sp)
+    add_output(sp, ("table", "json", "csv"))
 
     sp = sub.add_parser("exact", help="exact La(n, P) by branch and bound")
     sp.add_argument("--poset", dest="poset_spec", metavar="POSET", required=True)
@@ -269,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget", dest="node_budget", metavar="BUDGET", type=int, help="node budget"
     )
     sp.add_argument("--override-guard", action="store_true")
-    add_common(sp, "json")
+    add_output(sp)
 
     sp = sub.add_parser("alpha", help="exact alpha(H, P) for a family file")
     sp.add_argument("--family", dest="family_path", metavar="FAMILY", required=True)
@@ -277,21 +294,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("weak", "induced"), default="weak")
     sp.add_argument("--objective", choices=("cardinality", "lubell"), default="cardinality")
     sp.add_argument("--budget", dest="node_budget", metavar="BUDGET", type=int)
-    add_common(sp, "json")
+    add_output(sp)
 
     sp = sub.add_parser("chain", help="emit the canonical k-interval chain as a family file")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", dest="k_values", metavar="K", required=True)
-    sp.add_argument("--output", default=None)
+    sp.add_argument("--k", type=int, required=True)
+    add_output(sp)
 
     sp = sub.add_parser("embed", help="greedy-embed a poset into an interval chain window")
     sp.add_argument("--poset", dest="poset_spec", metavar="POSET", required=True)
-    sp.add_argument("--k", dest="k_values", metavar="K", required=True)
+    sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument(
         "--family", dest="family_path", metavar="FAMILY", help="family file to embed into"
     )
-    add_common(sp, "json")
+    add_output(sp)
 
     sp = sub.add_parser("verify", help="run verification suites")
     sp.add_argument("--suite", choices=tuple(verify.SUITES) + ("all",), default="all")
@@ -302,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=20)
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--steps", type=int, default=64)
-    add_common(sp)
+    add_output(sp, ("table", "json"))
     return parser
 
 

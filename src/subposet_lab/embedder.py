@@ -1,22 +1,28 @@
 """Constructive embedding procedures with executable certificates.
 
 greedy_embed turns the antichain-by-antichain embedding argument into code
-that re-checks its own arithmetic: each step's removal count is asserted
-against the closed-form allowance, and total consumption against the
-threshold, so a successful run is a machine-checked instance of the bound
-rather than a trusted one.
+that re-checks its own arithmetic: each step's fresh removals
+(GreedyTrace.new_removals) are checked against the closed-form allowance,
+and total consumption against the threshold, so a successful run is a
+machine-checked instance of the bound rather than a trusted one.
+
+Every k-interval chain is a permuted copy of the canonical one, so one path
+serves every base: the greedy order reads each set on the canonical base
+through the spec's bit mapping (IntervalChainSpec.canonical_mask), and a
+step discards exactly the sets outside the intersection of the images so
+far, together with the images themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import InternalExhaustion, InvalidEmbedding, PreconditionViolated
 from .families import (
     IntervalChainSpec,
     SetFamily,
     Subset,
-    apply_permutation,
     unrelated_below_count,
     worst_set,
 )
@@ -58,36 +64,30 @@ class GreedyTrace:
         counts = []
         prev_removed: set[int] = set()
         for step in self.steps:
-            fresh = {
-                s.mask
-                for s in step.removed
-                if s.mask not in prev_removed
-                and s.mask not in {i.mask for i in step.images}
-            }
-            counts.append(len(fresh))
-            prev_removed |= {s.mask for s in step.removed}
+            removed = {s.mask for s in step.removed}
+            counts.append(len(removed - prev_removed - {s.mask for s in step.images}))
+            prev_removed |= removed
         return tuple(counts)
 
     def total_consumption(self) -> int:
         """Distinct sets either used as images or discarded along the way."""
-        seen: set[int] = set()
-        for step in self.steps:
-            seen |= {s.mask for s in step.images}
-            seen |= {s.mask for s in step.removed}
-        return len(seen)
+        return len({s.mask for step in self.steps for s in step.images + step.removed})
 
 
 def _greedy_order(H: SetFamily, spec: IntervalChainSpec) -> list[Subset]:
     """Decreasing size; within a size the worst set goes last, others by
-    indicator order."""
+    indicator order, both read on the canonical base."""
+    canonical = IntervalChainSpec.canonical(spec.n, spec.k)
     worst_masks = {
-        worst_set(spec, m).mask
+        worst_set(canonical, m).mask
         for m in {s.weight for s in H}
         if spec.k <= m <= spec.n - 1
     }
 
     def key(s: Subset):
-        return (-s.weight, 1 if s.mask in worst_masks else 0, s.indicator())
+        mask = spec.canonical_mask(s.mask)
+        # Reversed, the n binary digits of the mask are its indicator b_1 ... b_n.
+        return (-s.weight, mask in worst_masks, f"{mask:0{spec.n}b}"[::-1])
 
     return sorted(H, key=key)
 
@@ -98,40 +98,18 @@ def greedy_embed(
     """Weak-embed P into a large enough subfamily H of the interval chain.
 
     Antichain layers are placed top-down: each takes the first still-usable
-    sets in the greedy order, then everything not properly contained in all
-    images so far becomes unusable. The window precondition on member sizes
-    is what caps each step's fresh discards at removal_allowance(k); callers
-    outside the window should pass H through shift_into_interior first.
+    sets in the greedy order, read on the canonical base through the spec's
+    bit mapping, so every base chain takes the same path. A set stays usable
+    while it is properly contained in every image so far: it lies inside the
+    images' intersection and is none of them. The window precondition on
+    member sizes is what caps each step's fresh discards at
+    removal_allowance(k); callers outside the window should pass H through
+    shift_into_interior first.
     """
     if spec.k < 2:
         raise PreconditionViolated(f"need k >= 2, got {spec.k}")
     if H.n != spec.n:
         raise PreconditionViolated("family and chain live over different ground sets")
-    if not spec.is_canonical:
-        # Conjugate to the canonical base, embed there, carry images back.
-        perm = spec.base_permutation()
-        canon = IntervalChainSpec.canonical(spec.n, spec.k)
-        emb, trace = greedy_embed(apply_permutation(H, perm), P, canon)
-        inverse = [0] * spec.n
-        for i, img in enumerate(perm):
-            inverse[img - 1] = i + 1
-        back = lambda s: s.permuted(inverse)  # noqa: E731
-        emb_back = Embedding(emb.mode, emb.target_kind, tuple(back(s) for s in emb.images))
-        trace_back = GreedyTrace(
-            tuple(back(s) for s in trace.total_order),
-            tuple(
-                GreedyStep(
-                    st.layer,
-                    tuple(back(s) for s in st.images),
-                    tuple(back(s) for s in st.removed),
-                )
-                for st in trace.steps
-            ),
-            trace.allowance,
-            trace.threshold,
-        )
-        return emb_back, trace_back
-
     lo, hi = spec.embedding_window
     for s in H:
         if not spec.contains(s):
@@ -148,15 +126,15 @@ def greedy_embed(
 
     allowance = removal_allowance(spec.k)
     decomp = P.mirsky_decomposition()
-    h = len(decomp.layers)
     ordered = _greedy_order(H, spec)
 
     unusable: set[int] = set()
     steps: list[GreedyStep] = []
     images: dict[int, Subset] = {}
-    chosen_all: list[Subset] = []
+    image_masks: set[int] = set()
+    meet = (1 << spec.n) - 1
 
-    for i in range(h, 0, -1):
+    for i in range(len(decomp.layers), 0, -1):
         layer = decomp.layers[i - 1]
         available = [s for s in ordered if s.mask not in unusable]
         if len(available) < len(layer):
@@ -166,30 +144,21 @@ def greedy_embed(
         placed = available[: len(layer)]
         for elem, target in zip(sorted(layer), placed):
             images[elem] = target
-        chosen_all.extend(placed)
+            image_masks.add(target.mask)
+            meet &= target.mask
+        removed = []
         if i >= 2:
-            removed = [
-                s
-                for s in ordered
-                if any(not s.is_proper_subset(t) for t in chosen_all)
-            ]
-            fresh = [
-                s
-                for s in removed
-                if s.mask not in unusable
-                and all(s.mask != t.mask for t in placed)
-            ]
-            if len(fresh) > allowance:
-                raise InternalExhaustion(
-                    f"step {i} discarded {len(fresh)} fresh sets, over the "
-                    f"allowance {allowance}; this is a bug"
-                )
+            removed = [s for s in ordered if s.mask & ~meet or s.mask in image_masks]
             unusable = {s.mask for s in removed}
-            steps.append(GreedyStep(i, tuple(placed), tuple(removed)))
-        else:
-            steps.append(GreedyStep(i, tuple(placed), ()))
+        steps.append(GreedyStep(i, tuple(placed), tuple(removed)))
 
     trace = GreedyTrace(tuple(ordered), tuple(steps), allowance, threshold)
+    for step, fresh in zip(trace.steps, trace.new_removals()):
+        if fresh > allowance:
+            raise InternalExhaustion(
+                f"step {step.layer} discarded {fresh} fresh sets, over the "
+                f"allowance {allowance}; this is a bug"
+            )
     if trace.total_consumption() > threshold:
         raise InternalExhaustion(
             f"consumed {trace.total_consumption()} sets, over the threshold "
@@ -255,15 +224,9 @@ def span_certificate(pattern: Poset, emb: Embedding) -> SpanCertificate:
     a, h = sizes[0], len(sizes)
     decomp = pattern.mirsky_decomposition()
 
-    def layer_images(i: int) -> list[Subset]:
-        return [emb.images[e] for e in decomp.layers[i]]
-
-    unions = []
-    for i in range(h - 1):
-        u = layer_images(i)[0]
-        for s in layer_images(i)[1:]:
-            u = u | s
-        unions.append(u)
+    unions = [
+        reduce(Subset.__or__, (emb.images[e] for e in decomp.layers[i])) for i in range(h - 1)
+    ]
 
     sizes = [s.weight for s in emb.images]
     spanned = max(sizes) - min(sizes) + 1

@@ -12,6 +12,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -274,14 +275,10 @@ def min_chain_partition(fam: SetFamily) -> tuple[tuple[Subset, ...], ...]:
     return tuple(chains)
 
 
-def _check_permutation(n: int, perm: Sequence[int]) -> None:
-    if len(perm) != n or sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of [{n}]: {perm!r}")
-
-
 def apply_permutation(fam: SetFamily, perm: Sequence[int]) -> SetFamily:
     """Pointwise image family {A^pi : A in fam} for pi given as perm[i-1] = pi(i)."""
-    _check_permutation(fam.n, perm)
+    if len(perm) != fam.n or sorted(perm) != list(range(1, fam.n + 1)):
+        raise ValueError(f"not a permutation of [{fam.n}]: {perm!r}")
     return SetFamily(fam.n, (s.permuted(perm) for s in fam))
 
 
@@ -310,6 +307,7 @@ class IntervalChainSpec:
                 raise ValueError("base chain is not nested")
 
     @classmethod
+    @lru_cache(maxsize=64)
     def canonical(cls, n: int, k: int) -> "IntervalChainSpec":
         base = tuple(Subset(n, (1 << i) - 1) for i in range(n + 1))
         return cls(n, k, base)
@@ -320,7 +318,7 @@ class IntervalChainSpec:
         at most (3k-5) 2^(k-2) sets."""
         return 3 * self.k - 3, self.n - self.k + 1
 
-    @property
+    @cached_property
     def is_canonical(self) -> bool:
         return all(s.mask == (1 << i) - 1 for i, s in enumerate(self.base))
 
@@ -335,21 +333,36 @@ class IntervalChainSpec:
             perm[added.bit_length() - 1] = i
         return tuple(perm)
 
+    @cached_property
+    def _byte_tables(self) -> tuple[tuple[int, ...], ...]:
+        # Per byte of a mask, the canonical bits of each of its values: bit b
+        # moves to bit i-1 when the base adds element b+1 at step i.
+        steps = [1 << (i - 1) for i in self.base_permutation()]
+        tables = []
+        for lo in range(0, self.n, 8):
+            table = [0]
+            for bit in steps[lo : lo + 8]:
+                table += [t | bit for t in table]
+            tables.append(tuple(table))
+        return tuple(tables)
+
+    def canonical_mask(self, mask: int) -> int:
+        """A mask read on the canonical base: bit i-1 of the result is set when
+        the set holds the element this base adds at step i."""
+        out = 0
+        for table in self._byte_tables:
+            out |= table[mask & 0xFF]
+            mask >>= 8
+        return out
+
     def contains(self, s: Subset) -> bool:
-        """Membership test for the chain."""
+        """Membership test: read on the canonical base, a member is an initial
+        1-run of some length r with nothing past position r + k."""
         if s.n != self.n:
             return False
-        if self.is_canonical:
-            # Initial 1-run of length r, then everything past position r+k is 0.
-            mask = s.mask
-            run = 0
-            while mask >> run & 1:
-                run += 1
-            return mask >> (run + self.k) == 0
-        return any(
-            self.base[i].issubset(s) and s.issubset(self.base[i + self.k])
-            for i in range(self.n - self.k + 1)
-        )
+        mask = self.canonical_mask(s.mask)
+        run = (~mask & (mask + 1)).bit_length() - 1
+        return mask >> (run + self.k) == 0
 
 
 def interval_chain(spec: IntervalChainSpec) -> SetFamily:
@@ -490,7 +503,8 @@ def family_to_text(fam: SetFamily) -> str:
     return "\n".join(lines) + "\n"
 
 
-def family_from_text(text: str) -> SetFamily:
+def family_from_text(text: str, max_n: int | None = None) -> SetFamily:
+    """Parse a family file, refusing a ground set above max_n before any set."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise ValueError("family file must start with an 'n=<N>' line")
@@ -498,6 +512,8 @@ def family_from_text(text: str) -> SetFamily:
         n = int(lines[0][2:])
     except ValueError as exc:
         raise ValueError(f"bad ground set size: {lines[0]!r}") from exc
+    if max_n is not None and n > max_n:
+        raise ValueError(f"ground set size {n} is above {max_n}")
     sets = []
     for ln in lines[1:]:
         if ln == "{}":

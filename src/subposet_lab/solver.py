@@ -256,12 +256,14 @@ def _search(
     members = H.sets
     m = len(members)
 
+    # Lubell values and row weights are scaled to integers by the lcm of the binomials.
+    unit = lcm(*(comb(H.n, s.weight) for s in members))
     if objective == "cardinality":
         scale = 1
         values = [1] * m
     else:
-        scale = lcm(*(comb(H.n, s.weight) for s in members))
-        values = [scale // comb(H.n, s.weight) for s in members]
+        scale = unit
+        values = [unit // comb(H.n, s.weight) for s in members]
     if mode == "weak" or P.height() == P.size:
         index = {s.mask: i for i, s in enumerate(members)}
         chains = [[index[s.mask] for s in c] for c in min_chain_partition(H)]
@@ -270,8 +272,7 @@ def _search(
         # No cap: every set is a chain of its own that may hold it.
         chains = [[i] for i in range(m)]
         cap = 1
-    # Row weights N_w / C(n, w) and capacities, scaled by the lcm of the binomials.
-    unit = lcm(*(comb(H.n, s.weight) for s in members))
+    # Row weights N_w / C(n, w) and capacities, scaled by the same unit.
     row_weights = [
         [counts[s.weight] * (unit // comb(H.n, s.weight)) for s in members]
         for _, counts, _ in rows

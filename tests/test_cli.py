@@ -166,6 +166,21 @@ class TestChainCommand:
         # levels 1+3+4+4+3+1 for k=3 over [5]
         assert len(family_from_text(target.read_text())) == 16
 
+    def test_k_range_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "chain", "--n", "10", "--k", "2..4")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("n,k", [(65, 2), (40, 40), (30, 17)])
+    def test_oversized_chain_is_refused(self, capsys, n, k):
+        code, out, err = run_cli(capsys, "chain", "--n", str(n), "--k", str(k))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_largest_ground_set_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "chain", "--n", "64", "--k", "2")
+        assert code == 0 and family_from_text(out).n == 64
+
 
 class TestEmbedCommand:
     def test_window_embedding(self, capsys):
@@ -192,6 +207,23 @@ class TestEmbedCommand:
         )
         assert code == 0
         assert json.loads(out)["total_consumption"] <= len(window)
+
+    def test_k_range_is_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "embed", "--poset", "diamond:2", "--k", "2..3", "--n", "10"
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_format_is_not_an_option(self, capsys, fmt):
+        for argv in (
+            ["embed", "--poset", "diamond:2", "--k", "2", "--n", "10"],
+            ["exact", "--poset", "chain:2", "--n", "3"],
+        ):
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error:")
 
     def test_needs_n_or_family(self, capsys):
         code, out, err = run_cli(capsys, "embed", "--poset", "diamond:2", "--k", "2")
@@ -222,6 +254,11 @@ class TestVerifyCommand:
         assert code == 0
         for value in ("size 1", "size 8", "size 28"):
             assert value in out
+
+    def test_csv_format_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "recursion", "--format", "csv")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
     def test_recursion_json(self, capsys):
         code, out, _ = run_cli(

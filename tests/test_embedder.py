@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subposet_lab import embedder
 from subposet_lab.embedder import (
     embedding_threshold,
     greedy_embed,
@@ -13,7 +14,7 @@ from subposet_lab.embedder import (
     shift_into_interior,
     span_certificate,
 )
-from subposet_lab.errors import InvalidEmbedding, PreconditionViolated
+from subposet_lab.errors import InternalExhaustion, InvalidEmbedding, PreconditionViolated
 from subposet_lab.families import (
     IntervalChainSpec,
     SetFamily,
@@ -130,6 +131,48 @@ class TestGreedyEmbed:
         emb, trace = greedy_embed(H, chain(3), spec)
         check_embedding(chain(3), emb)
         assert all(s in chain_fam for s in emb.images)
+
+    @pytest.mark.parametrize(
+        "k,n,pattern", [(2, 10, diamond(2)), (2, 12, chain(4)), (3, 14, diamond(3))]
+    )
+    def test_random_base_matches_conjugated_run(self, k, n, pattern):
+        # The conjugated run: carry H onto the canonical base, embed there,
+        # and map every set of the result back.
+        rng = random.Random(n * k)
+        threshold = embedding_threshold(pattern, k)
+        canonical = IntervalChainSpec.canonical(n, k)
+        for _ in range(10):
+            order = list(range(1, n + 1))
+            rng.shuffle(order)
+            base = [Subset.empty(n)]
+            for e in order:
+                base.append(Subset(n, base[-1].mask | 1 << (e - 1)))
+            spec = IntervalChainSpec(n, k, tuple(base))
+            window = interval_chain(spec).restrict_sizes(*spec.embedding_window)
+            H = SetFamily(n, rng.sample(window.sets, threshold + rng.randrange(4)))
+            emb, trace = greedy_embed(H, pattern, spec)
+
+            perm = spec.base_permutation()
+            inverse = [0] * n
+            for i, img in enumerate(perm):
+                inverse[img - 1] = i + 1
+            back = lambda sets: tuple(s.permuted(inverse) for s in sets)  # noqa: E731
+            c_emb, c_trace = greedy_embed(apply_permutation(H, perm), pattern, canonical)
+            assert emb.images == back(c_emb.images)
+            assert trace.total_order == back(c_trace.total_order)
+            assert [(st.layer, st.images, st.removed) for st in trace.steps] == [
+                (st.layer, back(st.images), back(st.removed)) for st in c_trace.steps
+            ]
+            assert trace.new_removals() == c_trace.new_removals()
+            assert trace.total_consumption() == c_trace.total_consumption()
+
+    def test_allowance_breach_raises(self, monkeypatch):
+        # With no removals allowed, the first step that discards a fresh set
+        # must be reported.
+        spec, window = window_family(10, 2)
+        monkeypatch.setattr(embedder, "removal_allowance", lambda k: 0)
+        with pytest.raises(InternalExhaustion, match="over the allowance 0"):
+            greedy_embed(SetFamily(10, list(window)), diamond(2), spec)
 
     def test_preconditions(self):
         spec, window = window_family(10, 2)

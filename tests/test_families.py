@@ -96,6 +96,11 @@ class TestSetFamily:
         with pytest.raises(ValueError):
             family_from_text("1,2\n")
 
+    def test_file_ground_set_cap(self):
+        assert family_from_text("n=4\n1,2\n", max_n=4).n == 4
+        with pytest.raises(ValueError, match="above 4"):
+            family_from_text("n=5\n1,2\n", max_n=4)
+
 
 class TestLubell:
     def test_full_middle_level_is_one(self):
@@ -173,6 +178,29 @@ class TestIntervalChain:
             fam = interval_chain(spec)
             for mask in range(1 << n):
                 assert spec.contains(Subset(n, mask)) == (Subset(n, mask) in fam)
+
+    def test_membership_rule_matches_enumeration_on_random_bases(self):
+        rng = random.Random(11)
+        checked = 0
+        for n, k in [(5, 1), (6, 2), (7, 3), (8, 4), (9, 2), (9, 9)]:
+            for _ in range(4):
+                spec = random_spec(rng, n, k)
+                if spec.is_canonical:
+                    continue
+                fam = interval_chain(spec)
+                for mask in range(1 << n):
+                    assert spec.contains(Subset(n, mask)) == (Subset(n, mask) in fam)
+                checked += 1
+        assert checked >= 20
+
+    def test_canonical_mask_reads_the_base_steps(self):
+        spec = random_spec(random.Random(4), 9, 3)
+        perm = spec.base_permutation()
+        for mask in range(1 << 9):
+            s = Subset(9, mask)
+            assert spec.canonical_mask(mask) == s.permuted(perm).mask
+        for i, a in enumerate(spec.base):
+            assert spec.canonical_mask(a.mask) == (1 << i) - 1
 
     def test_non_canonical_base(self):
         base = [Subset.empty(3)]
@@ -426,14 +454,19 @@ def brute_width(fam):
     )
 
 
-def random_chain_family(rng, n, k):
+def random_spec(rng, n, k):
+    """A k-interval chain over [n] on a uniformly random base chain."""
     order = list(range(n))
     rng.shuffle(order)
     base, mask = [Subset(n, 0)], 0
     for bit in order:
         mask |= 1 << bit
         base.append(Subset(n, mask))
-    return interval_chain(IntervalChainSpec(n, k, tuple(base)))
+    return IntervalChainSpec(n, k, tuple(base))
+
+
+def random_chain_family(rng, n, k):
+    return interval_chain(random_spec(rng, n, k))
 
 
 class TestMinChainPartition:
