@@ -24,8 +24,9 @@ from .families import IntervalChainSpec, family_from_text, family_to_text, inter
 from .posets import parse_poset_spec
 from .solver import alpha, la_exact, lubell_max
 
-# Largest ground set `chain` and `embed` accept, and the most sets they may
-# enumerate for a chain: (n - k + 1) intervals of 2^k sets each bound its size.
+# Largest ground set `chain`, `embed` and `alpha` accept, and the most sets
+# `chain` and `embed` may enumerate for a chain: (n - k + 1) intervals of 2^k
+# sets each bound its size.
 MAX_GROUND_SET = 64
 MAX_CHAIN_ENUMERATION = 1 << 20
 
@@ -170,7 +171,7 @@ def cmd_exact(cfg: RunConfig) -> int:
 
 
 def cmd_alpha(cfg: RunConfig) -> int:
-    fam = family_from_text(Path(cfg.family_path).read_text())
+    fam = family_from_text(Path(cfg.family_path).read_text(), max_n=MAX_GROUND_SET)
     p = parse_poset_spec(cfg.poset_spec)
     result = alpha(fam, p, cfg.mode, cfg.objective, cfg.node_budget)
     _emit(_json_dumps(result.as_dict()), cfg.output)

@@ -115,7 +115,7 @@ class Poset:
         label = self.chain_heights()
         layers = [
             tuple(i for i in range(self.size) if label[i] == lv)
-            for lv in range(1, self.height() + 1)
+            for lv in range(1, max(label, default=0) + 1)
         ]
         return AntichainDecomposition(tuple(layers))
 
@@ -330,6 +330,15 @@ class EmbeddingSearch:
     when u lies below / above e, the non-neighbours of z when they are
     incomparable in induced mode, and every index otherwise. The mode is
     settled once, when the tables are built.
+
+    embeds_using() keeps two answers per host index z, because containing the
+    pattern is monotone in the allowed mask. _copies[z] is the mask of the
+    last copy found through z (-1, no copy, at first): it answers True for
+    every later mask that holds it, since a weak or induced copy depends only
+    on the relations among its own images. _misses[z] is the last mask with no
+    copy through z (0 at first): it answers False for every mask inside it,
+    since a copy there would lie inside the miss too. embeddings() reads and
+    writes neither.
     """
 
     __slots__ = (
@@ -343,6 +352,8 @@ class EmbeddingSearch:
         "_twin_reps",
         "_need_above",
         "_need_below",
+        "_copies",
+        "_misses",
     )
 
     def __init__(self, host: Union[Poset, SetFamily], pattern: Poset, mode: str):
@@ -389,6 +400,8 @@ class EmbeddingSearch:
         self._twin_reps = reps
         self._need_above = [pattern.above_mask(e).bit_count() for e in range(q)]
         self._need_below = [pattern.below_mask(e).bit_count() for e in range(q)]
+        self._copies = [-1] * host.size
+        self._misses = [0] * host.size
 
     def _plan_for(self, order: Sequence[int]) -> tuple:
         # Per depth: the element assigned there and, for each later element,
@@ -431,6 +444,10 @@ class EmbeddingSearch:
         """Is there a copy of the pattern inside `allowed_mask` whose image
         includes host_idx (which must lie in `allowed_mask`)? Boolean fast
         path for incremental freeness checks."""
+        if not self._copies[host_idx] & ~allowed_mask:
+            return True
+        if not allowed_mask & ~self._misses[host_idx]:
+            return False
         above = self.host.above[host_idx] & allowed_mask
         below = self.host.below[host_idx] & allowed_mask
         n_above = above.bit_count()
@@ -444,7 +461,9 @@ class EmbeddingSearch:
             images[e] = host_idx
             cand = [allowed_mask & row[e][host_idx] for row in rel]
             if _extend(self._pinned_plans[e], 1, images, cand, 1 << host_idx, _stop, None):
+                self._copies[host_idx] = sum(1 << z for z in images)
                 return True
+        self._misses[host_idx] = allowed_mask
         return False
 
 

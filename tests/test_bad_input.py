@@ -185,11 +185,12 @@ def test_absent_or_oversized_family_file_is_refused(files):
 
 
 def test_oversized_ground_set_is_refused(files):
-    # Neither command may start on the chain: one would build n-bit masks for
-    # an (n + 1)-set base, the other enumerate 2^40 sets.
+    # No command may start: embed would build n-bit masks for an (n + 1)-set
+    # base, alpha an n-tuple sort key per set, chain enumerate 2^40 sets.
     huge = files / "huge-n.txt"
     huge.write_text("n=100000000\n1\n")
     refuse(["embed", "--family", str(huge), "--poset", "chain:2", "--k", "2"])
+    refuse(["alpha", "--family", str(huge), "--poset", "chain:2"])
     refuse(["embed", "--n", "65", "--poset", "chain:2", "--k", "2"])
     refuse(["chain", "--n", "40", "--k", "40"])
     refuse(["chain", "--n", "100000000", "--k", "2"])

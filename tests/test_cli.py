@@ -149,6 +149,25 @@ class TestAlphaCommand:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    def test_oversized_ground_set_refused(self, capsys, tmp_path):
+        # Refused at the n= line: SetFamily would build an n-tuple per set.
+        path = tmp_path / "huge-n.txt"
+        path.write_text("n=100000000\n1\n")
+        code, out, err = run_cli(
+            capsys, "alpha", "--family", str(path), "--poset", "chain:2"
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "above 64" in err
+
+    def test_largest_ground_set_is_accepted(self, capsys, tmp_path):
+        path = tmp_path / "n64.txt"
+        path.write_text("n=64\n1\n1,64\n")
+        code, out, _ = run_cli(
+            capsys, "alpha", "--family", str(path), "--poset", "chain:2"
+        )
+        assert code == 0 and json.loads(out)["value"] == 1
+
 
 class TestChainCommand:
     def test_emits_family_file(self, capsys):
