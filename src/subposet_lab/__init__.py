@@ -51,7 +51,6 @@ from .posets import (
     Embedding,
     Poset,
     antichain,
-    are_isomorphic,
     chain,
     check_embedding,
     complete_multilevel,

@@ -10,7 +10,6 @@ at most 12 elements.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, Union
@@ -255,23 +254,6 @@ def product(p: Poset, q: Poset) -> Poset:
         if y != qm
     ]
     return poset_from_relations(pairs, size)
-
-
-def are_isomorphic(p: Poset, q: Poset) -> bool:
-    """Brute-force isomorphism over all permutations; test-scale sizes only."""
-    if p.size != q.size:
-        return False
-    if p.size > 8:
-        raise ValueError("brute-force isomorphism is limited to size <= 8")
-    if sorted(p.degree(i) for i in range(p.size)) != sorted(
-        q.degree(i) for i in range(q.size)
-    ):
-        return False
-    n = p.size
-    for perm in itertools.permutations(range(n)):
-        if all(p.less(i, j) == q.less(perm[i], perm[j]) for i in range(n) for j in range(n)):
-            return True
-    return False
 
 
 def inclusion_poset(fam: SetFamily) -> Poset:

@@ -65,14 +65,6 @@ class ExtremalResult:
         }
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _Found(Exception):
-    pass
-
-
 def _complete_levels(H: SetFamily) -> tuple[int, ...]:
     """H's set sizes if H is a union of full levels of 2^[n], else ()."""
     sizes = Counter(s.weight for s in H)
@@ -183,6 +175,17 @@ def _knapsack_bound(weights: list[int], values: list[int]):
     return bound
 
 
+def _row_step(knapsacks: list, weights: tuple[int, ...], p: int, left: tuple[int, ...]):
+    """The rows at branching position p with unused capacities `left`: the
+    least knapsack bound of the sets from p on, and the capacities left after
+    taking set p (None when it overflows a row)."""
+    after = tuple(r - w for r, w in zip(left, weights))
+    return (
+        min(knapsack(p, r) for knapsack, r in zip(knapsacks, left)),
+        after if min(after) >= 0 else None,
+    )
+
+
 def alpha(
     H: SetFamily,
     P: Poset,
@@ -221,16 +224,21 @@ def alpha(
        stopping at the first family of value v.
 
     Other hosts (interval chains, arbitrary families) get no rows, for cost
-    (see double_count_rows), and only the include-first pass. Either way include-first order with strict
-    improvement makes the witness the lexicographically least optimum over
-    canonical indices, and nodes_explored counts the nodes of both passes
-    (not those of the capacity searches behind the rows).
+    (see double_count_rows), and only the include-first pass. Either way
+    include-first order with strict improvement makes the witness the
+    lexicographically least optimum over canonical indices, and
+    nodes_explored counts the nodes of both passes (not those of the
+    capacity searches behind the rows). Both passes run one iterative loop
+    over a list of pending branches, so the search's depth in Python frames
+    does not grow with the host.
 
     Hitting the node budget returns a valid lower bound flagged
     non-exhaustive: a stop in the first pass returns its incumbent, which
     need not be the include-first witness; a stop in the second pass returns
-    the proven value v with the first pass's witness. Hosts
-    above MAX_HOST_SETS sets are refused: the search recurses once per set.
+    the proven value v with the first pass's witness. Hosts above
+    MAX_HOST_SETS sets are refused before any work: min_chain_partition's
+    augmenting-path search can still recurse once per set, and the cap keeps
+    it within Python's default recursion limit.
     """
     if P.size < 1:
         raise ValueError("pattern must have at least one element")
@@ -278,98 +286,61 @@ def _search(
         for _, counts, _ in rows
     ]
     row_caps = tuple(capacity * unit for _, _, capacity in rows)
+    chain_bits = [sum(1 << i for i in c) for c in chains]
     embeds_using = search.embeds_using
 
     best_value = -1
     best_mask = 0
     nodes = 0
 
-    def walk(order: list[int], stop_at_first: bool) -> None:
+    def walk(order: list[int], stop_at_first: bool) -> bool:
         """Branch through H in `order`, include first, improving the incumbent;
-        with stop_at_first the first improving leaf ends the walk. Without
-        rows the order is canonical."""
+        with stop_at_first the first improving leaf ends the walk. Returns
+        False when the node budget runs out."""
+        nonlocal best_value, best_mask, nodes
         chain_of, inc, exc, root_bound = _chain_tables(order, chains, values, cap)
-        chosen = [0] * len(chains)
-
-        def plain(idx: int, cur_mask: int, bound: int) -> None:
-            # At a leaf every chain is decided and bound is the family's value.
-            nonlocal best_value, best_mask, nodes
+        if rows:
+            weights = [tuple(w[i] for w in row_weights) for i in order]
+            knapsacks = [
+                _knapsack_bound([w[i] for i in order], [values[i] for i in order])
+                for w in row_weights
+            ]
+            # _row_step's answer per (p, unused capacity per row).
+            memo: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...] | None]] = {}
+        # A stack of nodes: (branching position, mask of the chosen sets'
+        # canonical indices, value so far, bound, unused capacity per row).
+        # Each exclude branch goes under its include branch, so the include
+        # subtree is finished first. A chain's chosen count is read off the mask.
+        pending = [(0, 0, 0, root_bound, row_caps)]
+        while pending:
+            p, mask, value, bound, left = pending.pop()
             nodes += 1
             if node_budget is not None and nodes > node_budget:
-                raise _BudgetExhausted
-            if idx == m:
-                if bound > best_value:
-                    best_value = bound
-                    best_mask = cur_mask
-                return
-            if bound <= best_value:
-                return
-            c = chain_of[idx]
-            k = chosen[c]
-            if k < cap and not embeds_using(cur_mask | (1 << idx), idx):
-                chosen[c] = k + 1
-                plain(idx + 1, cur_mask | (1 << idx), bound + inc[idx][k])
-                chosen[c] = k
-            plain(idx + 1, cur_mask, bound + exc[idx][k])
-
-        if not rows:
-            try:
-                plain(0, 0, root_bound)
-            finally:
-                # The closure refers to itself; dropping it frees this pass's
-                # tables now instead of at the next cycle collection.
-                plain = None
-            return
-        weights = [tuple(w[i] for w in row_weights) for i in order]
-        knapsacks = [
-            _knapsack_bound([w[i] for i in order], [values[i] for i in order])
-            for w in row_weights
-        ]
-        # (p, unused capacity per row) -> (the least knapsack bound of the
-        # sets from p on, the unused capacities after taking set p, or None
-        # when it overflows a row). Kept apart from plain(), whose hosts
-        # have no rows, so those pay nothing per node for them.
-        memo: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...] | None]] = {}
-
-        def rowed(p: int, cur_mask: int, value: int, bound: int, left: tuple) -> None:
-            nonlocal best_value, best_mask, nodes
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise _BudgetExhausted
+                return False
             if p == m:
+                # At a leaf every chain is decided and bound is the family's value.
                 if bound > best_value:
                     best_value = bound
-                    best_mask = cur_mask
+                    best_mask = mask
                     if stop_at_first:
-                        raise _Found
-                return
+                        return True
+                continue
             if bound <= best_value:
-                return
-            got = memo.get((p, left))
-            if got is None:
-                after = tuple(r - w for r, w in zip(left, weights[p]))
-                got = memo[p, left] = (
-                    min(knapsack(p, r) for knapsack, r in zip(knapsacks, left)),
-                    after if min(after) >= 0 else None,
-                )
-            room, taken = got
-            if value + room <= best_value:
-                return
+                continue
+            taken = left
+            if rows:
+                got = memo.get((p, left))
+                if got is None:
+                    got = memo[p, left] = _row_step(knapsacks, weights[p], p, left)
+                room, taken = got
+                if value + room <= best_value:
+                    continue
             i = order[p]
-            c = chain_of[p]
-            k = chosen[c]
-            if taken is not None and k < cap and not embeds_using(cur_mask | (1 << i), i):
-                chosen[c] = k + 1
-                rowed(p + 1, cur_mask | (1 << i), value + values[i], bound + inc[p][k], taken)
-                chosen[c] = k
-            rowed(p + 1, cur_mask, value, bound + exc[p][k], left)
-
-        try:
-            rowed(0, 0, 0, root_bound, row_caps)
-        except _Found:
-            pass
-        finally:
-            rowed = None  # as for plain()
+            k = (mask & chain_bits[chain_of[p]]).bit_count()
+            pending.append((p + 1, mask, value, bound + exc[p][k], left))
+            if taken is not None and k < cap and not embeds_using(mask | 1 << i, i):
+                pending.append((p + 1, mask | 1 << i, value + values[i], bound + inc[p][k], taken))
+        return True
 
     canonical = list(range(m))
     first = canonical
@@ -379,19 +350,13 @@ def _search(
         outward = 1 if objective == "cardinality" else -1
         distance = [outward * abs(2 * s.weight - H.n) for s in members]
         first = sorted(canonical, key=lambda i: (distance[i], i))
-    exhaustive = True
-    second_pass = False
-    try:
-        if first != canonical:
-            walk(first, False)
-            second_pass = True
-            best_value -= 1
-        # When the value pass would branch in canonical order anyway, this
-        # one pass finds both the value and the canonical witness.
-        walk(canonical, second_pass)
-    except _BudgetExhausted:
-        exhaustive = False
-        if second_pass:
+    # When the value pass branches in canonical order anyway, it finds both
+    # the value and the canonical witness.
+    exhaustive = walk(first, False)
+    if exhaustive and first != canonical:
+        best_value -= 1
+        exhaustive = walk(canonical, True)
+        if not exhaustive:
             # No second-pass leaf was reached (the first one ends the pass):
             # the incumbent is still the first pass's optimum and witness.
             best_value += 1

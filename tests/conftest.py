@@ -99,6 +99,23 @@ def brute_alpha(
     return best
 
 
+def are_isomorphic(p: Poset, q: Poset) -> bool:
+    """Brute-force isomorphism over all permutations; test-scale sizes only."""
+    if p.size != q.size:
+        return False
+    if p.size > 8:
+        raise ValueError("brute-force isomorphism is limited to size <= 8")
+    if sorted(p.degree(i) for i in range(p.size)) != sorted(
+        q.degree(i) for i in range(q.size)
+    ):
+        return False
+    n = p.size
+    for perm in itertools.permutations(range(n)):
+        if all(p.less(i, j) == q.less(perm[i], perm[j]) for i in range(n) for j in range(n)):
+            return True
+    return False
+
+
 def random_poset(rng: random.Random, size: int) -> Poset:
     """Random DAG closure: orient random pairs upward under a random relabeling."""
     from subposet_lab.posets import poset_from_relations

@@ -142,7 +142,8 @@ class TestApplyPermutation:
         assert sorted(s.weight for s in image) == sorted(s.weight for s in fam)
 
     def test_preserves_inclusion_order(self):
-        from subposet_lab.posets import are_isomorphic, inclusion_poset
+        from conftest import are_isomorphic
+        from subposet_lab.posets import inclusion_poset
 
         rng = random.Random(11)
         fam = SetFamily.from_masks(4, rng.sample(range(16), 7))

@@ -16,7 +16,6 @@ from subposet_lab.posets import (
     EmbeddingSearch,
     Poset,
     antichain,
-    are_isomorphic,
     chain,
     check_embedding,
     complete_multilevel,
@@ -31,6 +30,7 @@ from subposet_lab.posets import (
 )
 
 from conftest import (
+    are_isomorphic,
     brute_contains,
     brute_contains_through,
     brute_poset_contains,

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -118,6 +119,20 @@ class TestAlpha:
         assert find_subposet(r.witness, chain(2)) is None
         capped = alpha(SetFamily.power_set(9), chain(2), node_budget=1000)
         assert not capped.exhaustive and find_subposet(capped.witness, chain(2)) is None
+
+    def test_search_depth_does_not_grow_with_the_host(self):
+        # 252 sets, no more than 100 frames: the search keeps its pending
+        # branches in a list, not in one Python frame per set.
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            r = alpha(SetFamily.levels(9, [4, 5]), chain(2), node_budget=3000)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (r.value, r.exhaustive, r.nodes_explored) == (126, True, 379)
 
     def test_value_invariant_under_permutation(self):
         rng = random.Random(11)
@@ -328,6 +343,35 @@ class TestAgainstBruteForce:
         n, levels = host
         H = SetFamily.power_set(n) if levels is None else SetFamily.levels(n, levels)
         assert alpha(H, parse_poset_spec(spec), mode, objective).nodes_explored == nodes
+
+    @pytest.mark.parametrize(
+        "host, spec, mode, objective, budget, outcome",
+        [
+            # Hosts without double-count rows.
+            ("C_2[10]", "K:2,2", "induced", "lubell", None, (Fraction(151, 63), True, 16_550)),
+            ("random", "diamond:2", "weak", "cardinality", None, (18, True, 63_365)),
+            # Budget stops in the value pass, below the optimum 7/3, and in
+            # the include-first witness pass, after the value pass's 2,220 nodes.
+            (
+                "2^[4]", "diamond:2", "weak", "lubell", 100,
+                (Fraction(9, 4), False, 101, (0, 8, 15)),
+            ),
+            (
+                "2^[4]", "diamond:2", "weak", "lubell", 2300,
+                (Fraction(7, 3), False, 2301, (0, 8, 4, 10, 6, 9, 5, 3)),
+            ),
+        ],
+    )
+    def test_search_outcomes_are_pinned(self, host, spec, mode, objective, budget, outcome):
+        H = {
+            "C_2[10]": lambda: interval_chain(IntervalChainSpec.canonical(10, 2)),
+            "random": lambda: random_family(random.Random(32), 6, 24),
+            "2^[4]": lambda: SetFamily.power_set(4),
+        }[host]()
+        r = alpha(H, parse_poset_spec(spec), mode, objective, budget)
+        # Budgeted outcomes also pin the witness masks.
+        got = (r.value, r.exhaustive, r.nodes_explored, r.witness.masks())
+        assert got[: len(outcome)] == outcome
 
 
 class TestLaExact:
