@@ -28,7 +28,7 @@ from .families import SetFamily, Subset
 class Poset:
     """Immutable finite strict partial order on elements 0..size-1."""
 
-    __slots__ = ("size", "rows", "_cols")
+    __slots__ = ("size", "rows", "_cols", "_heights")
 
     def __init__(self, rows: Sequence[int]):
         rows = tuple(rows)
@@ -51,6 +51,7 @@ class Poset:
         object.__setattr__(self, "size", n)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_cols", tuple(cols))
+        object.__setattr__(self, "_heights", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poset is immutable")
@@ -88,15 +89,18 @@ class Poset:
         return tuple(i for i in range(self.size) if not self._cols[i])
 
     def chain_heights(self) -> tuple[int, ...]:
-        """For each element, the number of elements in a longest chain ending at it."""
-        order = sorted(range(self.size), key=lambda i: self._cols[i].bit_count())
-        label = [0] * self.size
-        for i in order:
-            below = self._cols[i]
-            label[i] = 1 + max(
-                (label[j] for j in range(self.size) if below >> j & 1), default=0
-            )
-        return tuple(label)
+        """For each element, the number of elements in a longest chain ending
+        at it. Computed on the first call and kept: the poset never changes."""
+        if self._heights is None:
+            order = sorted(range(self.size), key=lambda i: self._cols[i].bit_count())
+            label = [0] * self.size
+            for i in order:
+                below = self._cols[i]
+                label[i] = 1 + max(
+                    (label[j] for j in range(self.size) if below >> j & 1), default=0
+                )
+            object.__setattr__(self, "_heights", tuple(label))
+        return self._heights
 
     def height(self) -> int:
         """Number of elements in a longest chain."""
@@ -302,10 +306,9 @@ class EmbeddingSearch:
     Pattern elements are assigned in descending-degree order (ties by id).
     Candidate sets are propagated forward after each assignment, so branches
     that starve a later element are cut immediately. The search is exhaustive:
-    finding nothing is a proof that no embedding exists. embeddings() and
-    embeds_using() run the one backtracking loop, _extend, which builds no
-    generator or closure per call and stops at the first leaf its callback
-    accepts.
+    finding nothing is a proof that no embedding exists. embeddings() runs the
+    one backtracking loop, _extend, which builds no generator or closure per
+    call and stops at the first leaf its callback accepts.
 
     rel[u][e][z] is the mask of host candidates left for pattern element u
     (u != e) once e is imaged at host index z: the host's below / above row
@@ -313,14 +316,25 @@ class EmbeddingSearch:
     incomparable in induced mode, and every index otherwise. The mode is
     settled once, when the tables are built.
 
-    embeds_using() keeps two answers per host index z, because containing the
-    pattern is monotone in the allowed mask. _copies[z] is the mask of the
-    last copy found through z (-1, no copy, at first): it answers True for
-    every later mask that holds it, since a weak or induced copy depends only
-    on the relations among its own images. _misses[z] is the last mask with no
-    copy through z (0 at first): it answers False for every mask inside it,
-    since a copy there would lie inside the miss too. embeddings() reads and
-    writes neither.
+    embeds_using(allowed, z) asks for a copy inside `allowed` through host
+    index z, and answers in three steps. Containing the pattern is monotone in
+    the allowed mask, so two answers are kept per host index:
+    - _copies[z] is the mask of the last copy found through z (-1, no copy,
+      at first). It answers True for every later mask that holds it, since a
+      weak or induced copy depends only on the relations among its own images.
+    - _misses[z] is the last mask with no copy through z (0 at first). It
+      answers False for every mask inside it, since a copy there would lie
+      inside the miss too.
+    - Otherwise _full(allowed, z) searches, and its answer is stored in one
+      of the two. _full is chosen once, from the pattern's complete layer
+      sizes, so relabelled patterns qualify. Layers (1, k, 1) in weak mode,
+      and the 3-chain (1, 1, 1) in either mode, take _weak_diamond: a weak D_k
+      is some A below D with at least k members strictly between them. Layers
+      (1, 2, 1) in induced mode take _induced_diamond: some A below D whose
+      open interval is not a chain. Every other pattern takes _generic, which
+      pins a pattern element to z and runs _extend.
+    Every step gives the exact answer, so the caller's results do not depend
+    on which one gave it. embeddings() reads and writes neither cache.
     """
 
     __slots__ = (
@@ -336,6 +350,9 @@ class EmbeddingSearch:
         "_need_below",
         "_copies",
         "_misses",
+        "_incomparable",
+        "_k",
+        "_full",
     )
 
     def __init__(self, host: Union[Poset, SetFamily], pattern: Poset, mode: str):
@@ -384,6 +401,19 @@ class EmbeddingSearch:
         self._need_below = [pattern.below_mask(e).bit_count() for e in range(q)]
         self._copies = [-1] * host.size
         self._misses = [0] * host.size
+        self._incomparable = incomparable
+        layers = pattern.complete_layer_sizes()
+        self._k = 0
+        if layers is not None and len(layers) == 3 and layers[0] == layers[2] == 1:
+            self._k = layers[1]
+        # _full holds the plain function, so that the search is not a cycle.
+        if self._k and (mode == "weak" or self._k == 1):
+            # An induced 3-chain is a weak one: a chain relates every pair.
+            self._full = EmbeddingSearch._weak_diamond
+        elif self._k == 2:  # in induced mode
+            self._full = EmbeddingSearch._induced_diamond
+        else:
+            self._full = EmbeddingSearch._generic
 
     def _plan_for(self, order: Sequence[int]) -> tuple:
         # Per depth: the element assigned there and, for each later element,
@@ -430,23 +460,154 @@ class EmbeddingSearch:
             return True
         if not allowed_mask & ~self._misses[host_idx]:
             return False
-        above = self.host.above[host_idx] & allowed_mask
-        below = self.host.below[host_idx] & allowed_mask
+        copy = self._full(self, allowed_mask, host_idx)
+        if copy:
+            self._copies[host_idx] = copy
+            return True
+        self._misses[host_idx] = allowed_mask
+        return False
+
+    def _generic(self, allowed: int, z: int) -> int:
+        """Mask of a copy inside `allowed` through z, or 0, by pinning each
+        pattern element (one per twin class) to z and running _extend."""
+        above = self.host.above[z] & allowed
+        below = self.host.below[z] & allowed
         n_above = above.bit_count()
         n_below = below.bit_count()
         rel = self.rel
         for e in self._twin_reps:
             if n_above < self._need_above[e] or n_below < self._need_below[e]:
                 continue
-            # Pin e to host_idx and narrow the others by it, then go on from depth 1.
+            # Pin e to z and narrow the others by it, then go on from depth 1.
             images = [-1] * len(rel)
-            images[e] = host_idx
-            cand = [allowed_mask & row[e][host_idx] for row in rel]
-            if _extend(self._pinned_plans[e], 1, images, cand, 1 << host_idx, _stop, None):
-                self._copies[host_idx] = sum(1 << z for z in images)
-                return True
-        self._misses[host_idx] = allowed_mask
-        return False
+            images[e] = z
+            cand = [allowed & row[e][z] for row in rel]
+            if _extend(self._pinned_plans[e], 1, images, cand, 1 << z, _stop, None):
+                return sum(1 << x for x in images)
+        return 0
+
+    # The diamond kernels try a bottom A and a top D only where no tried one
+    # dominates it: the interval (A, D) only grows as A goes down and D goes
+    # up, so a failed D rules out every D' below it, and a failed A every A'
+    # above it. Any order of trial is exact; the host's index order tries
+    # extremal sets first when it extends inclusion, as a family's canonical
+    # order does.
+
+    def _weak_diamond(self, allowed: int, z: int) -> int:
+        """Mask of a weak D_k inside `allowed` through z, or 0. A weak D_k is a
+        pair A below D with at least k members strictly between them."""
+        k = self._k
+        above = self.host.above
+        below = self.host.below
+        up = above[z] & allowed
+        down = below[z] & allowed
+        if up.bit_count() > k:
+            # z as the bottom.
+            rest = up
+            while rest:
+                d = rest.bit_length() - 1
+                middle = up & below[d]
+                if middle.bit_count() >= k:
+                    return 1 << z | 1 << d | _lowest_bits(middle, k)
+                rest &= ~(below[d] | 1 << d)
+        if down.bit_count() > k:
+            # z as the top.
+            rest = down
+            while rest:
+                a = (rest & -rest).bit_length() - 1
+                middle = down & above[a]
+                if middle.bit_count() >= k:
+                    return 1 << z | 1 << a | _lowest_bits(middle, k)
+                rest &= ~(above[a] | 1 << a)
+        if up and down:
+            # z as a middle: the interval (A, D) holds z and k - 1 others.
+            tops = []
+            rest = up
+            while rest:
+                d = rest.bit_length() - 1
+                tops.append(d)
+                rest &= ~(below[d] | 1 << d)
+            rest = down
+            while rest:
+                a = (rest & -rest).bit_length() - 1
+                span = above[a] & allowed
+                for d in tops:
+                    middle = span & below[d]
+                    if middle.bit_count() >= k:
+                        others = _lowest_bits(middle & ~(1 << z), k - 1)
+                        return 1 << z | 1 << a | 1 << d | others
+                rest &= ~(above[a] | 1 << a)
+        return 0
+
+    def _induced_diamond(self, allowed: int, z: int) -> int:
+        """Mask of an induced D_2 inside `allowed` through z, or 0. An induced
+        D_2 is a pair A below D whose open interval is not a chain."""
+        above = self.host.above
+        below = self.host.below
+        incomparable = self._incomparable
+        up = above[z] & allowed
+        down = below[z] & allowed
+        if up.bit_count() > 2:
+            # z as the bottom.
+            rest = up
+            while rest:
+                d = rest.bit_length() - 1
+                pair = _incomparable_pair(up & below[d], incomparable)
+                if pair:
+                    return 1 << z | 1 << d | pair
+                rest &= ~(below[d] | 1 << d)
+        if down.bit_count() > 2:
+            # z as the top.
+            rest = down
+            while rest:
+                a = (rest & -rest).bit_length() - 1
+                pair = _incomparable_pair(down & above[a], incomparable)
+                if pair:
+                    return 1 << z | 1 << a | pair
+                rest &= ~(above[a] | 1 << a)
+        if up and down:
+            # z as a middle: its partner is incomparable to z, above some set
+            # below z and below some set above z.
+            over = 0
+            rest = down
+            while rest:
+                a = (rest & -rest).bit_length() - 1
+                over |= above[a]
+                rest &= ~(above[a] | 1 << a)
+            under = 0
+            rest = up
+            while rest:
+                d = rest.bit_length() - 1
+                under |= below[d]
+                rest &= ~(below[d] | 1 << d)
+            partners = allowed & incomparable[z] & over & under
+            if partners:
+                w = partners & -partners
+                wi = w.bit_length() - 1
+                a = down & below[wi]
+                d = up & above[wi]
+                return 1 << z | w | (a & -a) | (d & -d)
+        return 0
+
+
+def _lowest_bits(mask: int, k: int) -> int:
+    """The k lowest set bits of mask (which has at least k)."""
+    rest = mask
+    for _ in range(k):
+        rest &= rest - 1
+    return mask ^ rest
+
+
+def _incomparable_pair(mask: int, incomparable: list[int]) -> int:
+    """Two incomparable members of mask, as a mask, or 0 if mask is a chain."""
+    rest = mask
+    while rest:
+        x = rest & -rest
+        other = mask & incomparable[x.bit_length() - 1]
+        if other:
+            return x | other & -other
+        rest ^= x
+    return 0
 
 
 def _stop(images: list[int]) -> bool:

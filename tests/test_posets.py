@@ -118,6 +118,14 @@ class TestHeightAndMirsky:
         assert antichain(4).mirsky_decomposition().sizes == (4,)
         assert complete_multilevel((2, 3)).mirsky_decomposition().sizes == (2, 3)
 
+    def test_chain_heights_are_kept(self):
+        p = diamond(3)
+        assert p.chain_heights() == (1, 2, 2, 2, 3)
+        # The second call returns the tuple the first one stored.
+        assert p.chain_heights() is p.chain_heights()
+        with pytest.raises(AttributeError):
+            p._heights = None
+
     def test_complete_layer_sizes(self):
         assert diamond(7).complete_layer_sizes() == (1, 7, 1)
         assert chain(4).complete_layer_sizes() == (1, 1, 1, 1)
@@ -280,6 +288,36 @@ class TestEmbeddingEnumeration:
             assert set(got) == expected, (host.masks(), pattern, mode)
 
 
+def mask_walk(rng, size, checks=200):
+    """(allowed, z) pairs of a walk over masks of `size` host indices: each
+    step adds a set, drops a set or jumps to a random mask, as the solver's DFS
+    does, and z is a random member of the mask."""
+    allowed = (1 << size) - 1
+    done = 0
+    while done < checks:
+        step = rng.random()
+        if step < 0.4:
+            allowed |= 1 << rng.randrange(size)
+        elif step < 0.8:
+            allowed &= ~(1 << rng.randrange(size))
+        else:
+            allowed = rng.randrange(1 << size)
+        members = [i for i in range(size) if allowed >> i & 1]
+        if not members:
+            continue
+        done += 1
+        yield allowed, rng.choice(members)
+
+
+def relabelled(pattern, rng):
+    """The same poset with its element ids freely permuted."""
+    perm = list(range(pattern.size))
+    rng.shuffle(perm)
+    return poset_from_relations(
+        [(perm[a], perm[b]) for a, b in pattern.relations()], pattern.size
+    )
+
+
 class TestEmbedsUsing:
     """The solver's freeness fast path against injections that use set z."""
 
@@ -300,25 +338,114 @@ class TestEmbedsUsing:
             else:
                 pattern = random_poset(rng, rng.randint(1, 4))
             search = EmbeddingSearch(host, pattern, mode)
-            allowed = (1 << len(host)) - 1
-            checks = 0
-            while checks < 200:
-                step = rng.random()
-                if step < 0.4:
-                    allowed |= 1 << rng.randrange(len(host))
-                elif step < 0.8:
-                    allowed &= ~(1 << rng.randrange(len(host)))
-                else:
-                    allowed = rng.randrange(1 << len(host))
-                members = [i for i in range(len(host)) if allowed >> i & 1]
-                if not members:
-                    continue
-                z = rng.choice(members)
-                checks += 1
+            for allowed, z in mask_walk(rng, len(host)):
                 expected = brute_contains_through(host, pattern, mode, allowed, z)
                 assert search.embeds_using(allowed, z) == expected, (
                     host.masks(), pattern, mode, bin(allowed), z
                 )
+
+    # Patterns that take the diamond kernels: weak D_1-D_4 and 3-chains in
+    # both modes take the weak D_k kernel, induced D_2 its own.
+    KERNEL_CASES = [
+        ("diamond:1", "weak"),
+        ("diamond:2", "weak"),
+        ("diamond:3", "weak"),
+        ("diamond:4", "weak"),
+        ("chain:3", "weak"),
+        ("chain:3", "induced"),
+        ("diamond:2", "induced"),
+    ]
+
+    @staticmethod
+    def _walk_kernel(host, pattern, mode, rng, oracle):
+        """Walk 200 masks on one search, comparing each answer with
+        oracle(search, allowed, z), and check the copy kept after each True."""
+        masks = host.masks()
+        search = EmbeddingSearch(host, pattern, mode)
+        verified = set()
+        for allowed, z in mask_walk(rng, len(host)):
+            got = search.embeds_using(allowed, z)
+            assert got == oracle(search, allowed, z), (
+                masks, pattern, mode, bin(allowed), z
+            )
+            if not got:
+                continue
+            copy = search._copies[z]
+            assert copy >> z & 1 and not copy & ~allowed
+            assert copy.bit_count() == pattern.size
+            if copy not in verified:
+                sets = [masks[i] for i in range(len(masks)) if copy >> i & 1]
+                assert any(
+                    is_copy(images, pattern, mode)
+                    for images in itertools.permutations(sets)
+                ), (masks, pattern, mode, bin(copy))
+                verified.add(copy)
+
+    @pytest.mark.parametrize("spec, mode", KERNEL_CASES)
+    @pytest.mark.parametrize("relabel", [False, True])
+    def test_diamond_kernels_match_brute_force(self, spec, mode, relabel):
+        # Hosts shrink as the pattern grows, so that trying every injection
+        # stays affordable; the next test takes hosts of up to 40 sets.
+        rng = random.Random(f"{spec}:{mode}:{relabel}")
+        pattern = parse_poset_spec(spec)
+        if relabel:
+            pattern = relabelled(pattern, rng)
+        most = {3: 40, 4: 20, 5: 14, 6: 12}[pattern.size]
+        for _ in range(3):
+            n = rng.randint(3, 6 if pattern.size < 5 else 4)
+            count = min(most, 1 << n)
+            host = SetFamily.from_masks(
+                n, rng.sample(range(1 << n), rng.randint(count // 2, count))
+            )
+            self._walk_kernel(
+                host, pattern, mode, rng,
+                lambda search, allowed, z: brute_contains_through(
+                    host, pattern, mode, allowed, z
+                ),
+            )
+
+    @pytest.mark.parametrize("spec, mode", KERNEL_CASES)
+    @pytest.mark.parametrize("relabel", [False, True])
+    def test_diamond_kernels_match_the_generic_search(self, spec, mode, relabel):
+        # On hosts of up to 40 sets, where injections of D_3 and D_4 are too
+        # many to try, the oracle is _generic: _extend with an element pinned
+        # to z, as embeds_using ran it for every pattern before the kernels.
+        rng = random.Random(f"generic:{spec}:{mode}:{relabel}")
+        pattern = parse_poset_spec(spec)
+        if relabel:
+            pattern = relabelled(pattern, rng)
+        for _ in range(6):
+            n = rng.randint(3, 6)
+            host = SetFamily.from_masks(
+                n, rng.sample(range(1 << n), rng.randint(1, min(40, 1 << n)))
+            )
+            self._walk_kernel(
+                host, pattern, mode, rng,
+                lambda search, allowed, z: search._generic(allowed, z) != 0,
+            )
+
+    @pytest.mark.parametrize(
+        "spec, mode, host",
+        [
+            # 2^[2] holds D_2 but no K:2,2.
+            ("K:2,2", "weak", [0b00, 0b01, 0b10, 0b11]),
+            # A 5-chain holds a weak D_3 but no induced one.
+            ("diamond:3", "induced", [0b0, 0b1, 0b11, 0b111, 0b1111]),
+        ],
+    )
+    def test_other_patterns_keep_the_generic_search(self, spec, mode, host):
+        # A diamond kernel would find a copy in the small host; 2^[3] holds
+        # the pattern itself.
+        pattern = parse_poset_spec(spec)
+        small = SetFamily.from_masks(4, host)
+        for fam, contains in ((small, False), (SetFamily.power_set(3), True)):
+            search = EmbeddingSearch(fam, pattern, mode)
+            full = (1 << len(fam)) - 1
+            answers = [search.embeds_using(full, z) for z in range(len(fam))]
+            assert answers == [
+                brute_contains_through(fam, pattern, mode, full, z) for z in range(len(fam))
+            ]
+            assert any(answers) == contains
 
     @pytest.mark.parametrize("mode", ["weak", "induced"])
     def test_one_element_pattern_embeds_through_any_allowed_set(self, mode):

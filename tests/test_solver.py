@@ -201,6 +201,19 @@ class TestDoubleCountRows:
         # A size-w set lies in 2^(k-1) of the chain's sets inside [k, n - k].
         assert rows[2][1] == {0: 1, 1: 3, 2: 4, 3: 4, 4: 3, 5: 1}
 
+    @pytest.mark.parametrize(
+        "k, mode, rows",
+        [
+            (2, "weak", [(1, 3), (2, 5), (3, 10)]),
+            (3, "weak", [(1, 4), (2, 6)]),
+            (2, "induced", [(1, 8), (2, 8), (3, 13)]),
+        ],
+    )
+    def test_diamond_rows_at_seven(self, k, mode, rows):
+        # Each capacity is an exact search whose checks take a diamond kernel.
+        got = double_count_rows(SetFamily.power_set(7), diamond(k), mode)
+        assert [(j, capacity) for j, _, capacity in got] == rows
+
     def test_no_rows_without_full_levels(self):
         rng = random.Random(21)
         chain_host = interval_chain(IntervalChainSpec.canonical(5, 2))
@@ -360,11 +373,24 @@ class TestAgainstBruteForce:
                 "2^[4]", "diamond:2", "weak", "lubell", 2300,
                 (Fraction(7, 3), False, 2301, (0, 8, 4, 10, 6, 9, 5, 3)),
             ),
+            # Runs whose freeness checks go through the diamond kernels.
+            (
+                "C_2[10]", "diamond:2", "weak", "cardinality", None,
+                (5, True, 11_346, (2, 1, 5, 3, 11)),
+            ),
+            (
+                "C_2[14]", "diamond:2", "induced", "cardinality", 150_000,
+                (
+                    15, False, 150_001,
+                    (0, 2, 3, 11, 15, 47, 63, 191, 255, 767, 1023, 3071, 6143, 4095, 12287),
+                ),
+            ),
         ],
     )
     def test_search_outcomes_are_pinned(self, host, spec, mode, objective, budget, outcome):
         H = {
             "C_2[10]": lambda: interval_chain(IntervalChainSpec.canonical(10, 2)),
+            "C_2[14]": lambda: interval_chain(IntervalChainSpec.canonical(14, 2)),
             "random": lambda: random_family(random.Random(32), 6, 24),
             "2^[4]": lambda: SetFamily.power_set(4),
         }[host]()
