@@ -109,13 +109,12 @@ def cmd_bounds(cfg: RunConfig) -> int:
     reports.append(bnd.best_main_k(sizeP, h))
     reports.append(bnd.bound_corollary_interval(sizeP, h))
     reports.append(bnd.bound_corollary_diamond(layers))
+    k = p.diamond_width()
+    if k >= 2:
+        reports.append(bnd.bound_dk(k))
     sizes = p.complete_layer_sizes()
-    if sizes is not None:
-        # The diamond D_k is the complete poset with layers (1, k, 1).
-        if len(sizes) == 3 and sizes[0] == sizes[2] == 1 and sizes[1] >= 2:
-            reports.append(bnd.bound_dk(sizes[1]))
-        if len(set(sizes)) == 1:
-            reports.append(bnd.lower_bound_complete_multilevel(sizes[0], h))
+    if sizes is not None and len(set(sizes)) == 1:
+        reports.append(bnd.lower_bound_complete_multilevel(sizes[0], h))
 
     rows = [
         {

@@ -246,17 +246,27 @@ def min_chain_partition(fam: SetFamily) -> tuple[tuple[Subset, ...], ...]:
     seen = 0
 
     def augment(i: int) -> bool:
-        # Link i to a superset, freeing one from its predecessor if need be.
+        # Link i to a superset, freeing one from its predecessor if need be:
+        # a depth-first search over alternating paths on an explicit stack.
+        # path[t] tries its unseen supersets, least index first; via[t] is
+        # the one it is trying, whose predecessor is path[t + 1].
         nonlocal seen
-        free = up[i] & ~seen
-        while free:
+        path, via = [i], []
+        while path:
+            free = up[path[-1]] & ~seen
+            if not free:
+                path.pop()
+                if via:
+                    via.pop()
+                continue
             j = (free & -free).bit_length() - 1
-            free &= free - 1
             seen |= 1 << j
-            if pred[j] < 0 or augment(pred[j]):
-                succ[i], pred[j] = j, i
+            via.append(j)
+            if pred[j] < 0:
+                for a, b in zip(path, via):
+                    succ[a], pred[b] = b, a
                 return True
-            free &= ~seen
+            path.append(pred[j])
         return False
 
     for i in range(len(masks)):

@@ -137,6 +137,13 @@ class Poset:
             above |= sum(1 << x for x in layer)
         return decomp.sizes
 
+    def diamond_width(self) -> int:
+        """k if this is the diamond D_k (complete layers (1, k, 1)), else 0."""
+        layers = self.complete_layer_sizes()
+        if layers is not None and len(layers) == 3 and layers[0] == layers[2] == 1:
+            return layers[1]
+        return 0
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poset):
             return NotImplemented
@@ -326,13 +333,14 @@ class EmbeddingSearch:
       answers False for every mask inside it, since a copy there would lie
       inside the miss too.
     - Otherwise _full(allowed, z) searches, and its answer is stored in one
-      of the two. _full is chosen once, from the pattern's complete layer
-      sizes, so relabelled patterns qualify. Layers (1, k, 1) in weak mode,
-      and the 3-chain (1, 1, 1) in either mode, take _weak_diamond: a weak D_k
-      is some A below D with at least k members strictly between them. Layers
-      (1, 2, 1) in induced mode take _induced_diamond: some A below D whose
-      open interval is not a chain. Every other pattern takes _generic, which
-      pins a pattern element to z and runs _extend.
+      of the two. _full is chosen once, from the pattern's diamond width, so
+      relabelled patterns qualify. A diamond D_k is some A below D with the
+      right middles strictly between them, and one kernel, _diamond, walks
+      the candidate pairs with one of two middle tests: _weak_middles (any k
+      members), for D_k in weak mode and the 3-chain D_1 in either mode, and
+      _induced_middles (two incomparable members), for D_2 in induced mode.
+      Every other pattern takes _generic, which pins a pattern element to z
+      and runs _extend.
     Every step gives the exact answer, so the caller's results do not depend
     on which one gave it. embeddings() reads and writes neither cache.
     """
@@ -353,6 +361,7 @@ class EmbeddingSearch:
         "_incomparable",
         "_k",
         "_full",
+        "_middles",
     )
 
     def __init__(self, host: Union[Poset, SetFamily], pattern: Poset, mode: str):
@@ -402,18 +411,15 @@ class EmbeddingSearch:
         self._copies = [-1] * host.size
         self._misses = [0] * host.size
         self._incomparable = incomparable
-        layers = pattern.complete_layer_sizes()
-        self._k = 0
-        if layers is not None and len(layers) == 3 and layers[0] == layers[2] == 1:
-            self._k = layers[1]
-        # _full holds the plain function, so that the search is not a cycle.
+        # _full and _middles hold plain functions, so the search is not a cycle.
+        self._k = pattern.diamond_width()
+        self._middles = None
         if self._k and (mode == "weak" or self._k == 1):
             # An induced 3-chain is a weak one: a chain relates every pair.
-            self._full = EmbeddingSearch._weak_diamond
+            self._middles = EmbeddingSearch._weak_middles
         elif self._k == 2:  # in induced mode
-            self._full = EmbeddingSearch._induced_diamond
-        else:
-            self._full = EmbeddingSearch._generic
+            self._middles = EmbeddingSearch._induced_middles
+        self._full = EmbeddingSearch._diamond if self._middles else EmbeddingSearch._generic
 
     def _plan_for(self, order: Sequence[int]) -> tuple:
         # Per depth: the element assigned there and, for each later element,
@@ -486,17 +492,19 @@ class EmbeddingSearch:
                 return sum(1 << x for x in images)
         return 0
 
-    # The diamond kernels try a bottom A and a top D only where no tried one
+    # The diamond kernel tries a bottom A and a top D only where no tried one
     # dominates it: the interval (A, D) only grows as A goes down and D goes
     # up, so a failed D rules out every D' below it, and a failed A every A'
     # above it. Any order of trial is exact; the host's index order tries
     # extremal sets first when it extends inclusion, as a family's canonical
     # order does.
 
-    def _weak_diamond(self, allowed: int, z: int) -> int:
-        """Mask of a weak D_k inside `allowed` through z, or 0. A weak D_k is a
-        pair A below D with at least k members strictly between them."""
+    def _diamond(self, allowed: int, z: int) -> int:
+        """Mask of a D_k inside `allowed` through z, or 0: a pair A below D
+        with middles strictly between them that _middles accepts, through z as
+        the bottom, the top or a middle."""
         k = self._k
+        middles = self._middles
         above = self.host.above
         below = self.host.below
         up = above[z] & allowed
@@ -506,21 +514,21 @@ class EmbeddingSearch:
             rest = up
             while rest:
                 d = rest.bit_length() - 1
-                middle = up & below[d]
-                if middle.bit_count() >= k:
-                    return 1 << z | 1 << d | _lowest_bits(middle, k)
+                found = middles(self, up & below[d], 0)
+                if found:
+                    return 1 << z | 1 << d | found
                 rest &= ~(below[d] | 1 << d)
         if down.bit_count() > k:
             # z as the top.
             rest = down
             while rest:
                 a = (rest & -rest).bit_length() - 1
-                middle = down & above[a]
-                if middle.bit_count() >= k:
-                    return 1 << z | 1 << a | _lowest_bits(middle, k)
+                found = middles(self, down & above[a], 0)
+                if found:
+                    return 1 << z | 1 << a | found
                 rest &= ~(above[a] | 1 << a)
         if up and down:
-            # z as a middle: the interval (A, D) holds z and k - 1 others.
+            # z as a middle of some interval (A, D), which then holds z.
             tops = []
             rest = up
             while rest:
@@ -532,82 +540,34 @@ class EmbeddingSearch:
                 a = (rest & -rest).bit_length() - 1
                 span = above[a] & allowed
                 for d in tops:
-                    middle = span & below[d]
-                    if middle.bit_count() >= k:
-                        others = _lowest_bits(middle & ~(1 << z), k - 1)
-                        return 1 << z | 1 << a | 1 << d | others
+                    found = middles(self, span & below[d], 1 << z)
+                    if found:
+                        return 1 << a | 1 << d | found
                 rest &= ~(above[a] | 1 << a)
         return 0
 
-    def _induced_diamond(self, allowed: int, z: int) -> int:
-        """Mask of an induced D_2 inside `allowed` through z, or 0. An induced
-        D_2 is a pair A below D whose open interval is not a chain."""
-        above = self.host.above
-        below = self.host.below
+    def _weak_middles(self, middle: int, through: int) -> int:
+        """k members of `middle`, `through` (0 or a member) and the lowest
+        others, as a mask, or 0 if it has fewer than k."""
+        if middle.bit_count() < self._k:
+            return 0
+        rest = middle & ~through
+        for _ in range(self._k - bool(through)):
+            rest &= rest - 1
+        return middle ^ rest
+
+    def _induced_middles(self, middle: int, through: int) -> int:
+        """Two incomparable members of `middle`, `through` (0 or a member)
+        among them, as a mask, or 0 if there are none."""
         incomparable = self._incomparable
-        up = above[z] & allowed
-        down = below[z] & allowed
-        if up.bit_count() > 2:
-            # z as the bottom.
-            rest = up
-            while rest:
-                d = rest.bit_length() - 1
-                pair = _incomparable_pair(up & below[d], incomparable)
-                if pair:
-                    return 1 << z | 1 << d | pair
-                rest &= ~(below[d] | 1 << d)
-        if down.bit_count() > 2:
-            # z as the top.
-            rest = down
-            while rest:
-                a = (rest & -rest).bit_length() - 1
-                pair = _incomparable_pair(down & above[a], incomparable)
-                if pair:
-                    return 1 << z | 1 << a | pair
-                rest &= ~(above[a] | 1 << a)
-        if up and down:
-            # z as a middle: its partner is incomparable to z, above some set
-            # below z and below some set above z.
-            over = 0
-            rest = down
-            while rest:
-                a = (rest & -rest).bit_length() - 1
-                over |= above[a]
-                rest &= ~(above[a] | 1 << a)
-            under = 0
-            rest = up
-            while rest:
-                d = rest.bit_length() - 1
-                under |= below[d]
-                rest &= ~(below[d] | 1 << d)
-            partners = allowed & incomparable[z] & over & under
-            if partners:
-                w = partners & -partners
-                wi = w.bit_length() - 1
-                a = down & below[wi]
-                d = up & above[wi]
-                return 1 << z | w | (a & -a) | (d & -d)
+        rest = through or middle
+        while rest:
+            x = rest & -rest
+            other = middle & incomparable[x.bit_length() - 1]
+            if other:
+                return x | other & -other
+            rest ^= x
         return 0
-
-
-def _lowest_bits(mask: int, k: int) -> int:
-    """The k lowest set bits of mask (which has at least k)."""
-    rest = mask
-    for _ in range(k):
-        rest &= rest - 1
-    return mask ^ rest
-
-
-def _incomparable_pair(mask: int, incomparable: list[int]) -> int:
-    """Two incomparable members of mask, as a mask, or 0 if mask is a chain."""
-    rest = mask
-    while rest:
-        x = rest & -rest
-        other = mask & incomparable[x.bit_length() - 1]
-        if other:
-            return x | other & -other
-        rest ^= x
-    return 0
 
 
 def _stop(images: list[int]) -> bool:

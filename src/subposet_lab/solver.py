@@ -236,9 +236,10 @@ def alpha(
     non-exhaustive: a stop in the first pass returns its incumbent, which
     need not be the include-first witness; a stop in the second pass returns
     the proven value v with the first pass's witness. Hosts above
-    MAX_HOST_SETS sets are refused before any work: min_chain_partition's
-    augmenting-path search can still recurse once per set, and the cap keeps
-    it within Python's default recursion limit.
+    MAX_HOST_SETS sets are refused before any work: set-up compares every
+    pair of sets (the comparability masks and the chain partition), and the
+    cap holds that quadratic work, and the host-wide masks the search
+    carries, to the size of 2^[9], the largest whole cube it accepts.
     """
     if P.size < 1:
         raise ValueError("pattern must have at least one element")

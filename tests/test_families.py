@@ -500,6 +500,16 @@ class TestMinChainPartition:
         self.check_partition(fam, chains)
         assert len(chains) == max(fam.count_of_size(w) for w in range(13)) == 4
 
+    def test_least_index_superset_first(self):
+        # Augmenting paths link each set to its least-index free superset
+        # first; that rule fixes which minimum partition comes out.
+        fam = SetFamily.from_masks(5, random.Random(5).sample(range(32), 14))
+        chains = min_chain_partition(fam)
+        self.check_partition(fam, chains)
+        assert [[s.mask for s in c] for c in chains] == [
+            [0, 1, 5, 7, 23], [16, 20, 22], [26, 30], [14, 31], [25], [11]
+        ]
+
     @pytest.mark.parametrize("seed", range(12))
     def test_full_levels_keep_the_cut(self, seed):
         rng = random.Random(seed)

@@ -136,6 +136,14 @@ class TestHeightAndMirsky:
         # N poset: 0 < 2, 1 < 2, 1 < 3 leaves 0 and 3 incomparable
         assert poset_from_relations([(0, 2), (1, 2), (1, 3)], 4).complete_layer_sizes() is None
 
+    def test_diamond_width(self):
+        assert [diamond(k).diamond_width() for k in (1, 2, 7)] == [1, 2, 7]
+        assert chain(3).diamond_width() == 1
+        assert relabelled(diamond(3), random.Random(1)).diamond_width() == 3
+        for p in (chain(2), chain(4), antichain(3), complete_multilevel((2, 2, 1)),
+                  product(diamond(2), diamond(2)), poset_from_relations([(0, 1)], 3)):
+            assert p.diamond_width() == 0, p
+
     def test_complete_layer_sizes_agree_with_isomorphism(self):
         rng = random.Random(5)
         for _ in range(60):
@@ -344,8 +352,8 @@ class TestEmbedsUsing:
                     host.masks(), pattern, mode, bin(allowed), z
                 )
 
-    # Patterns that take the diamond kernels: weak D_1-D_4 and 3-chains in
-    # both modes take the weak D_k kernel, induced D_2 its own.
+    # Patterns that take the diamond kernel: weak D_1-D_4 and 3-chains in
+    # both modes with the weak middle test, induced D_2 with the induced one.
     KERNEL_CASES = [
         ("diamond:1", "weak"),
         ("diamond:2", "weak"),
@@ -446,6 +454,20 @@ class TestEmbedsUsing:
                 brute_contains_through(fam, pattern, mode, full, z) for z in range(len(fam))
             ]
             assert any(answers) == contains
+
+    @pytest.mark.parametrize("mode", ["weak", "induced"])
+    def test_diamond_through_a_middle(self, mode):
+        # In 2^[2], {1} has one set below it and one above, so a D_k through
+        # it has {1} as a middle: the whole host for D_2, and nothing once
+        # {2}, the other middle, is left out, though the chain D_1 remains.
+        host = SetFamily.power_set(2)
+        z = host.masks().index(0b01)
+        full = (1 << len(host)) - 1
+        without_2 = full & ~(1 << host.masks().index(0b10))
+        d2 = EmbeddingSearch(host, diamond(2), mode)
+        assert d2.embeds_using(full, z) and d2._copies[z] == full
+        assert not EmbeddingSearch(host, diamond(2), mode).embeds_using(without_2, z)
+        assert EmbeddingSearch(host, diamond(1), "weak").embeds_using(without_2, z)
 
     @pytest.mark.parametrize("mode", ["weak", "induced"])
     def test_one_element_pattern_embeds_through_any_allowed_set(self, mode):

@@ -14,6 +14,7 @@ from subposet_lab.families import (
     apply_permutation,
     interval_chain,
     lubell,
+    min_chain_partition,
 )
 from subposet_lab.posets import antichain, chain, diamond, find_subposet, parse_poset_spec
 from subposet_lab.solver import (
@@ -120,19 +121,39 @@ class TestAlpha:
         capped = alpha(SetFamily.power_set(9), chain(2), node_budget=1000)
         assert not capped.exhaustive and find_subposet(capped.witness, chain(2)) is None
 
-    def test_search_depth_does_not_grow_with_the_host(self):
-        # 252 sets, no more than 100 frames: the search keeps its pending
-        # branches in a list, not in one Python frame per set.
+    @staticmethod
+    def _within_100_frames(call):
+        """call() under a recursion limit of 100 frames above the caller's."""
         frame, depth = sys._getframe(), 0
         while frame is not None:
             frame, depth = frame.f_back, depth + 1
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 100)
         try:
-            r = alpha(SetFamily.levels(9, [4, 5]), chain(2), node_budget=3000)
+            return call()
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_search_depth_does_not_grow_with_the_host(self):
+        # 252 sets, no more than 100 frames: the search keeps its pending
+        # branches in a list, not in one Python frame per set.
+        H = SetFamily.levels(9, [4, 5])
+        r = self._within_100_frames(lambda: alpha(H, chain(2), node_budget=3000))
         assert (r.value, r.exhaustive, r.nodes_explored) == (126, True, 379)
+
+    def test_chain_partition_depth_does_not_grow_with_the_host(self):
+        # A random 446-set host, whose augmenting paths in min_chain_partition
+        # run to about 150 links: the paths are kept in lists, not in one
+        # Python frame per link.
+        rng = random.Random(10)
+        H = SetFamily.from_masks(9, rng.sample(range(512), rng.randint(300, 512)))
+        assert len(H) == 446
+        r = self._within_100_frames(lambda: alpha(H, chain(2), node_budget=1000))
+        assert (r.value, r.exhaustive, r.nodes_explored) == (8, False, 1001)
+        chains = self._within_100_frames(lambda: min_chain_partition(H))
+        assert len(chains) == 110
+        assert sorted(s.mask for c in chains for s in c) == sorted(H.masks())
+        assert all(a.issubset(b) and a != b for c in chains for a, b in zip(c, c[1:]))
 
     def test_value_invariant_under_permutation(self):
         rng = random.Random(11)
