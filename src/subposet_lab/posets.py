@@ -138,7 +138,8 @@ class Poset:
         return decomp.sizes
 
     def diamond_width(self) -> int:
-        """k if this is the diamond D_k (complete layers (1, k, 1)), else 0."""
+        """k if this is the diamond D_k (complete layers (1, k, 1)), else 0.
+        The bounds table asks it; EmbeddingSearch reads the layer sizes."""
         layers = self.complete_layer_sizes()
         if layers is not None and len(layers) == 3 and layers[0] == layers[2] == 1:
             return layers[1]
@@ -333,14 +334,17 @@ class EmbeddingSearch:
       answers False for every mask inside it, since a copy there would lie
       inside the miss too.
     - Otherwise _full(allowed, z) searches, and its answer is stored in one
-      of the two. _full is chosen once, from the pattern's diamond width, so
-      relabelled patterns qualify. A diamond D_k is some A below D with the
-      right middles strictly between them, and one kernel, _diamond, walks
-      the candidate pairs with one of two middle tests: _weak_middles (any k
-      members), for D_k in weak mode and the 3-chain D_1 in either mode, and
-      _induced_middles (two incomparable members), for D_2 in induced mode.
-      Every other pattern takes _generic, which pins a pattern element to z
-      and runs _extend.
+      of the two. _full is chosen once, from the pattern's complete layer
+      sizes, so relabelled patterns qualify:
+      - layers (1, k, 1), the diamond D_k and the 3-chain D_1, take _diamond:
+        some A below D with k middles strictly between them;
+      - two layers (a, b), the K:a,b and the 2-chain, take _two_layer: every
+        bottom below every top;
+      - every other pattern, K:2,2,2 or a poset that is not complete, takes
+        _generic, which pins a pattern element to z and runs _extend.
+      Both kernels settle their last layer with one middle test, _middles:
+      _weak_middles (any k members) in weak mode, _induced_middles (k
+      pairwise incomparable members) in induced mode.
     Every step gives the exact answer, so the caller's results do not depend
     on which one gave it. embeddings() reads and writes neither cache.
     """
@@ -359,7 +363,7 @@ class EmbeddingSearch:
         "_copies",
         "_misses",
         "_incomparable",
-        "_k",
+        "_layers",
         "_full",
         "_middles",
     )
@@ -412,14 +416,17 @@ class EmbeddingSearch:
         self._misses = [0] * host.size
         self._incomparable = incomparable
         # _full and _middles hold plain functions, so the search is not a cycle.
-        self._k = pattern.diamond_width()
-        self._middles = None
-        if self._k and (mode == "weak" or self._k == 1):
-            # An induced 3-chain is a weak one: a chain relates every pair.
-            self._middles = EmbeddingSearch._weak_middles
-        elif self._k == 2:  # in induced mode
-            self._middles = EmbeddingSearch._induced_middles
-        self._full = EmbeddingSearch._diamond if self._middles else EmbeddingSearch._generic
+        self._layers = layers = pattern.complete_layer_sizes() or ()
+        self._middles = (
+            EmbeddingSearch._weak_middles if mode == "weak"
+            else EmbeddingSearch._induced_middles
+        )
+        if len(layers) == 3 and layers[0] == layers[2] == 1:
+            self._full = EmbeddingSearch._diamond
+        elif len(layers) == 2:
+            self._full = EmbeddingSearch._two_layer
+        else:
+            self._full = EmbeddingSearch._generic
 
     def _plan_for(self, order: Sequence[int]) -> tuple:
         # Per depth: the element assigned there and, for each later element,
@@ -495,15 +502,16 @@ class EmbeddingSearch:
     # The diamond kernel tries a bottom A and a top D only where no tried one
     # dominates it: the interval (A, D) only grows as A goes down and D goes
     # up, so a failed D rules out every D' below it, and a failed A every A'
-    # above it. Any order of trial is exact; the host's index order tries
+    # above it (in induced mode too: an antichain of a smaller interval is one
+    # of the larger). Any order of trial is exact; the host's index order tries
     # extremal sets first when it extends inclusion, as a family's canonical
     # order does.
 
     def _diamond(self, allowed: int, z: int) -> int:
         """Mask of a D_k inside `allowed` through z, or 0: a pair A below D
-        with middles strictly between them that _middles accepts, through z as
-        the bottom, the top or a middle."""
-        k = self._k
+        with k middles strictly between them that _middles accepts, through z
+        as the bottom, the top or a middle."""
+        k = self._layers[1]
         middles = self._middles
         above = self.host.above
         below = self.host.below
@@ -514,7 +522,7 @@ class EmbeddingSearch:
             rest = up
             while rest:
                 d = rest.bit_length() - 1
-                found = middles(self, up & below[d], 0)
+                found = middles(self, up & below[d], 0, k)
                 if found:
                     return 1 << z | 1 << d | found
                 rest &= ~(below[d] | 1 << d)
@@ -523,7 +531,7 @@ class EmbeddingSearch:
             rest = down
             while rest:
                 a = (rest & -rest).bit_length() - 1
-                found = middles(self, down & above[a], 0)
+                found = middles(self, down & above[a], 0, k)
                 if found:
                     return 1 << z | 1 << a | found
                 rest &= ~(above[a] | 1 << a)
@@ -540,34 +548,117 @@ class EmbeddingSearch:
                 a = (rest & -rest).bit_length() - 1
                 span = above[a] & allowed
                 for d in tops:
-                    found = middles(self, span & below[d], 1 << z)
+                    found = middles(self, span & below[d], 1 << z, k)
                     if found:
                         return 1 << a | 1 << d | found
                 rest &= ~(above[a] | 1 << a)
         return 0
 
-    def _weak_middles(self, middle: int, through: int) -> int:
+    def _two_layer(self, allowed: int, z: int) -> int:
+        """Mask of a complete two-layer pattern K:a,b inside `allowed` through
+        z, or 0: every bottom below every top, with the bottoms and the tops
+        each an antichain in induced mode.
+
+        z goes in its own layer, as a bottom and then as a top; the other
+        layer's candidates are the allowed sets above (below) z. The side with
+        fewer members to pick, or on a tie fewer candidates, is enumerated
+        first, one member at a time, each pick narrowing the other side's
+        candidates; _middles then settles the other side. The order is chosen
+        per call because each fixed one, tops first or z's layer first,
+        doubled the time of some K:a,b search."""
+        bottoms, tops = self._layers
+        above = self.host.above
+        below = self.host.below
+        incomparable = self._incomparable
+        middles = self._middles
+        bit = 1 << z
+        # Picks of z's layer besides z. In weak mode _incomparable is all sets.
+        peers = allowed & incomparable[z] & ~bit
+        n_peers = peers.bit_count()
+        for own, other, cand, toward, back in (
+            (bottoms, tops, above[z] & allowed, above, below),
+            (tops, bottoms, below[z] & allowed, below, above),
+        ):
+            n_cand = cand.bit_count()
+            if n_cand < other or n_peers < own - 1:
+                continue
+            # An own pick narrows the other layer by `toward`, and the reverse.
+            if (own - 1, n_peers) <= (other, n_cand):
+                need, rest, narrow, last_need, last = own - 1, peers, toward, other, cand
+            else:
+                need, rest, narrow, last_need, last = other, cand, back, own - 1, peers
+            chosen = 0
+            stack = []
+            while True:
+                if not need:
+                    found = middles(self, last, 0, last_need)
+                    if found:
+                        return bit | chosen | found
+                elif rest.bit_count() >= need:
+                    x = rest & -rest
+                    rest ^= x
+                    xi = x.bit_length() - 1
+                    narrowed = last & narrow[xi]
+                    if narrowed.bit_count() >= last_need:
+                        # Try x now and the rest without x later.
+                        stack.append((chosen, rest, last, need))
+                        chosen |= x
+                        rest &= incomparable[xi]
+                        last = narrowed
+                        need -= 1
+                    continue
+                if not stack:
+                    break
+                chosen, rest, last, need = stack.pop()
+        return 0
+
+    def _weak_middles(self, middle: int, through: int, k: int) -> int:
         """k members of `middle`, `through` (0 or a member) and the lowest
         others, as a mask, or 0 if it has fewer than k."""
-        if middle.bit_count() < self._k:
+        if middle.bit_count() < k:
             return 0
         rest = middle & ~through
-        for _ in range(self._k - bool(through)):
+        for _ in range(k - bool(through)):
             rest &= rest - 1
         return middle ^ rest
 
-    def _induced_middles(self, middle: int, through: int) -> int:
-        """Two incomparable members of `middle`, `through` (0 or a member)
-        among them, as a mask, or 0 if there are none."""
+    def _induced_middles(self, middle: int, through: int, k: int) -> int:
+        """k pairwise incomparable members of `middle`, `through` (0 or a
+        member) among them, as a mask, or 0 if there are none. Members are
+        tried lowest first, each next one among those incomparable to all
+        taken so far; the last two are a member with its least partner."""
         incomparable = self._incomparable
-        rest = through or middle
-        while rest:
-            x = rest & -rest
-            other = middle & incomparable[x.bit_length() - 1]
-            if other:
-                return x | other & -other
-            rest ^= x
-        return 0
+        chosen = through
+        if through:
+            middle &= incomparable[through.bit_length() - 1]
+            k -= 1
+        stack = []
+        while True:
+            if k < 2:
+                if not k:
+                    return chosen
+                if middle:
+                    return chosen | middle & -middle
+            elif k == 2:
+                rest = middle
+                while rest:
+                    x = rest & -rest
+                    other = middle & incomparable[x.bit_length() - 1]
+                    if other:
+                        return chosen | x | other & -other
+                    rest ^= x
+            elif middle.bit_count() >= k:
+                x = middle & -middle
+                middle ^= x
+                # Take x now and the rest without x later.
+                stack.append((chosen, middle, k))
+                chosen |= x
+                middle &= incomparable[x.bit_length() - 1]
+                k -= 1
+                continue
+            if not stack:
+                return 0
+            chosen, middle, k = stack.pop()
 
 
 def _stop(images: list[int]) -> bool:

@@ -352,8 +352,10 @@ class TestEmbedsUsing:
                     host.masks(), pattern, mode, bin(allowed), z
                 )
 
-    # Patterns that take the diamond kernel: weak D_1-D_4 and 3-chains in
-    # both modes with the weak middle test, induced D_2 with the induced one.
+    # Patterns that take a kernel: D_1-D_4 and 3-chains take _diamond, with
+    # the weak middle test (any k members) or the induced one (k pairwise
+    # incomparable members); complete two-layer patterns K:a,b and 2-chains
+    # take _two_layer, with the same middle tests for their last layer.
     KERNEL_CASES = [
         ("diamond:1", "weak"),
         ("diamond:2", "weak"),
@@ -362,6 +364,12 @@ class TestEmbedsUsing:
         ("chain:3", "weak"),
         ("chain:3", "induced"),
         ("diamond:2", "induced"),
+        ("diamond:3", "induced"),
+        ("diamond:4", "induced"),
+    ] + [
+        (spec, mode)
+        for spec in ("chain:2", "K:1,2", "K:2,1", "K:2,2", "K:1,3", "K:2,3", "K:3,3")
+        for mode in ("weak", "induced")
     ]
 
     @staticmethod
@@ -398,7 +406,7 @@ class TestEmbedsUsing:
         pattern = parse_poset_spec(spec)
         if relabel:
             pattern = relabelled(pattern, rng)
-        most = {3: 40, 4: 20, 5: 14, 6: 12}[pattern.size]
+        most = {2: 40, 3: 40, 4: 20, 5: 14, 6: 12}[pattern.size]
         for _ in range(3):
             n = rng.randint(3, 6 if pattern.size < 5 else 4)
             count = min(most, 1 << n)
@@ -432,6 +440,20 @@ class TestEmbedsUsing:
                 lambda search, allowed, z: search._generic(allowed, z) != 0,
             )
 
+    @staticmethod
+    def _check_hosts(pattern, mode, hosts):
+        """Every answer through each set of the whole host against brute
+        force, for (host, holds a copy) pairs; returns the search's kernel."""
+        for fam, contains in hosts:
+            search = EmbeddingSearch(fam, pattern, mode)
+            full = (1 << len(fam)) - 1
+            answers = [search.embeds_using(full, z) for z in range(len(fam))]
+            assert answers == [
+                brute_contains_through(fam, pattern, mode, full, z) for z in range(len(fam))
+            ]
+            assert any(answers) == contains
+        return search._full
+
     @pytest.mark.parametrize(
         "spec, mode, host",
         [
@@ -441,19 +463,62 @@ class TestEmbedsUsing:
             ("diamond:3", "induced", [0b0, 0b1, 0b11, 0b111, 0b1111]),
         ],
     )
-    def test_other_patterns_keep_the_generic_search(self, spec, mode, host):
-        # A diamond kernel would find a copy in the small host; 2^[3] holds
-        # the pattern itself.
+    def test_kernels_find_no_copy_in_near_misses(self, spec, mode, host):
+        # The small host holds a copy of a near pattern, so a kernel that
+        # mixed them up would answer True there; 2^[3] holds the pattern.
         pattern = parse_poset_spec(spec)
-        small = SetFamily.from_masks(4, host)
-        for fam, contains in ((small, False), (SetFamily.power_set(3), True)):
-            search = EmbeddingSearch(fam, pattern, mode)
-            full = (1 << len(fam)) - 1
-            answers = [search.embeds_using(full, z) for z in range(len(fam))]
-            assert answers == [
-                brute_contains_through(fam, pattern, mode, full, z) for z in range(len(fam))
-            ]
-            assert any(answers) == contains
+        kernel = self._check_hosts(
+            pattern, mode,
+            [(SetFamily.from_masks(4, host), False), (SetFamily.power_set(3), True)],
+        )
+        assert kernel is not EmbeddingSearch._generic
+
+    @pytest.mark.parametrize(
+        "pattern, mode, small, big",
+        [
+            # Three complete layers: a 3-chain of pairs, {4} and {1,2,4} as
+            # bait in the small host, where {1,2} and {1,3} have one top.
+            (
+                complete_multilevel((2, 2, 2)), "weak",
+                [0b0, 0b1, 0b11, 0b101, 0b111, 0b1000, 0b1011],
+                [0b0, 0b1, 0b11, 0b101, 0b111, 0b1111, 0b1000],
+            ),
+            # Not complete: the N, a < c > b < d. 2^[2] holds it weakly only.
+            (
+                poset_from_relations([(0, 2), (1, 2), (1, 3)], 4), "induced",
+                [0b00, 0b01, 0b10, 0b11],
+                [0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111],
+            ),
+        ],
+        ids=["K:2,2,2-weak", "N-induced"],
+    )
+    def test_other_patterns_keep_the_generic_search(self, pattern, mode, small, big):
+        kernel = self._check_hosts(
+            pattern, mode,
+            [(SetFamily.from_masks(4, small), False), (SetFamily.from_masks(4, big), True)],
+        )
+        assert kernel is EmbeddingSearch._generic
+
+    @pytest.mark.parametrize("mode", ["weak", "induced"])
+    def test_kernel_choice(self, mode):
+        # The kernel follows the pattern's shape, not its labels, so a
+        # pattern that silently fell back to _generic fails here.
+        rng = random.Random(mode)
+        shapes = {
+            EmbeddingSearch._two_layer: ["chain:2", "K:1,2", "K:2,1", "K:2,2", "K:1,3",
+                                         "K:2,3", "K:3,3", "K:1,5"],
+            EmbeddingSearch._diamond: ["chain:3", "diamond:1", "diamond:2", "diamond:3",
+                                       "diamond:6"],
+            EmbeddingSearch._generic: ["chain:1", "chain:4", "antichain:3", "K:2,2,2",
+                                       "K:1,2,2", "K:1,2,1,1"],
+        }
+        host = SetFamily.power_set(2)
+        for kernel, specs in shapes.items():
+            for pattern in [parse_poset_spec(spec) for spec in specs]:
+                for p in (pattern, relabelled(pattern, rng)):
+                    assert EmbeddingSearch(host, p, mode)._full is kernel, (p, mode)
+        n_shape = poset_from_relations([(0, 2), (1, 2), (1, 3)], 4)
+        assert EmbeddingSearch(host, n_shape, mode)._full is EmbeddingSearch._generic
 
     @pytest.mark.parametrize("mode", ["weak", "induced"])
     def test_diamond_through_a_middle(self, mode):
