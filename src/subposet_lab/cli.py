@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -31,38 +30,6 @@ MAX_GROUND_SET = 64
 MAX_CHAIN_ENUMERATION = 1 << 20
 
 
-@dataclass
-class RunConfig:
-    """Validated arguments for one CLI invocation.
-
-    The fields are the parser's destinations, so a parsed namespace fills
-    them directly; `k_values` arrives as verify's raw `--k` text.
-    """
-
-    command: str
-    poset_spec: str | None = None
-    n: int | None = None
-    k_values: tuple[int, ...] | str = ()
-    k: int | None = None
-    mode: str = "weak"
-    objective: str = "cardinality"
-    node_budget: int | None = None
-    override_guard: bool = False
-    fmt: str = "table"
-    output: str | None = None
-    family_path: str | None = None
-    suite: str = "all"
-    samples: int = 20
-    seed: int = 1
-    steps: int = 64
-
-    def __post_init__(self) -> None:
-        if isinstance(self.k_values, str):
-            self.k_values = _parse_k_range(self.k_values)
-        if self.node_budget is not None and self.node_budget <= 0:
-            raise ValueError("node budget must be positive")
-
-
 def _parse_k_range(text: str) -> tuple[int, ...]:
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -72,6 +39,12 @@ def _parse_k_range(text: str) -> tuple[int, ...]:
     if not values:
         raise ValueError(f"empty k range {text!r}")
     return values
+
+
+def _check_budget(args: argparse.Namespace) -> None:
+    """Refuse a non-positive node budget before any other work."""
+    if args.node_budget is not None and args.node_budget <= 0:
+        raise ValueError("node budget must be positive")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -96,8 +69,8 @@ def _params_str(params: dict) -> str:
     return ";".join(f"{key}={params[key]}" for key in sorted(params))
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
-    p = parse_poset_spec(cfg.poset_spec)
+def cmd_bounds(args: argparse.Namespace) -> int:
+    p = parse_poset_spec(args.poset_spec)
     sizeP, h = p.size, p.height()
     layers = p.mirsky_decomposition().sizes
     reports = [bnd.bound_burcsi_nagy(sizeP, h)]
@@ -118,7 +91,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
 
     rows = [
         {
-            "poset_spec": cfg.poset_spec,
+            "poset_spec": args.poset_spec,
             "sizeP": sizeP,
             "h": h,
             "bound_name": r.name,
@@ -128,9 +101,9 @@ def cmd_bounds(cfg: RunConfig) -> int:
         }
         for r in reports
     ]
-    if cfg.fmt == "json":
-        _emit(_json_dumps({"schema": 1, "rows": rows}), cfg.output)
-    elif cfg.fmt == "csv":
+    if args.fmt == "json":
+        _emit(_json_dumps({"schema": 1, "rows": rows}), args.output)
+    elif args.fmt == "csv":
         lines = ["poset_spec,sizeP,h,bound_name,params,coefficient,side"]
         for row in rows:
             lines.append(
@@ -146,34 +119,36 @@ def cmd_bounds(cfg: RunConfig) -> int:
                     ]
                 )
             )
-        _emit("\n".join(lines) + "\n", cfg.output)
+        _emit("\n".join(lines) + "\n", args.output)
     else:
         name_w = max(len(r["bound_name"]) for r in rows)
-        lines = [f"bounds for {cfg.poset_spec}  (|P|={sizeP}, h={h})"]
+        lines = [f"bounds for {args.poset_spec}  (|P|={sizeP}, h={h})"]
         for row in rows:
             lines.append(
                 f"  {row['bound_name']:<{name_w}}  {row['side']:<5}  "
                 f"{row['coefficient']}  [{_params_str(row['params'])}]"
             )
-        _emit("\n".join(lines) + "\n", cfg.output)
+        _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
-def cmd_exact(cfg: RunConfig) -> int:
-    p = parse_poset_spec(cfg.poset_spec)
-    if cfg.objective == "cardinality":
-        result = la_exact(cfg.n, p, cfg.mode, cfg.override_guard, cfg.node_budget)
+def cmd_exact(args: argparse.Namespace) -> int:
+    _check_budget(args)
+    p = parse_poset_spec(args.poset_spec)
+    if args.objective == "cardinality":
+        result = la_exact(args.n, p, args.mode, args.override_guard, args.node_budget)
     else:
-        result = lubell_max(cfg.n, p, cfg.mode, cfg.override_guard, cfg.node_budget)
-    _emit(_json_dumps(result.as_dict()), cfg.output)
+        result = lubell_max(args.n, p, args.mode, args.override_guard, args.node_budget)
+    _emit(_json_dumps(result.as_dict()), args.output)
     return 0 if result.exhaustive else 1
 
 
-def cmd_alpha(cfg: RunConfig) -> int:
-    fam = family_from_text(Path(cfg.family_path).read_text(), max_n=MAX_GROUND_SET)
-    p = parse_poset_spec(cfg.poset_spec)
-    result = alpha(fam, p, cfg.mode, cfg.objective, cfg.node_budget)
-    _emit(_json_dumps(result.as_dict()), cfg.output)
+def cmd_alpha(args: argparse.Namespace) -> int:
+    _check_budget(args)
+    fam = family_from_text(Path(args.family_path).read_text(), max_n=MAX_GROUND_SET)
+    p = parse_poset_spec(args.poset_spec)
+    result = alpha(fam, p, args.mode, args.objective, args.node_budget)
+    _emit(_json_dumps(result.as_dict()), args.output)
     return 0 if result.exhaustive else 1
 
 
@@ -190,28 +165,28 @@ def _chain_spec(n: int, k: int) -> IntervalChainSpec:
     return spec
 
 
-def cmd_chain(cfg: RunConfig) -> int:
-    spec = _chain_spec(cfg.n, cfg.k)
-    _emit(family_to_text(interval_chain(spec)), cfg.output)
+def cmd_chain(args: argparse.Namespace) -> int:
+    spec = _chain_spec(args.n, args.k)
+    _emit(family_to_text(interval_chain(spec)), args.output)
     return 0
 
 
-def cmd_embed(cfg: RunConfig) -> int:
-    p = parse_poset_spec(cfg.poset_spec)
-    if cfg.family_path:
-        H = family_from_text(Path(cfg.family_path).read_text(), max_n=MAX_GROUND_SET)
-        spec = IntervalChainSpec.canonical(H.n, cfg.k)
-    elif cfg.n is None:
+def cmd_embed(args: argparse.Namespace) -> int:
+    p = parse_poset_spec(args.poset_spec)
+    if args.family_path:
+        H = family_from_text(Path(args.family_path).read_text(), max_n=MAX_GROUND_SET)
+        spec = IntervalChainSpec.canonical(H.n, args.k)
+    elif args.n is None:
         raise PreconditionViolated("embed needs --n or --family")
     else:
-        spec = _chain_spec(cfg.n, cfg.k)
+        spec = _chain_spec(args.n, args.k)
         H = interval_chain(spec).restrict_sizes(*spec.embedding_window)
     embedding, trace = greedy_embed(H, p, spec)
     payload = {
         "schema": 1,
-        "poset": cfg.poset_spec,
+        "poset": args.poset_spec,
         "n": spec.n,
-        "k": cfg.k,
+        "k": args.k,
         "threshold": trace.threshold,
         "allowance": trace.allowance,
         "assignment": {
@@ -229,25 +204,29 @@ def cmd_embed(cfg: RunConfig) -> int:
         "new_removals": list(trace.new_removals()),
         "total_consumption": trace.total_consumption(),
     }
-    _emit(_json_dumps(payload), cfg.output)
+    _emit(_json_dumps(payload), args.output)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    names = list(verify.SUITES) if cfg.suite == "all" else [cfg.suite]
+def cmd_verify(args: argparse.Namespace) -> int:
+    # --k arrives as text when given; its default is the empty tuple.
+    k_values = args.k_values
+    if isinstance(k_values, str):
+        k_values = _parse_k_range(k_values)
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     records = verify.run(
-        names, k_values=cfg.k_values, n=cfg.n, samples=cfg.samples, seed=cfg.seed, steps=cfg.steps
+        names, k_values=k_values, n=args.n, samples=args.samples, seed=args.seed, steps=args.steps
     )
     all_ok = all(ok for _, ok, _ in records)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         checks = [{"check": name, "ok": ok, "detail": detail} for name, ok, detail in records]
-        text = _json_dumps({"schema": 1, "suite": cfg.suite, "checks": checks, "pass": all_ok})
+        text = _json_dumps({"schema": 1, "suite": args.suite, "checks": checks, "pass": all_ok})
     else:
         lines = [f"[{'ok' if ok else 'FAIL'}] {name}: {detail}" for name, ok, detail in records]
         passed = sum(ok for _, ok, _ in records)
         lines.append(f"{'PASS' if all_ok else 'FAIL'} ({passed}/{len(records)} checks)")
         text = "\n".join(lines) + "\n"
-    _emit(text, cfg.output)
+    _emit(text, args.output)
     return 0 if all_ok else 1
 
 
@@ -266,8 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Options are stored under RunConfig's field names (dest); metavar keeps
-    # the help text showing the option's own name.
+    # Options are stored under the names the commands read (dest); metavar
+    # keeps the help text showing the option's own name.
     def add_output(sp, formats=()):
         if formats:
             sp.add_argument("--format", dest="fmt", choices=formats, default="table")
@@ -336,8 +315,7 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cfg = RunConfig(**vars(args))
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](args)
     except (SubposetLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     SearchBudgetExceeded,
 )
-from .families import SetFamily, Subset
+from .families import SetFamily, Subset, containment_masks
 
 
 class Poset:
@@ -270,42 +270,10 @@ def product(p: Poset, q: Poset) -> Poset:
 
 def inclusion_poset(fam: SetFamily) -> Poset:
     """The family ordered by strict containment, elements in canonical order."""
-    masks = fam.masks()
-    rows = []
-    for a in masks:
-        row = 0
-        for j, b in enumerate(masks):
-            if a != b and a & b == a:
-                row |= 1 << j
-        rows.append(row)
-    return Poset(rows)
+    return Poset(containment_masks(fam)[0])
 
 
 # --- subposet embedding search ----------------------------------------------
-
-
-class _HostView:
-    """Comparability bitmasks of a host poset or set family."""
-
-    __slots__ = ("size", "above", "below", "labels")
-
-    def __init__(self, host: Union[Poset, SetFamily]):
-        if isinstance(host, Poset):
-            self.size = host.size
-            self.above = [host.above_mask(i) for i in range(host.size)]
-            self.below = [host.below_mask(i) for i in range(host.size)]
-            self.labels = None
-        else:
-            masks = host.masks()
-            self.size = len(masks)
-            self.above = [0] * self.size
-            self.below = [0] * self.size
-            for i, a in enumerate(masks):
-                for j, b in enumerate(masks):
-                    if a != b and a & b == a:
-                        self.above[i] |= 1 << j
-                        self.below[j] |= 1 << i
-            self.labels = tuple(host)
 
 
 class EmbeddingSearch:
@@ -317,6 +285,13 @@ class EmbeddingSearch:
     finding nothing is a proof that no embedding exists. embeddings() runs the
     one backtracking loop, _extend, which builds no generator or closure per
     call and stops at the first leaf its callback accepts.
+
+    above[z] and below[z] are the masks of the host indices strictly above
+    and below host index z: a Poset host's rows and columns, or a family's
+    containment_masks, which cost |H| * n mask operations, not a test per
+    pair of sets. labels holds a family's sets (None for a Poset), so
+    embeddings can be reported as sets. _generic builds its per-element
+    plans on first use, so a search that a kernel answers builds none.
 
     rel[u][e][z] is the mask of host candidates left for pattern element u
     (u != e) once e is imaged at host index z: the host's below / above row
@@ -350,7 +325,9 @@ class EmbeddingSearch:
     """
 
     __slots__ = (
-        "host",
+        "above",
+        "below",
+        "labels",
         "pattern",
         "mode",
         "order",
@@ -358,8 +335,6 @@ class EmbeddingSearch:
         "_plan",
         "_pinned_plans",
         "_twin_reps",
-        "_need_above",
-        "_need_below",
         "_copies",
         "_misses",
         "_incomparable",
@@ -371,35 +346,40 @@ class EmbeddingSearch:
     def __init__(self, host: Union[Poset, SetFamily], pattern: Poset, mode: str):
         if mode not in ("weak", "induced"):
             raise ValueError(f"mode must be 'weak' or 'induced', got {mode!r}")
-        self.host = host = _HostView(host)
+        if isinstance(host, Poset):
+            above, below = host.rows, host._cols
+            self.labels = None
+        else:
+            above, below = containment_masks(host)
+            self.labels = host.sets
+        self.above = above
+        self.below = below
         self.pattern = pattern
         self.mode = mode
         self.order = sorted(
             range(pattern.size), key=lambda e: (-pattern.degree(e), e)
         )
         q = pattern.size
-        full = (1 << host.size) - 1
+        size = len(above)
+        full = (1 << size) - 1
         if mode == "induced":
             incomparable = [
-                full & ~(host.above[z] | host.below[z] | 1 << z)
-                for z in range(host.size)
+                full & ~(above[z] | below[z] | 1 << z) for z in range(size)
             ]
         else:
-            incomparable = [full] * host.size
+            incomparable = [full] * size
         self.rel = [
             [
-                host.below if pattern.less(u, e)
-                else host.above if pattern.less(e, u)
+                below if pattern.less(u, e)
+                else above if pattern.less(e, u)
                 else incomparable
                 for e in range(q)
             ]
             for u in range(q)
         ]
         self._plan = self._plan_for(self.order)
-        # embeds_using pins its element first, then follows the usual order.
-        self._pinned_plans = [
-            self._plan_for([e] + [x for x in self.order if x != e]) for e in range(q)
-        ]
+        # _generic's plans, one per pinned element, built on first use.
+        self._pinned_plans: dict[int, tuple] = {}
         # Elements with identical up- and down-sets are swappable, so a copy
         # through one exists iff a copy through any of its twins does.
         seen: dict[tuple[int, int], int] = {}
@@ -410,10 +390,8 @@ class EmbeddingSearch:
                 seen[key] = e
                 reps.append(e)
         self._twin_reps = reps
-        self._need_above = [pattern.above_mask(e).bit_count() for e in range(q)]
-        self._need_below = [pattern.below_mask(e).bit_count() for e in range(q)]
-        self._copies = [-1] * host.size
-        self._misses = [0] * host.size
+        self._copies = [-1] * size
+        self._misses = [0] * size
         self._incomparable = incomparable
         # _full and _middles hold plain functions, so the search is not a cycle.
         self._layers = layers = pattern.complete_layer_sizes() or ()
@@ -461,7 +439,7 @@ class EmbeddingSearch:
                     )
 
         q = self.pattern.size
-        full = (1 << self.host.size) - 1
+        full = (1 << len(self.above)) - 1
         _extend(self._plan, 0, [-1] * q, [full] * q, 0, keep, tick)
         return found
 
@@ -483,19 +461,26 @@ class EmbeddingSearch:
     def _generic(self, allowed: int, z: int) -> int:
         """Mask of a copy inside `allowed` through z, or 0, by pinning each
         pattern element (one per twin class) to z and running _extend."""
-        above = self.host.above[z] & allowed
-        below = self.host.below[z] & allowed
-        n_above = above.bit_count()
-        n_below = below.bit_count()
+        n_above = (self.above[z] & allowed).bit_count()
+        n_below = (self.below[z] & allowed).bit_count()
+        pattern = self.pattern
+        plans = self._pinned_plans
         rel = self.rel
         for e in self._twin_reps:
-            if n_above < self._need_above[e] or n_below < self._need_below[e]:
+            if (
+                n_above < pattern.rows[e].bit_count()
+                or n_below < pattern._cols[e].bit_count()
+            ):
                 continue
+            plan = plans.get(e)
+            if plan is None:
+                # e first, then the usual order.
+                plan = plans[e] = self._plan_for([e] + [x for x in self.order if x != e])
             # Pin e to z and narrow the others by it, then go on from depth 1.
             images = [-1] * len(rel)
             images[e] = z
             cand = [allowed & row[e][z] for row in rel]
-            if _extend(self._pinned_plans[e], 1, images, cand, 1 << z, _stop, None):
+            if _extend(plan, 1, images, cand, 1 << z, _stop, None):
                 return sum(1 << x for x in images)
         return 0
 
@@ -513,8 +498,8 @@ class EmbeddingSearch:
         as the bottom, the top or a middle."""
         k = self._layers[1]
         middles = self._middles
-        above = self.host.above
-        below = self.host.below
+        above = self.above
+        below = self.below
         up = above[z] & allowed
         down = below[z] & allowed
         if up.bit_count() > k:
@@ -567,8 +552,8 @@ class EmbeddingSearch:
         per call because each fixed one, tops first or z's layer first,
         doubled the time of some K:a,b search."""
         bottoms, tops = self._layers
-        above = self.host.above
-        below = self.host.below
+        above = self.above
+        below = self.below
         incomparable = self._incomparable
         middles = self._middles
         bit = 1 << z
@@ -704,9 +689,9 @@ def _extend(
 
 
 def _as_embedding(search: EmbeddingSearch, images: tuple[int, ...]) -> Embedding:
-    if search.host.labels is None:
+    if search.labels is None:
         return Embedding(search.mode, "poset", images)
-    return Embedding(search.mode, "family", tuple(search.host.labels[i] for i in images))
+    return Embedding(search.mode, "family", tuple(search.labels[i] for i in images))
 
 
 def iter_subposet_embeddings(

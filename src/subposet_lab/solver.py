@@ -236,10 +236,12 @@ def alpha(
     non-exhaustive: a stop in the first pass returns its incumbent, which
     need not be the include-first witness; a stop in the second pass returns
     the proven value v with the first pass's witness. Hosts above
-    MAX_HOST_SETS sets are refused before any work: set-up compares every
-    pair of sets (the comparability masks and the chain partition), and the
-    cap holds that quadratic work, and the host-wide masks the search
-    carries, to the size of 2^[9], the largest whole cube it accepts.
+    MAX_HOST_SETS sets are refused before any work. The comparability masks
+    cost |H| * n mask operations (containment_masks); the cap bounds what
+    still grows faster with the host, the chain partition's matching on
+    hosts that are not unions of full levels, the chain tables and the
+    |H|-bit masks the search carries, to the size of 2^[9], the largest
+    whole cube it accepts.
     """
     if P.size < 1:
         raise ValueError("pattern must have at least one element")

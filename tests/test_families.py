@@ -13,6 +13,7 @@ from subposet_lab.families import (
     SetFamily,
     Subset,
     apply_permutation,
+    containment_masks,
     count_trailing_zero_profile,
     family_from_text,
     family_to_text,
@@ -468,6 +469,49 @@ def random_spec(rng, n, k):
 
 def random_chain_family(rng, n, k):
     return interval_chain(random_spec(rng, n, k))
+
+
+class TestContainmentMasks:
+    @staticmethod
+    def pairwise(fam):
+        """above / below by testing every ordered pair of sets."""
+        masks = fam.masks()
+        above = [
+            sum(1 << j for j, b in enumerate(masks) if a != b and a & b == a)
+            for a in masks
+        ]
+        below = [
+            sum(1 << j for j, b in enumerate(masks) if a != b and a & b == b)
+            for a in masks
+        ]
+        return above, below
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_pairwise_definition(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(0, 8)
+        fam = SetFamily.from_masks(
+            n, rng.sample(range(1 << n), rng.randint(0, min(60, 1 << n)))
+        )
+        if seed % 3 == 0:
+            # Both extremes, which every other set lies between.
+            fam = fam.union(SetFamily.from_masks(n, [0, (1 << n) - 1]))
+        assert containment_masks(fam) == self.pairwise(fam)
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_power_sets(self, n):
+        fam = SetFamily.power_set(n)
+        above, below = containment_masks(fam)
+        assert (above, below) == self.pairwise(fam)
+        # The empty set lies below every other set, and [n] above them.
+        full = (1 << len(fam)) - 1
+        assert above[0] == full ^ 1
+        assert below[-1] == full ^ 1 << (len(fam) - 1)
+
+    def test_empty_family_and_single_sets(self):
+        assert containment_masks(SetFamily(4)) == ([], [])
+        for n, mask in [(0, 0), (3, 0), (3, 0b101), (3, 0b111)]:
+            assert containment_masks(SetFamily.from_masks(n, [mask])) == ([0], [0])
 
 
 class TestMinChainPartition:

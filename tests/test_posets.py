@@ -352,6 +352,60 @@ class TestEmbedsUsing:
                     host.masks(), pattern, mode, bin(allowed), z
                 )
 
+    @pytest.mark.parametrize("mode", ["weak", "induced"])
+    def test_family_and_inclusion_poset_hosts_agree(self, mode):
+        # A family host's masks come from containment_masks and a Poset
+        # host's from its rows and columns; the inclusion poset numbers the
+        # sets as the family does, so the two searches answer alike.
+        rng = random.Random(f"hosts:{mode}")
+        patterns = [diamond(2), complete_multilevel((2, 2)), complete_multilevel((2, 2, 2))]
+        for trial in range(12):
+            n = rng.randint(2, 5)
+            fam = SetFamily.from_masks(
+                n, rng.sample(range(1 << n), rng.randint(1, min(16, 1 << n)))
+            )
+            if trial % 4 == 3:
+                pattern = random_poset(rng, rng.randint(1, 4))
+            else:
+                pattern = patterns[trial % 4]
+            by_sets = EmbeddingSearch(fam, pattern, mode)
+            by_poset = EmbeddingSearch(inclusion_poset(fam), pattern, mode)
+            assert by_sets.embeddings() == by_poset.embeddings()
+            for allowed, z in mask_walk(rng, len(fam)):
+                assert by_sets.embeds_using(allowed, z) == by_poset.embeds_using(
+                    allowed, z
+                ), (fam.masks(), pattern, mode, bin(allowed), z)
+
+    @pytest.mark.parametrize(
+        "spec, mode", [("diamond:2", "weak"), ("chain:3", "induced"), ("K:2,2", "induced")]
+    )
+    def test_kernel_searches_build_no_pinned_plan(self, spec, mode):
+        rng = random.Random(f"plans:{spec}:{mode}")
+        host = SetFamily.power_set(4)
+        search = EmbeddingSearch(host, parse_poset_spec(spec), mode)
+        for allowed, z in mask_walk(rng, len(host), checks=100):
+            search.embeds_using(allowed, z)
+        assert search._pinned_plans == {}
+
+    def test_generic_builds_plans_for_the_twins_it_tries(self):
+        # K:2,2,2 has twin representatives 0 (bottom), 2 (middle), 4 (top).
+        pattern = parse_poset_spec("K:2,2,2")
+        host = SetFamily.power_set(4)
+        search = EmbeddingSearch(host, pattern, "weak")
+        assert search._twin_reps == [0, 2, 4]
+        assert search._pinned_plans == {}
+        full = (1 << len(host)) - 1
+        # [4] has no set above it, so only the top is pinned there, and the
+        # empty set only the bottom.
+        assert search.embeds_using(full, len(host) - 1)
+        assert set(search._pinned_plans) == {4}
+        assert search.embeds_using(full, 0)
+        assert set(search._pinned_plans) == {0, 4}
+        rng = random.Random(7)
+        for allowed, z in mask_walk(rng, len(host), checks=100):
+            search.embeds_using(allowed, z)
+        assert set(search._pinned_plans) <= {0, 2, 4}
+
     # Patterns that take a kernel: D_1-D_4 and 3-chains take _diamond, with
     # the weak middle test (any k members) or the induced one (k pairwise
     # incomparable members); complete two-layer patterns K:a,b and 2-chains
