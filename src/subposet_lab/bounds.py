@@ -75,13 +75,14 @@ def log2_coefficient(x: Union[int, Fraction]) -> Coefficient:
 
 
 def ceil_log2(x: Fraction) -> int:
-    """Smallest integer t with 2^t >= x, computed exactly."""
+    """Smallest integer t >= 0 with 2^t >= x, computed exactly.
+
+    For x = p/q, 2^t >= p/q exactly when 2^t >= ceil(p/q), that is when
+    2^t > ceil(p/q) - 1 = (p - 1) // q, so t is that quotient's bit length.
+    """
     if x <= 0:
         raise InvalidParams(f"ceil_log2 of non-positive value {x}")
-    t = 0
-    while (1 << t) * x.denominator < x.numerator:
-        t += 1
-    return t
+    return ((x.numerator - 1) // x.denominator).bit_length()
 
 
 def _endpoints(x: Interval):
@@ -120,7 +121,7 @@ class BoundReport:
     def __post_init__(self) -> None:
         if self.side not in ("upper", "lower"):
             raise InvalidParams(f"side must be 'upper' or 'lower', got {self.side!r}")
-        if isinstance(self.coefficient, Fraction) and self.coefficient < 0:
+        if isinstance(self.coefficient, Fraction) and self.coefficient.numerator < 0:
             raise InvalidParams("bound coefficients are nonnegative")
 
     @property
@@ -148,7 +149,7 @@ def bound_chen_li(sizeP: int, h: int, m: int) -> BoundReport:
     _check_shape(sizeP, h)
     if m < 1:
         raise InvalidParams(f"need m >= 1, got {m}")
-    coeff = Fraction(sizeP + Fraction((m * m + 3 * m - 2) * (h - 1), 2) - 1, m + 1)
+    coeff = Fraction(2 * sizeP + (m * m + 3 * m - 2) * (h - 1) - 2, 2 * (m + 1))
     return BoundReport("chen_li", "upper", coeff, {"sizeP": sizeP, "h": h, "m": m})
 
 
@@ -163,20 +164,35 @@ def bound_main(sizeP: int, h: int, k: int) -> BoundReport:
 
 
 def best_main_k(sizeP: int, h: int) -> BoundReport:
-    """Minimum of bound_main over k in 2..k_max, recording the argmin.
+    """Minimum of bound_main over k in 2..k_max, at the least minimising k.
 
-    k_max = 2 + ceil(log2(|P| + 2)); past it the additive term provably
-    dominates, and for h >= 2 an argmin at k_max raises InvariantViolated.
-    The prescribed k = ceil(log2(|P|/h)) is reported in the params whenever
-    it is >= 2 (below that the plain chain bound |P| - 1 applies instead).
+    With A = |P| - 1 and B = h - 1 the coefficient is c(k) = A / 2^(k-1) +
+    (3k - 5) B / 2, so c(k) - c(k+1) = (A - 3 * 2^(k-1) B) / 2^k. The
+    difference falls as k grows, so c falls while 3 * 2^(k-1) B < A and
+    never falls again after: the least minimiser is the least k >= 2 with
+    3 * 2^(k-1) B >= A. For h = 1 c only falls (or stays 0 when |P| = 1), so
+    the answer is k_max (or 2). k_max = 2 + ceil(log2(|P| + 2)) caps the
+    range; for h >= 2 the minimiser lies below it, since at k = k_max - 1
+    already 3 * 2^(k-1) B >= 3(|P| + 2) > A. bound_main is called at the
+    minimiser and, for h >= 2, at its successor, which must not be smaller;
+    if it is, InvariantViolated is raised. The prescribed k = ceil(log2(|P|/h))
+    is reported in the params whenever it is >= 2 (below that the plain
+    chain bound |P| - 1 applies instead).
     """
     _check_shape(sizeP, h)
-    k_max = 2 + ceil_log2(Fraction(sizeP + 2))
-    sweep = [(bound_main(sizeP, h, k).coefficient, k) for k in range(2, k_max + 1)]
-    coeff, arg_k = min(sweep, key=lambda pair: (pair[0], pair[1]))
-    if h >= 2 and arg_k == k_max:
-        raise InvariantViolated(f"best_main_k({sizeP}, {h}): minimum at k_max = {k_max}")
-    prescribed = ceil_log2(Fraction(sizeP, h))
+    k_max = 2 + (sizeP + 1).bit_length()
+    A, B = sizeP - 1, h - 1
+    if B == 0:
+        arg_k = k_max if A else 2
+    else:
+        # The least t >= 0 with 2^t >= A / (3B); then k = t + 1, at least 2.
+        arg_k = max(2, 1 + ((A - 1) // (3 * B)).bit_length())
+    coeff = bound_main(sizeP, h, arg_k).coefficient
+    if B and bound_main(sizeP, h, arg_k + 1).coefficient < coeff:
+        raise InvariantViolated(
+            f"best_main_k({sizeP}, {h}): bound_main still falls past k = {arg_k}"
+        )
+    prescribed = ((sizeP - 1) // h).bit_length()
     params = {
         "sizeP": sizeP,
         "h": h,
@@ -188,30 +204,34 @@ def best_main_k(sizeP: int, h: int) -> BoundReport:
 
 
 def best_chen_li_m(sizeP: int, h: int) -> BoundReport:
-    """Minimum of bound_chen_li over m >= 1.
+    """Minimum of bound_chen_li over 1 <= m <= m_cap, at the least minimising m.
 
-    For h >= 2 the coefficient, as a function of u = m+1, is (A-2B)/u + Bu/2
-    + B/2 with A = |P|-1 and B = h-1, so it is convex for A >= 2B and
-    increasing otherwise; scanning to the first increase finds the exact
-    integer minimum. For h == 1 it decreases forever, so the sweep is capped
-    at 2 + 2*isqrt(2|P|) and that cap's minimum is reported.
+    With A = |P| - 1, B = h - 1 and u = m + 1 the coefficient is
+    f(u) = (A - 2B)/u + Bu/2 + B/2. For h = 1 it is A/u, which falls forever
+    (or stays 0 when |P| = 1), so the range is capped at
+    m_cap = 2 + 2 isqrt(2|P|) and the answer is the cap (or m = 1). For
+    h >= 2 and A <= 2B, f rises with u, so m = 1. Otherwise f is convex with
+    its real minimum at sqrt(2(A - 2B)/B) <= sqrt(2|P|), well inside the cap,
+    so the integer minimum lies at one of the two integers around it; they
+    are compared exactly by cross-multiplying, the smaller m winning a tie.
     """
     _check_shape(sizeP, h)
     cap = 2 + 2 * isqrt(2 * sizeP)
-    best = bound_chen_li(sizeP, h, 1).coefficient
-    arg_m = 1
-    m = 2
-    while True:
-        coeff = bound_chen_li(sizeP, h, m).coefficient
-        if coeff < best:
-            best, arg_m = coeff, m
-        elif h >= 2 and coeff > best:
-            break
-        if m >= cap:
-            break
-        m += 1
+    A, B = sizeP - 1, h - 1
+    if B == 0:
+        arg_m = cap if A else 1
+    elif A <= 2 * B:
+        arg_m = 1
+    else:
+        lo = max(2, isqrt(2 * (A - 2 * B) // B))
+        hi = lo + 1
+        # 2u f(u) = 2A + B(u^2 + u - 4), so f(hi) < f(lo) cross-multiplies.
+        f_lo = 2 * A + B * (lo * lo + lo - 4)
+        f_hi = 2 * A + B * (hi * hi + hi - 4)
+        arg_m = (hi if f_hi * lo < f_lo * hi else lo) - 1
+    coeff = bound_chen_li(sizeP, h, arg_m).coefficient
     params = {"sizeP": sizeP, "h": h, "m": arg_m, "m_cap": cap}
-    return BoundReport("chen_li_best_m", "upper", best, params)
+    return BoundReport("chen_li_best_m", "upper", coeff, params)
 
 
 def bound_corollary_interval(sizeP: int, h: int) -> BoundReport:

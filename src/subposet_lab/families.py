@@ -87,9 +87,16 @@ class Subset:
             raise ValueError("ground sets differ")
         return Subset(self.n, self.mask & other.mask)
 
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        """Canonical order: by weight, then lexicographically by indicator vector."""
-        return (self.weight, self.indicator())
+    def sort_key(self) -> tuple[int, int]:
+        """Canonical order: by weight, then lexicographically by indicator vector.
+
+        The indicator b_1..b_n read as a binary number is the mask with its n
+        bits reversed, so that number orders the sets of one weight the same
+        way. The sentinel bit n keeps the binary string non-empty when n = 0;
+        reversed it comes last, and the shift drops it.
+        """
+        mask = self.mask
+        return (mask.bit_count(), int(bin(mask | 1 << self.n)[:1:-1], 2) >> 1)
 
     def __str__(self) -> str:
         return "{" + ",".join(str(e) for e in self.elements()) + "}"
@@ -159,7 +166,7 @@ class SetFamily:
         return hash((self.n, self._mask_set))
 
     def count_of_size(self, m: int) -> int:
-        return sum(1 for s in self.sets if s.weight == m)
+        return sum(1 for mask in self._mask_set if mask.bit_count() == m)
 
     def restrict_sizes(self, lo: int, hi: int) -> "SetFamily":
         return SetFamily(self.n, (s for s in self.sets if lo <= s.weight <= hi))
@@ -412,13 +419,13 @@ def interval_chain(spec: IntervalChainSpec) -> SetFamily:
     for i in range(spec.n - spec.k + 1):
         lo = spec.base[i].mask
         free = spec.base[i + spec.k].mask & ~lo
-        free_bits = [b for b in range(spec.n) if free >> b & 1]
-        for choice in range(1 << len(free_bits)):
-            m = lo
-            for j, b in enumerate(free_bits):
-                if choice >> j & 1:
-                    m |= 1 << b
-            masks.add(m)
+        # Every submask of `free`, from free itself down to 0.
+        sub = free
+        while True:
+            masks.add(lo | sub)
+            if not sub:
+                break
+            sub = (sub - 1) & free
     return SetFamily.from_masks(spec.n, masks)
 
 
@@ -464,14 +471,14 @@ def unrelated_below(spec: IntervalChainSpec, m: int) -> SetFamily:
     if not lo <= m <= hi:
         raise OutOfRange(f"m={m} outside [{lo}, {hi}]")
     chain = interval_chain(spec)
-    big = [s for s in chain if s.weight >= m]
+    # A set smaller than every big set is related to one exactly when it lies
+    # inside it, so it is related to them all when it lies inside their meet.
+    common = (1 << spec.n) - 1
+    for b in chain:
+        if b.weight >= m:
+            common &= b.mask
     return SetFamily(
-        spec.n,
-        (
-            s
-            for s in chain
-            if s.weight <= m - 1 and any(not s.related(b) for b in big)
-        ),
+        spec.n, (s for s in chain if s.weight <= m - 1 and s.mask & ~common)
     )
 
 

@@ -34,20 +34,26 @@ class Poset:
         rows = tuple(rows)
         n = len(rows)
         cols = [0] * n
+        # Both passes walk each row's set bits: one step per relation.
         for i, row in enumerate(rows):
             if not 0 <= row < (1 << n):
                 raise ValueError(f"row {i} references elements outside 0..{n - 1}")
             if row >> i & 1:
                 raise ValueError(f"relation is not irreflexive at {i}")
-            for j in range(n):
-                if row >> j & 1:
-                    cols[j] |= 1 << i
-        for i in range(n):
-            if rows[i] & cols[i]:
+            bit = 1 << i
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= bit
+                row ^= low
+        for i, row in enumerate(rows):
+            if row & cols[i]:
                 raise ValueError(f"relation is not antisymmetric at {i}")
-            for j in range(n):
-                if rows[i] >> j & 1 and rows[j] & ~rows[i]:
+            rest = row
+            while rest:
+                low = rest & -rest
+                if rows[low.bit_length() - 1] & ~row:
                     raise ValueError("relation is not transitively closed")
+                rest ^= low
         object.__setattr__(self, "size", n)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_cols", tuple(cols))

@@ -302,6 +302,12 @@ def _search(
         False when the node budget runs out."""
         nonlocal best_value, best_mask, nodes
         chain_of, inc, exc, root_bound = _chain_tables(order, chains, values, cap)
+        # Per branching position: (set index, its bit, its chain's bits,
+        # include and exclude increments, the set's value).
+        steps = [
+            (i, 1 << i, chain_bits[chain_of[p]], inc[p], exc[p], values[i])
+            for p, i in enumerate(order)
+        ]
         if rows:
             weights = [tuple(w[i] for w in row_weights) for i in order]
             knapsacks = [
@@ -310,39 +316,44 @@ def _search(
             ]
             # _row_step's answer per (p, unused capacity per row).
             memo: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...] | None]] = {}
-        # A stack of nodes: (branching position, mask of the chosen sets'
-        # canonical indices, value so far, bound, unused capacity per row).
-        # Each exclude branch goes under its include branch, so the include
-        # subtree is finished first. A chain's chosen count is read off the mask.
+        # A stack of exclude branches: (branching position, mask of the chosen
+        # sets' canonical indices, value so far, bound, unused capacity per
+        # row). The include branch is taken in place, so each include subtree
+        # is finished before the exclude branch under it is popped. A chain's
+        # chosen count is read off the mask.
         pending = [(0, 0, 0, root_bound, row_caps)]
         while pending:
             p, mask, value, bound, left = pending.pop()
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                return False
-            if p == m:
-                # At a leaf every chain is decided and bound is the family's value.
-                if bound > best_value:
-                    best_value = bound
-                    best_mask = mask
-                    if stop_at_first:
-                        return True
-                continue
-            if bound <= best_value:
-                continue
-            taken = left
-            if rows:
-                got = memo.get((p, left))
-                if got is None:
-                    got = memo[p, left] = _row_step(knapsacks, weights[p], p, left)
-                room, taken = got
-                if value + room <= best_value:
-                    continue
-            i = order[p]
-            k = (mask & chain_bits[chain_of[p]]).bit_count()
-            pending.append((p + 1, mask, value, bound + exc[p][k], left))
-            if taken is not None and k < cap and not embeds_using(mask | 1 << i, i):
-                pending.append((p + 1, mask | 1 << i, value + values[i], bound + inc[p][k], taken))
+            while True:
+                nodes += 1
+                if node_budget is not None and nodes > node_budget:
+                    return False
+                if p == m:
+                    # At a leaf every chain is decided and bound is the family's value.
+                    if bound > best_value:
+                        best_value = bound
+                        best_mask = mask
+                        if stop_at_first:
+                            return True
+                    break
+                if bound <= best_value:
+                    break
+                taken = left
+                if rows:
+                    got = memo.get((p, left))
+                    if got is None:
+                        got = memo[p, left] = _row_step(knapsacks, weights[p], p, left)
+                    room, taken = got
+                    if value + room <= best_value:
+                        break
+                i, bit, bits, inc_p, exc_p, worth = steps[p]
+                k = (mask & bits).bit_count()
+                pending.append((p + 1, mask, value, bound + exc_p[k], left))
+                if taken is None or k >= cap or embeds_using(mask | bit, i):
+                    break
+                p, mask, value, bound, left = (
+                    p + 1, mask | bit, value + worth, bound + inc_p[k], taken
+                )
         return True
 
     canonical = list(range(m))

@@ -83,14 +83,18 @@ def _worst_set_partners(k: int, n_max: int) -> str:
         for m in range(k, spec.embedding_window[1] + 1):
             blocker = families.worst_set(spec, m)
             level_m = [s for s in fam if s.weight == m]
-            level_up = [s for s in fam if s.weight == m + 1]
+            # A set smaller than m is related to a larger one exactly when
+            # it lies inside it, so to all of level m + 1 when it lies inside
+            # their meet.
+            up_meet = (1 << n) - 1
+            for s in fam:
+                if s.weight == m + 1:
+                    up_meet &= s.mask
             for a in fam:
-                if a.weight >= m:
+                if a.weight >= m or a.mask & ~up_meet:
                     continue
-                unrelated_m = [s for s in level_m if not a.related(s)]
+                unrelated_m = [s for s in level_m if a.mask & ~s.mask]
                 if not unrelated_m:
-                    continue
-                if any(not a.related(s) for s in level_up):
                     continue
                 if unrelated_m != [blocker]:
                     raise AssertionError(

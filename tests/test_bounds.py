@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 
@@ -129,6 +129,87 @@ class TestBestParameterSweeps:
         monkeypatch.setattr(bounds, "bound_main", decreasing)
         with pytest.raises(InvariantViolated):
             bounds.best_main_k(10, 2)
+
+
+def _ceil_log2_loop(x):
+    """The least t >= 0 with 2^t >= x, by counting up."""
+    t = 0
+    while (1 << t) * x.denominator < x.numerator:
+        t += 1
+    return t
+
+
+def _swept_main(sizeP, h):
+    """best_main_k's report as a full sweep over 2 <= k <= k_max gives it."""
+    k_max = 2 + _ceil_log2_loop(Fraction(sizeP + 2))
+    coeff, k = min(
+        (Fraction(sizeP + (3 * k - 5) * 2 ** (k - 2) * (h - 1) - 1, 2 ** (k - 1)), k)
+        for k in range(2, k_max + 1)
+    )
+    prescribed = _ceil_log2_loop(Fraction(sizeP, h))
+    params = {
+        "sizeP": sizeP,
+        "h": h,
+        "k": k,
+        "k_max": k_max,
+        "prescribed_k": prescribed if prescribed >= 2 else None,
+    }
+    return coeff, params
+
+
+def _swept_chen_li(sizeP, h):
+    """best_chen_li_m's report as a full sweep over 1 <= m <= m_cap gives it."""
+    cap = 2 + 2 * isqrt(2 * sizeP)
+    coeff, m = min(
+        (Fraction(2 * sizeP + (m * m + 3 * m - 2) * (h - 1) - 2, 2 * (m + 1)), m)
+        for m in range(1, cap + 1)
+    )
+    return coeff, {"sizeP": sizeP, "h": h, "m": m, "m_cap": cap}
+
+
+class TestClosedFormsMatchSweeps:
+    def test_best_main_k(self):
+        for sizeP in range(1, 257):
+            for h in range(1, sizeP + 1):
+                coeff, params = _swept_main(sizeP, h)
+                report = best_main_k(sizeP, h)
+                assert (report.coefficient, report.params) == (coeff, params)
+                if h >= 2:
+                    assert params["k"] < params["k_max"]
+
+    def test_best_chen_li_m(self):
+        for sizeP in range(1, 161):
+            for h in range(1, sizeP + 1):
+                coeff, params = _swept_chen_li(sizeP, h)
+                report = best_chen_li_m(sizeP, h)
+                assert (report.coefficient, report.params) == (coeff, params)
+
+    def test_one_bound_call_per_chen_li_answer(self, monkeypatch):
+        from subposet_lab import bounds
+
+        calls = []
+        real = bounds.bound_chen_li
+
+        def counted(sizeP, h, m):
+            calls.append(m)
+            return real(sizeP, h, m)
+
+        monkeypatch.setattr(bounds, "bound_chen_li", counted)
+        for sizeP, h in ((1, 1), (7, 1), (7, 2), (9, 5), (160, 3)):
+            calls.clear()
+            report = bounds.best_chen_li_m(sizeP, h)
+            assert calls == [report.params["m"]]
+
+    def test_ceil_log2(self):
+        for p in range(1, 300):
+            for q in range(1, 41):
+                x = Fraction(p, q)
+                assert ceil_log2(x) == _ceil_log2_loop(x)
+        for t in range(0, 200, 7):
+            assert ceil_log2(Fraction(2**t)) == t
+            assert ceil_log2(Fraction(2**t + 1)) == t + 1
+        with pytest.raises(InvalidParams):
+            ceil_log2(Fraction(0))
 
 
 class TestLogarithmicBounds:

@@ -61,6 +61,14 @@ class TestSubset:
         sa, sb = set(a.elements()), set(b.elements())
         assert a.related(b) == (sa <= sb or sb <= sa)
 
+    def test_sort_key_orders_as_weight_then_indicator(self):
+        for n in range(11):
+            subsets = [Subset(n, mask) for mask in range(1 << n)]
+            by_indicator = sorted(subsets, key=lambda s: (s.weight, s.indicator()))
+            keys = [s.sort_key() for s in by_indicator]
+            assert keys == sorted(set(keys))  # strictly increasing
+            assert keys[0] == (0, 0)
+
 
 class TestSetFamily:
     def test_canonical_order_and_dedup(self):
@@ -302,6 +310,26 @@ class TestUnrelatedBelow:
         for s in fam:
             assert s.weight <= m - 1
             assert any(not s.related(b) for b in big)
+
+    def test_matches_the_related_definition(self):
+        rng = random.Random(16)
+        specs = [IntervalChainSpec.canonical(n, k) for n, k in [(6, 2), (9, 3), (13, 4)]]
+        specs += [random_spec(rng, n, k) for n, k in [(6, 2), (8, 2), (9, 3), (11, 3), (13, 4)]]
+        for spec in specs:
+            chain_fam = interval_chain(spec)
+            lo, hi = spec.embedding_window
+            for m in range(lo, hi + 1):
+                big = [b for b in chain_fam if b.weight >= m]
+                want = SetFamily(
+                    spec.n,
+                    (
+                        s
+                        for s in chain_fam
+                        if s.weight <= m - 1 and any(not s.related(b) for b in big)
+                    ),
+                )
+                assert unrelated_below(spec, m) == want
+                assert len(want) == unrelated_below_count(spec.k)
 
     def test_window_enforced(self):
         spec = IntervalChainSpec.canonical(10, 3)

@@ -68,6 +68,58 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Poset([0b010, 0b100, 0b000])  # 0<1<2 without 0<2
 
+    def test_constructor_refusals_match_the_pairwise_definition(self):
+        def pairwise(rows):
+            # The checks in the order the constructor makes them, one pair
+            # of elements at a time.
+            n = len(rows)
+            cols = [0] * n
+            for i, row in enumerate(rows):
+                if not 0 <= row < (1 << n):
+                    return f"row {i} references elements outside 0..{n - 1}"
+                if row >> i & 1:
+                    return f"relation is not irreflexive at {i}"
+                for j in range(n):
+                    if row >> j & 1:
+                        cols[j] |= 1 << i
+            for i in range(n):
+                if rows[i] & cols[i]:
+                    return f"relation is not antisymmetric at {i}"
+                for j in range(n):
+                    if rows[i] >> j & 1 and rows[j] & ~rows[i]:
+                        return "relation is not transitively closed"
+            return None
+
+        rng = random.Random(9)
+        seen = set()
+        for _ in range(3000):
+            n = rng.randint(1, 6)
+            if rng.random() < 0.5:
+                rows = list(random_poset(rng, n).rows)
+                i = rng.randrange(n)
+                rows[i] ^= 1 << rng.randrange(n + 1)  # may step outside 0..n-1
+            else:
+                rows = [rng.randrange(-1, 1 << n) for _ in range(n)]
+            want = pairwise(rows)
+            if want is None:
+                p = Poset(rows)
+                assert all(
+                    p.below_mask(j) >> i & 1 == rows[i] >> j & 1
+                    for i in range(n)
+                    for j in range(n)
+                )
+                seen.add("valid")
+            else:
+                with pytest.raises(ValueError) as err:
+                    Poset(rows)
+                assert str(err.value) == want
+                seen.update(
+                    word
+                    for word in ("outside", "irreflexive", "antisymmetric", "transitively")
+                    if word in want
+                )
+        assert seen == {"valid", "outside", "irreflexive", "antisymmetric", "transitively"}
+
     def test_closure_is_idempotent(self):
         rng = random.Random(1)
         for _ in range(25):

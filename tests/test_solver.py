@@ -406,6 +406,8 @@ class TestAgainstBruteForce:
                     (0, 2, 3, 11, 15, 47, 63, 191, 255, 767, 1023, 3071, 6143, 4095, 12287),
                 ),
             ),
+            # Whole-cube search whose budget runs out in the canonical witness pass.
+            ("2^[5]", "diamond:2", "weak", "cardinality", 300_000, (20, False, 300_001)),
         ],
     )
     def test_search_outcomes_are_pinned(self, host, spec, mode, objective, budget, outcome):
@@ -414,6 +416,7 @@ class TestAgainstBruteForce:
             "C_2[14]": lambda: interval_chain(IntervalChainSpec.canonical(14, 2)),
             "random": lambda: random_family(random.Random(32), 6, 24),
             "2^[4]": lambda: SetFamily.power_set(4),
+            "2^[5]": lambda: SetFamily.power_set(5),
         }[host]()
         r = alpha(H, parse_poset_spec(spec), mode, objective, budget)
         # Budgeted outcomes also pin the witness masks.

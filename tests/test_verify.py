@@ -42,3 +42,24 @@ def test_soundness_runs_every_k(monkeypatch):
         "soundness chain:3 k=3",
         "soundness diamond:1 k=3",
     ]
+
+
+def test_worstset_counts_the_sets_the_related_definition_qualifies():
+    # The suite tests containment on masks; count its qualifying sets again
+    # with Subset.related, pair by pair.
+    for k, n_max in ((2, 9), (3, 10)):
+        qualifying = 0
+        for n in range(2 * k, n_max + 1):
+            spec = families.IntervalChainSpec.canonical(n, k)
+            fam = families.interval_chain(spec)
+            for m in range(k, spec.embedding_window[1] + 1):
+                level_m = [s for s in fam if s.weight == m]
+                level_up = [s for s in fam if s.weight == m + 1]
+                for a in fam:
+                    if a.weight >= m or any(not a.related(s) for s in level_up):
+                        continue
+                    if any(not a.related(s) for s in level_m):
+                        qualifying += 1
+        detail = verify._worst_set_partners(k, n_max)
+        assert detail == f"{qualifying} qualifying sets, all with the unique partner"
+        assert qualifying > 0
