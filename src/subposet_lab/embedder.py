@@ -1,22 +1,26 @@
 """Constructive embedding procedures with executable certificates.
 
 greedy_embed turns the antichain-by-antichain embedding argument into code
-that re-checks its own arithmetic: each step's fresh removals
-(GreedyTrace.new_removals) are checked against the closed-form allowance,
-and total consumption against the threshold, so a successful run is a
-machine-checked instance of the bound rather than a trusted one.
+that re-checks its own arithmetic: each step's fresh removals (what
+GreedyTrace.new_removals reports) are checked against the closed-form
+allowance, and total consumption against the threshold, so a successful run
+is a machine-checked instance of the bound rather than a trusted one.
 
 Every k-interval chain is a permuted copy of the canonical one, so one path
 serves every base: the greedy order reads each set on the canonical base
 through the spec's bit mapping (IntervalChainSpec.canonical_mask), and a
 step discards exactly the sets outside the intersection of the images so
-far, together with the images themselves.
+far, together with the images themselves. The order is an integer key per
+set (IntervalChainSpec.greedy_key), memoised on the spec object and filled
+only for the sets a run sees, so repeated runs on one spec, such as the
+lru-cached canonical ones, read each set's place once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import filterfalse, islice
 
 from .errors import InternalExhaustion, InvalidEmbedding, PreconditionViolated
 from .families import (
@@ -24,7 +28,6 @@ from .families import (
     SetFamily,
     Subset,
     unrelated_below_count,
-    worst_set,
 )
 from .posets import Embedding, Poset, check_embedding
 
@@ -74,24 +77,6 @@ class GreedyTrace:
         return len({s.mask for step in self.steps for s in step.images + step.removed})
 
 
-def _greedy_order(H: SetFamily, spec: IntervalChainSpec) -> list[Subset]:
-    """Decreasing size; within a size the worst set goes last, others by
-    indicator order, both read on the canonical base."""
-    canonical = IntervalChainSpec.canonical(spec.n, spec.k)
-    worst_masks = {
-        worst_set(canonical, m).mask
-        for m in {s.weight for s in H}
-        if spec.k <= m <= spec.n - 1
-    }
-
-    def key(s: Subset):
-        mask = spec.canonical_mask(s.mask)
-        # Reversed, the n binary digits of the mask are its indicator b_1 ... b_n.
-        return (-s.weight, mask in worst_masks, f"{mask:0{spec.n}b}"[::-1])
-
-    return sorted(H, key=key)
-
-
 def greedy_embed(
     H: SetFamily, P: Poset, spec: IntervalChainSpec
 ) -> tuple[Embedding, GreedyTrace]:
@@ -105,16 +90,26 @@ def greedy_embed(
     member sizes is what caps each step's fresh discards at
     removal_allowance(k); callers outside the window should pass H through
     shift_into_interior first.
+
+    The order sorts on IntervalChainSpec.greedy_key, an integer memoised on
+    the spec object for the sets runs have looked at, and the layers are
+    placed on masks; each step's fresh discards and the total consumption
+    are counted as the steps are taken.
     """
     if spec.k < 2:
         raise PreconditionViolated(f"need k >= 2, got {spec.k}")
     if H.n != spec.n:
         raise PreconditionViolated("family and chain live over different ground sets")
     lo, hi = spec.embedding_window
+    key_of = spec.greedy_key
+    keyed = []
     for s in H:
-        if not spec.contains(s):
-            raise PreconditionViolated(f"{s} is not a member of the chain")
-        if not lo <= s.weight <= hi:
+        mask = s.mask
+        try:
+            keyed.append((key_of(mask), mask, s))
+        except ValueError:
+            raise PreconditionViolated(f"{s} is not a member of the chain") from None
+        if not lo <= mask.bit_count() <= hi:
             raise PreconditionViolated(
                 f"{s} has size {s.weight} outside the window [{lo}, {hi}]"
             )
@@ -126,45 +121,58 @@ def greedy_embed(
 
     allowance = removal_allowance(spec.k)
     decomp = P.mirsky_decomposition()
-    ordered = _greedy_order(H, spec)
+    # Keys are distinct, so the sort never compares two sets.
+    keyed.sort()
+    _, order, ordered = zip(*keyed) if keyed else ((), (), ())
+    subset = dict(zip(order, ordered)).__getitem__
 
     unusable: set[int] = set()
-    steps: list[GreedyStep] = []
-    images: dict[int, Subset] = {}
+    discarded: set[int] = set()
     image_masks: set[int] = set()
+    images: dict[int, int] = {}
+    steps: list[GreedyStep] = []
+    fresh_counts: list[int] = []
     meet = (1 << spec.n) - 1
 
     for i in range(len(decomp.layers), 0, -1):
         layer = decomp.layers[i - 1]
-        available = [s for s in ordered if s.mask not in unusable]
-        if len(available) < len(layer):
+        placed = list(islice(filterfalse(unusable.__contains__, order), len(layer)))
+        if len(placed) < len(layer):
             raise InternalExhaustion(
                 "ran out of usable sets despite a valid threshold; this is a bug"
             )
-        placed = available[: len(layer)]
         for elem, target in zip(sorted(layer), placed):
             images[elem] = target
-            image_masks.add(target.mask)
-            meet &= target.mask
+            meet &= target
+        image_masks.update(placed)
         removed = []
+        fresh = 0
         if i >= 2:
-            removed = [s for s in ordered if s.mask & ~meet or s.mask in image_masks]
-            unusable = {s.mask for s in removed}
-        steps.append(GreedyStep(i, tuple(placed), tuple(removed)))
+            outside = ~meet
+            removed = [m for m in order if m & outside or m in image_masks]
+            unusable = set(removed)
+            fresh = len(unusable.difference(discarded, placed))
+            discarded |= unusable
+        fresh_counts.append(fresh)
+        steps.append(
+            GreedyStep(i, tuple(map(subset, placed)), tuple(map(subset, removed)))
+        )
 
-    trace = GreedyTrace(tuple(ordered), tuple(steps), allowance, threshold)
-    for step, fresh in zip(trace.steps, trace.new_removals()):
+    for step, fresh in zip(steps, fresh_counts):
         if fresh > allowance:
             raise InternalExhaustion(
                 f"step {step.layer} discarded {fresh} fresh sets, over the "
                 f"allowance {allowance}; this is a bug"
             )
-    if trace.total_consumption() > threshold:
+    consumed = len(discarded | image_masks)
+    if consumed > threshold:
         raise InternalExhaustion(
-            f"consumed {trace.total_consumption()} sets, over the threshold "
-            f"{threshold}; this is a bug"
+            f"consumed {consumed} sets, over the threshold {threshold}; this is a bug"
         )
-    embedding = Embedding("weak", "family", tuple(images[e] for e in range(P.size)))
+    trace = GreedyTrace(ordered, tuple(steps), allowance, threshold)
+    embedding = Embedding(
+        "weak", "family", tuple(subset(images[e]) for e in range(P.size))
+    )
     check_embedding(P, embedding)
     return embedding, trace
 

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import OutOfRange
 
@@ -403,30 +405,69 @@ class IntervalChainSpec:
             mask >>= 8
         return out
 
+    def _holds_canonical(self, mask: int) -> bool:
+        # contains' rule, on a mask already read on the canonical base.
+        run = (~mask & (mask + 1)).bit_length() - 1
+        return mask >> (run + self.k) == 0
+
     def contains(self, s: Subset) -> bool:
         """Membership test: read on the canonical base, a member is an initial
         1-run of some length r with nothing past position r + k."""
-        if s.n != self.n:
-            return False
-        mask = self.canonical_mask(s.mask)
-        run = (~mask & (mask + 1)).bit_length() - 1
-        return mask >> (run + self.k) == 0
+        return s.n == self.n and self._holds_canonical(self.canonical_mask(s.mask))
+
+    @cached_property
+    def _greedy_keys(self) -> dict[int, int]:
+        # Member mask -> greedy order key, filled by greedy_key one set at a
+        # time: only the sets some run has looked at are ever stored.
+        return {}
+
+    def greedy_key(self, mask: int) -> int:
+        """The greedy embedding's order key of a member, memoised per spec.
+
+        Read on the canonical base as c of weight w, the key is
+        ((n - w) << 1 | worst) << n | rev, where worst is 1 when c is
+        worst_set(canonical, w) and rev is c's n bits reversed, the indicator
+        b_1 ... b_n as a binary number. Ascending keys put larger sets first,
+        the worst set last within its size, the others in indicator order.
+        Raises ValueError for a non-member, which is not stored.
+        """
+        key = self._greedy_keys.get(mask)
+        if key is None:
+            c = self.canonical_mask(mask)
+            if not self._holds_canonical(c):
+                raise ValueError(f"mask {mask:#b} is not a member of the chain")
+            w, rev = Subset(self.n, c).sort_key()
+            worst = self.k <= w <= self.n - 1 and (
+                worst_set(IntervalChainSpec.canonical(self.n, self.k), w).mask == c
+            )
+            key = self._greedy_keys[mask] = ((self.n - w) << 1 | worst) << self.n | rev
+        return key
+
+
+def _chain_masks(spec: IntervalChainSpec) -> Iterator[int]:
+    """Each member's mask once: all of the first interval [A_0, A_k], then from
+    each later interval [A_i, A_{i+k}] the sets holding the element A_{i+k}
+    adds, since the others already lie in [A_{i-1}, A_{i+k-1}]."""
+    base = spec.base
+    for i in range(spec.n - spec.k + 1):
+        lo = base[i].mask
+        free = base[i + spec.k].mask & ~lo
+        if i:
+            new = free & ~base[i + spec.k - 1].mask
+            lo |= new
+            free ^= new
+        # Every submask of `free`, from free itself down to 0.
+        sub = free
+        while True:
+            yield lo | sub
+            if not sub:
+                break
+            sub = (sub - 1) & free
 
 
 def interval_chain(spec: IntervalChainSpec) -> SetFamily:
     """Enumerate the chain as a family: union of the n-k+1 intervals."""
-    masks: set[int] = set()
-    for i in range(spec.n - spec.k + 1):
-        lo = spec.base[i].mask
-        free = spec.base[i + spec.k].mask & ~lo
-        # Every submask of `free`, from free itself down to 0.
-        sub = free
-        while True:
-            masks.add(lo | sub)
-            if not sub:
-                break
-            sub = (sub - 1) & free
-    return SetFamily.from_masks(spec.n, masks)
+    return SetFamily.from_masks(spec.n, _chain_masks(spec))
 
 
 def level_count(spec: IntervalChainSpec, m: int) -> int:
@@ -461,24 +502,24 @@ def unrelated_below_count(k: int) -> int:
 def unrelated_below(spec: IntervalChainSpec, m: int) -> SetFamily:
     """Chain sets of size <= m-1 unrelated to at least one chain set of size >= m.
 
-    Enumerated directly; for m in the embedding window [3k-3, n-k+1] its
-    cardinality is the closed form unrelated_below_count(k), independent of m
-    and n.
+    Enumerated directly on the chain's masks; for m in the embedding window
+    [3k-3, n-k+1] its cardinality is the closed form unrelated_below_count(k),
+    independent of m and n.
     """
     if spec.k < 2:
         raise OutOfRange(f"need k >= 2, got {spec.k}")
     lo, hi = spec.embedding_window
     if not lo <= m <= hi:
         raise OutOfRange(f"m={m} outside [{lo}, {hi}]")
-    chain = interval_chain(spec)
+    masks = list(_chain_masks(spec))
     # A set smaller than every big set is related to one exactly when it lies
     # inside it, so it is related to them all when it lies inside their meet.
     common = (1 << spec.n) - 1
-    for b in chain:
-        if b.weight >= m:
-            common &= b.mask
-    return SetFamily(
-        spec.n, (s for s in chain if s.weight <= m - 1 and s.mask & ~common)
+    for b in masks:
+        if b.bit_count() >= m:
+            common &= b
+    return SetFamily.from_masks(
+        spec.n, (a for a in masks if a & ~common and a.bit_count() < m)
     )
 
 
@@ -510,23 +551,28 @@ def permutation_hit_count(fam: SetFamily, a: Subset) -> int:
     return fam.count_of_size(w) * factorial(w) * factorial(fam.n - w)
 
 
-def permutation_images(fam: SetFamily) -> Iterator[set[int]]:
-    """For each of the n! permutations pi of [n], the masks {S^pi : S in fam}.
+@lru_cache(maxsize=1)
+def permutation_image_counts(fam: SetFamily) -> Mapping[int, int]:
+    """Per mask, the number of permutations pi of [n] with the mask in
+    {S^pi : S in fam}; masks no permutation reaches are absent.
 
-    Brute force: every member is imaged under every permutation, so callers
-    keep n small.
+    Brute force over all n! permutations, imaging every member under each, so
+    callers keep n small. No permutation carries two members onto one set, so
+    each (pi, S) pair counts once. Cached for the last family asked about,
+    which the permutation double count asks about twice.
     """
-    masks = fam.masks()
-    for images in itertools.permutations(range(fam.n)):
-        moved = set()
-        for mask in masks:
-            image = 0
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                image |= 1 << images[low.bit_length() - 1]
-            moved.add(image)
-        yield moved
+    counts: Counter[int] = Counter()
+    bits = [1 << j for j in range(fam.n)]
+    for mask in fam.masks():
+        at = [i for i in range(fam.n) if mask >> i & 1]
+        if not at:
+            counts[0] += factorial(fam.n)  # every permutation fixes the empty set
+            continue
+        # pi as the tuple whose entry i is the bit of pi(i + 1): the member's
+        # image is the sum of the entries at its elements.
+        picked = map(itemgetter(*at), itertools.permutations(bits))
+        counts.update(picked if len(at) == 1 else map(sum, picked))
+    return MappingProxyType(dict(counts))
 
 
 def permutation_hit_count_exhaustive(fam: SetFamily, a: Subset) -> int:
@@ -535,7 +581,7 @@ def permutation_hit_count_exhaustive(fam: SetFamily, a: Subset) -> int:
         raise ValueError("ground sets differ")
     if fam.n > 8:
         raise ValueError("exhaustive count is factorial; keep n <= 8")
-    return sum(1 for moved in permutation_images(fam) if a.mask in moved)
+    return permutation_image_counts(fam).get(a.mask, 0)
 
 
 # --- family file format -----------------------------------------------------

@@ -28,7 +28,7 @@ from .families import (
     interval_chain,
     min_chain_partition,
     permutation_hit_count,
-    permutation_images,
+    permutation_image_counts,
 )
 from .posets import EmbeddingSearch, Poset, find_subposet
 
@@ -472,8 +472,8 @@ def verify_double_counting(
     pairs_by_sets = pairs_by_perms = None
     if exhaustive:
         pairs_by_sets = sum(permutation_hit_count(H, a) for a in A_family)
-        fam_masks = frozenset(A_family.masks())
-        pairs_by_perms = sum(len(fam_masks & moved) for moved in permutation_images(H))
+        counts = permutation_image_counts(H)
+        pairs_by_perms = sum(counts.get(m, 0) for m in A_family.masks())
         if pairs_by_sets > alpha_res.value * factorial(n):
             raise InvariantViolated(
                 f"{pairs_by_sets} pairs exceed alpha * n! = {alpha_res.value * factorial(n)}"

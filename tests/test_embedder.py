@@ -21,6 +21,7 @@ from subposet_lab.families import (
     Subset,
     apply_permutation,
     interval_chain,
+    worst_set,
 )
 from subposet_lab.posets import (
     Embedding,
@@ -31,12 +32,212 @@ from subposet_lab.posets import (
     diamond,
     find_subposet,
     iter_subposet_embeddings,
+    parse_poset_spec,
 )
 
 
 def window_family(n, k):
     spec = IntervalChainSpec.canonical(n, k)
     return spec, interval_chain(spec).restrict_sizes(3 * k - 3, n - k + 1)
+
+
+def reference_greedy_embed(H, P, spec):
+    """greedy_embed written the direct way, as a reference: a string order
+    key per run, membership through spec.contains, the layers placed on
+    Subsets, and the certificates read back off the finished trace."""
+    if spec.k < 2:
+        raise PreconditionViolated(f"need k >= 2, got {spec.k}")
+    if H.n != spec.n:
+        raise PreconditionViolated("family and chain live over different ground sets")
+    lo, hi = spec.embedding_window
+    for s in H:
+        if not spec.contains(s):
+            raise PreconditionViolated(f"{s} is not a member of the chain")
+        if not lo <= s.weight <= hi:
+            raise PreconditionViolated(
+                f"{s} has size {s.weight} outside the window [{lo}, {hi}]"
+            )
+    threshold = embedding_threshold(P, spec.k)
+    if len(H) < threshold:
+        raise PreconditionViolated(
+            f"family has {len(H)} sets; the embedding needs {threshold}"
+        )
+    allowance = removal_allowance(spec.k)
+    decomp = P.mirsky_decomposition()
+    canonical = IntervalChainSpec.canonical(spec.n, spec.k)
+    worst_masks = {
+        worst_set(canonical, m).mask
+        for m in {s.weight for s in H}
+        if spec.k <= m <= spec.n - 1
+    }
+
+    def key(s):
+        mask = spec.canonical_mask(s.mask)
+        return (-s.weight, mask in worst_masks, f"{mask:0{spec.n}b}"[::-1])
+
+    ordered = sorted(H, key=key)
+    unusable = set()
+    steps = []
+    images = {}
+    image_masks = set()
+    meet = (1 << spec.n) - 1
+    for i in range(len(decomp.layers), 0, -1):
+        layer = decomp.layers[i - 1]
+        available = [s for s in ordered if s.mask not in unusable]
+        if len(available) < len(layer):
+            raise InternalExhaustion(
+                "ran out of usable sets despite a valid threshold; this is a bug"
+            )
+        placed = available[: len(layer)]
+        for elem, target in zip(sorted(layer), placed):
+            images[elem] = target
+            image_masks.add(target.mask)
+            meet &= target.mask
+        removed = []
+        if i >= 2:
+            removed = [s for s in ordered if s.mask & ~meet or s.mask in image_masks]
+            unusable = {s.mask for s in removed}
+        steps.append(embedder.GreedyStep(i, tuple(placed), tuple(removed)))
+    trace = embedder.GreedyTrace(tuple(ordered), tuple(steps), allowance, threshold)
+    for step, fresh in zip(trace.steps, trace.new_removals()):
+        if fresh > allowance:
+            raise InternalExhaustion(
+                f"step {step.layer} discarded {fresh} fresh sets, over the "
+                f"allowance {allowance}; this is a bug"
+            )
+    if trace.total_consumption() > threshold:
+        raise InternalExhaustion(
+            f"consumed {trace.total_consumption()} sets, over the threshold "
+            f"{threshold}; this is a bug"
+        )
+    embedding = Embedding("weak", "family", tuple(images[e] for e in range(P.size)))
+    check_embedding(P, embedding)
+    return embedding, trace
+
+
+def outcome(run, *args):
+    """A run's result, or the type and message of the error it raised."""
+    try:
+        return run(*args)
+    except Exception as exc:  # deliberate: errors are compared, not raised
+        return type(exc), str(exc)
+
+
+def shuffled_base_spec(rng, n, k):
+    order = list(range(n))
+    rng.shuffle(order)
+    base, mask = [Subset(n, 0)], 0
+    for bit in order:
+        mask |= 1 << bit
+        base.append(Subset(n, mask))
+    return IntervalChainSpec(n, k, tuple(base))
+
+
+# The (k, n, pattern) cells of the certify-batch benchmark's greedy runs.
+GREEDY_GRID = (
+    (2, 12, "diamond:2"), (2, 16, "K:2,2,2"), (2, 20, "chain:5"),
+    (3, 14, "diamond:3"), (3, 18, "K:2,3,2"), (3, 20, "chain:4"),
+    (4, 20, "diamond:2"), (4, 20, "K:2,2"), (4, 20, "chain:3"),
+)
+
+
+class TestGreedyMatchesReference:
+    @pytest.mark.parametrize("k,n,pattern_spec", GREEDY_GRID)
+    def test_benchmark_cells(self, k, n, pattern_spec):
+        rng = random.Random(f"{k}-{n}-{pattern_spec}")
+        pattern = parse_poset_spec(pattern_spec)
+        spec, window = window_family(n, k)
+        threshold = embedding_threshold(pattern, k)
+        for _ in range(12):
+            H = SetFamily(n, rng.sample(window.sets, threshold))
+            assert greedy_embed(H, pattern, spec) == reference_greedy_embed(H, pattern, spec)
+
+    def test_random_bases(self):
+        rng = random.Random(2024)
+        patterns = [chain(2), chain(3), diamond(1), diamond(2), antichain(3),
+                    complete_multilevel((1, 2))]
+        checked = 0
+        for trial in range(400):
+            k = rng.randint(2, 4)
+            n = rng.randint(4 * k - 4, 16)
+            spec = shuffled_base_spec(rng, n, k)
+            pattern = patterns[trial % len(patterns)]
+            window = interval_chain(spec).restrict_sizes(*spec.embedding_window)
+            threshold = embedding_threshold(pattern, k)
+            if len(window) < threshold + 3:
+                continue
+            H = SetFamily(n, rng.sample(window.sets, threshold + rng.randrange(4)))
+            assert greedy_embed(H, pattern, spec) == reference_greedy_embed(H, pattern, spec)
+            checked += 1
+        assert checked >= 150
+
+    def test_fresh_and_warm_spec_objects(self):
+        rng = random.Random(5)
+        spec = shuffled_base_spec(rng, 14, 3)
+        window = interval_chain(spec).restrict_sizes(*spec.embedding_window)
+        pattern = diamond(2)
+        threshold = embedding_threshold(pattern, 3)
+        hosts = [SetFamily(14, rng.sample(window.sets, threshold)) for _ in range(6)]
+        want = [reference_greedy_embed(H, pattern, spec) for H in hosts]
+        assert [greedy_embed(H, pattern, spec) for H in hosts] == want
+        assert [greedy_embed(H, pattern, spec) for H in hosts] == want
+        # An equal spec built afresh starts with its own empty memo.
+        fresh = IntervalChainSpec(14, 3, spec.base)
+        assert fresh._greedy_keys == {}
+        assert [greedy_embed(H, pattern, fresh) for H in hosts] == want
+
+    def test_precondition_errors_match(self):
+        spec, window = window_family(10, 2)
+        sets = list(window)
+        member_low = Subset.from_elements(10, [1])
+        not_member = Subset.from_elements(10, [4, 5, 6])
+        cases = [
+            (SetFamily(10, sets[:2]), chain(3), spec),
+            (SetFamily(10, [member_low]), chain(2), spec),
+            (SetFamily(10, [not_member]), chain(2), spec),
+            # The first offending set in canonical order decides the error.
+            (SetFamily(10, [member_low, not_member]), chain(2), spec),
+            (SetFamily(10, sets[:3] + [not_member, Subset.full(10)]), chain(2), spec),
+            (SetFamily(10, sets[:2]), chain(2), IntervalChainSpec.canonical(10, 1)),
+            (SetFamily(9, []), chain(2), spec),
+        ]
+        for H, pattern, chain_spec in cases:
+            got = outcome(greedy_embed, H, pattern, chain_spec)
+            assert got == outcome(reference_greedy_embed, H, pattern, chain_spec)
+            assert got[0] is PreconditionViolated
+
+    def test_memo_holds_only_the_sets_runs_see(self):
+        spec = IntervalChainSpec.canonical(64, 16)
+        before = dict(spec._greedy_keys)
+        lo, hi = spec.embedding_window
+        rng = random.Random(64)
+        masks = set()
+        while len(masks) < 4:
+            # A run of `run` ones, a zero, then 15 free bits: on the canonical
+            # base nothing lies past position run + k.
+            run = rng.randint(lo - 15, hi)
+            mask = (1 << run) - 1 | rng.getrandbits(15) << (run + 1)
+            if lo <= mask.bit_count() <= hi:
+                masks.add(mask)
+        H = SetFamily.from_masks(64, masks)
+        pattern = antichain(4)
+        assert len(H) == embedding_threshold(pattern, 16)
+        assert greedy_embed(H, pattern, spec) == reference_greedy_embed(H, pattern, spec)
+        assert set(spec._greedy_keys) <= set(before) | masks
+        assert len(spec._greedy_keys) - len(before) <= len(H)
+
+    def test_refused_non_member_is_not_stored(self):
+        spec = IntervalChainSpec(10, 2, IntervalChainSpec.canonical(10, 2).base)
+        window = interval_chain(spec).restrict_sizes(*spec.embedding_window)
+        spec.greedy_key(window.sets[0].mask)
+        before = dict(spec._greedy_keys)
+        not_member = Subset.from_elements(10, [4, 5, 6])
+        with pytest.raises(ValueError):
+            spec.greedy_key(not_member.mask)
+        assert spec._greedy_keys == before
+        with pytest.raises(PreconditionViolated, match="is not a member"):
+            greedy_embed(SetFamily(10, [not_member]), chain(2), spec)
+        assert spec._greedy_keys == before
 
 
 class TestGreedyEmbed:
@@ -173,6 +374,15 @@ class TestGreedyEmbed:
         monkeypatch.setattr(embedder, "removal_allowance", lambda k: 0)
         with pytest.raises(InternalExhaustion, match="over the allowance 0"):
             greedy_embed(SetFamily(10, list(window)), diamond(2), spec)
+
+    def test_consumption_breach_raises(self, monkeypatch):
+        # An antichain consumes exactly its images, so a threshold one below
+        # its size must be reported.
+        spec, window = window_family(10, 2)
+        H = SetFamily(10, list(window)[:4])
+        monkeypatch.setattr(embedder, "embedding_threshold", lambda P, k: P.size - 1)
+        with pytest.raises(InternalExhaustion, match="consumed 4 sets, over the threshold 3"):
+            greedy_embed(H, antichain(4), spec)
 
     def test_preconditions(self):
         spec, window = window_family(10, 2)

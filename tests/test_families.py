@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from subposet_lab.errors import OutOfRange
 from subposet_lab.families import (
+    _chain_masks,
     IntervalChainSpec,
     SetFamily,
     Subset,
@@ -23,7 +24,7 @@ from subposet_lab.families import (
     min_chain_partition,
     permutation_hit_count,
     permutation_hit_count_exhaustive,
-    permutation_images,
+    permutation_image_counts,
     symmetric_chain_partition,
     unrelated_below,
     unrelated_below_count,
@@ -223,6 +224,43 @@ class TestIntervalChain:
         canonical = interval_chain(IntervalChainSpec.canonical(3, 2))
         assert apply_permutation(fam, perm) == canonical
 
+    def test_chain_masks_list_each_member_once(self):
+        # Against the union of the n - k + 1 intervals [A_i, A_{i+k}].
+        rng = random.Random(17)
+        specs = [IntervalChainSpec.canonical(n, k) for n in range(1, 9) for k in range(1, n + 1)]
+        specs += [random_spec(rng, n, k) for n, k in [(5, 2), (7, 3), (9, 4), (10, 1), (6, 6)]]
+        for spec in specs:
+            masks = list(_chain_masks(spec))
+            union = {
+                mask
+                for i in range(spec.n - spec.k + 1)
+                for mask in range(1 << spec.n)
+                if spec.base[i].mask & ~mask == 0 and mask & ~spec.base[i + spec.k].mask == 0
+            }
+            assert len(masks) == len(union) == (1 << spec.k) + (spec.n - spec.k) * (1 << (spec.k - 1))
+            assert set(masks) == union
+            assert interval_chain(spec).masks() == SetFamily.from_masks(spec.n, union).masks()
+
+    def test_greedy_key_sorts_as_weight_worst_indicator(self):
+        # Larger sets first; within a size the worst set last, the others by
+        # the indicator b_1 ... b_n, all read on the canonical base.
+        rng = random.Random(23)
+        specs = [IntervalChainSpec.canonical(n, k) for n in range(2, 10) for k in range(2, n + 1)]
+        specs += [random_spec(rng, n, k) for n, k in [(6, 2), (8, 3), (10, 4), (11, 2)]]
+        for spec in specs:
+            canonical = IntervalChainSpec.canonical(spec.n, spec.k)
+
+            def want(s):
+                c = Subset(spec.n, spec.canonical_mask(s.mask))
+                worst = spec.k <= c.weight <= spec.n - 1 and worst_set(canonical, c.weight) == c
+                return (-c.weight, worst, "".join(map(str, c.indicator())))
+
+            members = list(interval_chain(spec))
+            keys = [spec.greedy_key(s.mask) for s in members]
+            assert len(set(keys)) == len(members)
+            by_key = [s for _, s in sorted(zip(keys, members), key=lambda pair: pair[0])]
+            assert by_key == sorted(members, key=want)
+
     def test_rejects_bad_base(self):
         with pytest.raises(ValueError):
             IntervalChainSpec(3, 2, (Subset.empty(3),) * 4)
@@ -313,8 +351,11 @@ class TestUnrelatedBelow:
 
     def test_matches_the_related_definition(self):
         rng = random.Random(16)
-        specs = [IntervalChainSpec.canonical(n, k) for n, k in [(6, 2), (9, 3), (13, 4)]]
-        specs += [random_spec(rng, n, k) for n, k in [(6, 2), (8, 2), (9, 3), (11, 3), (13, 4)]]
+        specs = [IntervalChainSpec.canonical(n, k) for n, k in [(6, 2), (9, 3), (13, 4), (17, 5)]]
+        specs += [
+            random_spec(rng, n, k)
+            for n, k in [(6, 2), (8, 2), (9, 3), (11, 3), (13, 4), (16, 5)]
+        ]
         for spec in specs:
             chain_fam = interval_chain(spec)
             lo, hi = spec.embedding_window
@@ -420,14 +461,36 @@ class TestPermutationHitCount:
         a = Subset(n, rng.randrange(1 << n))
         assert permutation_hit_count(fam, a) == permutation_hit_count_exhaustive(fam, a)
 
-    def test_images_follow_apply_permutation(self):
-        rng = random.Random(3)
-        fam = SetFamily.from_masks(4, rng.sample(range(16), 6))
-        perms = list(itertools.permutations(range(1, 5)))
-        images = list(permutation_images(fam))
-        assert len(images) == len(perms)
-        for perm, moved in zip(perms, images):
-            assert moved == set(apply_permutation(fam, perm).masks())
+    @pytest.mark.parametrize("n", range(7))
+    def test_image_counts_follow_apply_permutation(self, n):
+        rng = random.Random(n)
+        fams = [SetFamily(n), SetFamily.power_set(n)]
+        fams += [
+            SetFamily.from_masks(n, rng.sample(range(1 << n), rng.randint(1, 1 << n)))
+            for _ in range(3)
+        ]
+        for fam in fams:
+            want: dict[int, int] = {}
+            for perm in itertools.permutations(range(1, n + 1)):
+                for mask in apply_permutation(fam, perm).masks():
+                    want[mask] = want.get(mask, 0) + 1
+            assert dict(permutation_image_counts(fam)) == want
+
+    def test_image_counts_are_read_only_and_shared(self):
+        fam = SetFamily.from_masks(4, [1, 6, 7])
+        counts = permutation_image_counts(fam)
+        with pytest.raises(TypeError):
+            counts[1] = 0  # type: ignore[index]
+        assert permutation_image_counts(SetFamily.from_masks(4, [7, 6, 1])) is counts
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_exhaustive_counts_equal_the_closed_form(self, n):
+        rng = random.Random(100 + n)
+        for size in (0, 1, rng.randint(1, 1 << n), 1 << n):
+            fam = SetFamily.from_masks(n, rng.sample(range(1 << n), size))
+            for mask in range(1 << n):
+                a = Subset(n, mask)
+                assert permutation_hit_count_exhaustive(fam, a) == permutation_hit_count(fam, a)
 
     def test_exhaustive_count_refuses_large_n(self):
         with pytest.raises(ValueError):
