@@ -117,6 +117,8 @@ class SetFamily:
     __slots__ = ("n", "sets", "_mask_set")
 
     def __init__(self, n: int, sets: Iterable[Subset] = ()):
+        if n < 0:
+            raise ValueError(f"ground set size must be >= 0, got {n}")
         unique: dict[int, Subset] = {}
         for s in sets:
             if s.n != n:

@@ -11,6 +11,7 @@ at most 12 elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -216,13 +217,10 @@ def complete_multilevel(sizes: Sequence[int]) -> Poset:
     if not sizes or any(a < 1 for a in sizes):
         raise InvalidSpec(f"level sizes must all be >= 1, got {sizes}")
     total = sum(sizes)
-    rows = [0] * total
-    start = 0
+    rows: list[int] = []
     for a in sizes:
-        above = ((1 << total) - 1) & ~((1 << (start + a)) - 1)
-        for i in range(start, start + a):
-            rows[i] = above
-        start += a
+        end = len(rows) + a
+        rows += [(1 << total) - (1 << end)] * a
     return Poset(rows)
 
 
@@ -246,32 +244,27 @@ def diamond(k: int) -> Poset:
 
 
 def product(p: Poset, q: Poset) -> Poset:
-    """Glue q on top of p, identifying p's unique maximum with q's unique minimum."""
+    """Glue q on top of p, identifying p's unique maximum with q's unique minimum.
+
+    q's other elements follow p's in order, and every row of p gains the row of
+    q's minimum; the factors' rows are closed, so the glued rows are too."""
     p_max = p.maximal_elements()
     q_min = q.minimal_elements()
     if len(p_max) != 1:
         raise NotUniqueExtremum(f"left factor has maximal elements {p_max}")
     if len(q_min) != 1:
         raise NotUniqueExtremum(f"right factor has minimal elements {q_min}")
-    w = p_max[0]
     qm = q_min[0]
-    size = p.size + q.size - 1
 
-    def q_id(e: int) -> int:
-        if e == qm:
-            return w
-        return p.size + e - (1 if e > qm else 0)
+    def lift(row: int) -> int:
+        # No q row holds qm, which lies below every other element of q.
+        return (row & (1 << qm) - 1) << p.size | (row >> (qm + 1)) << (p.size + qm)
 
-    pairs = list(p.relations())
-    pairs += [(q_id(a), q_id(b)) for a, b in q.relations()]
-    pairs += [
-        (x, q_id(y))
-        for x in range(p.size)
-        if x != w
-        for y in range(q.size)
-        if y != qm
-    ]
-    return poset_from_relations(pairs, size)
+    over = lift(q.rows[qm])
+    return Poset(
+        [row | over for row in p.rows]
+        + [lift(row) for e, row in enumerate(q.rows) if e != qm]
+    )
 
 
 def inclusion_poset(fam: SetFamily) -> Poset:
@@ -729,29 +722,39 @@ def find_subposet(
 def check_embedding(
     pattern: Poset, emb: Embedding, host: Poset | None = None
 ) -> None:
-    """Validate injectivity and order preservation; raises InvalidEmbedding."""
+    """Validate injectivity and order preservation; raises InvalidEmbedding.
+
+    Each image becomes a mask that strict containment orders as the images are
+    (a set's mask, or a host element's down-set with itself). Row a of the
+    pattern is compared with the images above image a; the least b differing is reported."""
     images = emb.images
     if len(images) != pattern.size:
         raise InvalidEmbedding("image count differs from pattern size")
     if len(set(images)) != len(images):
         raise InvalidEmbedding("assignment is not injective")
-
-    def img_less(a: int, b: int) -> bool:
-        x, y = images[a], images[b]
-        if emb.target_kind == "family":
-            return x.is_proper_subset(y)
-        if host is None:
-            raise InvalidEmbedding("poset-target validation needs the host poset")
-        return host.less(x, y)
-
-    for a in range(pattern.size):
-        for b in range(pattern.size):
-            if a == b:
-                continue
-            if pattern.less(a, b) and not img_less(a, b):
+    induced = emb.mode == "induced"
+    if emb.target_kind == "family":
+        keys = [s.mask for s in images]
+    elif host is not None:
+        if not all(0 <= y < host.size for y in images):
+            raise InvalidEmbedding(f"images {images} are not all elements of the host")
+        keys = [host.below_mask(y) | 1 << y for y in images]
+    elif any(pattern.rows) or induced and pattern.size > 1:
+        raise InvalidEmbedding("poset-target validation needs the host poset")
+    else:
+        return
+    for a, row in enumerate(pattern.rows):
+        x = keys[a]
+        up = 0
+        for b, y in enumerate(keys):
+            if x & y == x != y:
+                up |= 1 << b
+        bad = row & ~up | (up & ~row if induced else 0)
+        if bad:
+            b = (bad & -bad).bit_length() - 1
+            if row >> b & 1:
                 raise InvalidEmbedding(f"relation {a} < {b} not preserved")
-            if emb.mode == "induced" and not pattern.less(a, b) and img_less(a, b):
-                raise InvalidEmbedding(f"spurious image relation under {a}, {b}")
+            raise InvalidEmbedding(f"spurious image relation under {a}, {b}")
 
 
 @dataclass(frozen=True)
@@ -766,21 +769,19 @@ class DiamondProductEmbedding:
 def embed_into_diamond_product(p: Poset) -> DiamondProductEmbedding:
     """Weak-embed p into D_{a_1} x ... x D_{a_h} for its antichain layer sizes.
 
-    Layer i of the Mirsky decomposition maps onto the middle elements of the
-    i-th diamond; the glued bottoms/tops force every cross-layer relation.
+    The glued diamonds are the complete poset K_{1,a_1,1,...,a_h,1}. Layer i of
+    the Mirsky decomposition maps onto the middles of the i-th diamond; the
+    glued bottoms/tops force every cross-layer relation.
     """
     decomp = p.mirsky_decomposition()
     sizes = decomp.sizes
-    target = diamond(sizes[0])
-    middles: list[list[int]] = [list(range(1, sizes[0] + 1))]
-    for a in sizes[1:]:
-        offset = target.size
-        target = product(target, diamond(a))
-        middles.append(list(range(offset, offset + a)))
-    images: list[int] = [0] * p.size
-    for layer, mids in zip(decomp.layers, middles):
-        for elem, mid in zip(sorted(layer), mids):
-            images[elem] = mid
+    target = complete_multilevel((1,) + tuple(x for a in sizes for x in (a, 1)))
+    images = [0] * p.size
+    start = 1
+    for layer in decomp.layers:
+        for offset, elem in enumerate(sorted(layer)):
+            images[elem] = start + offset
+        start += len(layer) + 1
     emb = Embedding("weak", "poset", tuple(images))
     check_embedding(p, emb, target)
     return DiamondProductEmbedding(emb, target, sizes)
@@ -878,10 +879,7 @@ def parse_poset_spec(spec: str) -> Poset:
                 raise ParseError("product needs at least two factors")
             posets = [parse_poset_spec(part) for part in parts]
             _check_spec_size(sum(map(len, posets)) - len(posets) + 1, spec)
-            result = posets[0]
-            for nxt in posets[1:]:
-                result = product(result, nxt)
-            return result
+            return reduce(product, posets)
         if head == "edges":
             return parse_edge_list(Path(rest.strip()).read_text())
     except InvalidSpec as exc:

@@ -30,6 +30,20 @@ def _need(suite: str, what: str, value: int, least: int) -> None:
         raise PreconditionViolated(f"{suite}: need {what} >= {least}, got {value}")
 
 
+def _per_k(suite: str, check, default_ks, default_n: int, least_k: int, n_floor):
+    """A suite of check(k, n_max) per k, refusing k < least_k and an n below
+    n_floor(least k), which leaves that k nothing to enumerate."""
+
+    def build(k_values, n, **_):
+        ks = k_values or default_ks
+        n_max = default_n if n is None else n
+        _need(suite, "k", min(ks), least_k)
+        _need(suite, "n", n_max, n_floor(min(ks)))
+        return [(f"{suite} k={k}", check, (k, n_max)) for k in ks]
+
+    return build
+
+
 def _level_counts(k: int, n_max: int) -> str:
     count = 0
     for n in range(2 * k, n_max + 1):
@@ -41,14 +55,6 @@ def _level_counts(k: int, n_max: int) -> str:
                 raise AssertionError(f"k={k} n={n} m={m}: {enumerated} != {expected}")
             count += 1
     return f"{count} level counts equal 2^(k-1)"
-
-
-def _levelsize(k_values, n, **_):
-    ks = k_values or (2, 3, 4, 5)
-    n_max = 14 if n is None else n
-    _need("levelsize", "k", min(ks), 1)
-    _need("levelsize", "n", n_max, 2 * min(ks))
-    return [(f"levelsize k={k}", _level_counts, (k, n_max)) for k in ks]
 
 
 def _unrelated_counts(k: int, n_max: int) -> str:
@@ -63,14 +69,6 @@ def _unrelated_counts(k: int, n_max: int) -> str:
                 raise AssertionError(f"k={k} n={n} m={m}: {got} != {expected}")
             count += 1
     return f"{count} collections of size {expected}"
-
-
-def _unrelated(k_values, n, **_):
-    ks = k_values or (2, 3, 4)
-    n_max = 14 if n is None else n
-    _need("unrelated", "k", min(ks), 2)
-    _need("unrelated", "n", n_max, 4 * min(ks) - 4)
-    return [(f"unrelated k={k}", _unrelated_counts, (k, n_max)) for k in ks]
 
 
 def _worst_set_partners(k: int, n_max: int) -> str:
@@ -105,13 +103,18 @@ def _worst_set_partners(k: int, n_max: int) -> str:
     return f"{qualifying} qualifying sets, all with the unique partner"
 
 
-def _worstset(k_values, n, **_):
-    ks = k_values or (2, 3, 4)
-    n_max = 12 if n is None else n
-    # For k = 1 the chain is a maximal chain, so no set ever qualifies.
-    _need("worstset", "k", min(ks), 2)
-    _need("worstset", "n", n_max, 2 * min(ks))
-    return [(f"worstset k={k}", _worst_set_partners, (k, n_max)) for k in ks]
+def _grow_free(n: int, P, candidates) -> families.SetFamily:
+    """Keep each candidate mask, in order, unless a weak copy of P runs through
+    it and the sets kept so far, which hold none: one search answers each step."""
+    cube = families.SetFamily.power_set(n)
+    index = {mask: i for i, mask in enumerate(cube.masks())}
+    search = posets.EmbeddingSearch(cube, P, "weak")
+    kept = 0
+    for mask in candidates:
+        i = index[mask]
+        if not search.embeds_using(kept | 1 << i, i):
+            kept |= 1 << i
+    return families.SetFamily(n, (s for i, s in enumerate(cube) if kept >> i & 1))
 
 
 def _double_count(seed: int) -> str:
@@ -126,13 +129,8 @@ def _double_count(seed: int) -> str:
     brute = families.permutation_hit_count_exhaustive(H, a)
     if closed != brute:
         raise AssertionError(f"hit count {closed} != exhaustive {brute}")
-    # build a pattern-free family greedily from random candidates
-    members: list[families.Subset] = []
-    for mask in rng.sample(universe, 1 << (n - 1)):
-        trial = families.SetFamily(n, members + [families.Subset(n, mask)])
-        if posets.find_subposet(trial, P, "weak") is None:
-            members = list(trial)
-    report = solver.verify_double_counting(H, P, families.SetFamily(n, members))
+    members = _grow_free(n, P, rng.sample(universe, 1 << (n - 1)))
+    report = solver.verify_double_counting(H, P, members)
     if not report.holds:
         raise AssertionError(f"sum {report.lhs} > alpha {report.alpha_value}")
     if not report.identity_holds:
@@ -261,9 +259,10 @@ def _recursion(steps, **_):
 
 
 SUITES = {
-    "levelsize": _levelsize,
-    "unrelated": _unrelated,
-    "worstset": _worstset,
+    "levelsize": _per_k("levelsize", _level_counts, (2, 3, 4, 5), 14, 1, lambda k: 2 * k),
+    "unrelated": _per_k("unrelated", _unrelated_counts, (2, 3, 4), 14, 2, lambda k: 4 * k - 4),
+    # For k = 1 the chain is a maximal chain, so no set ever qualifies.
+    "worstset": _per_k("worstset", _worst_set_partners, (2, 3, 4), 12, 2, lambda k: 2 * k),
     "counting": _counting,
     "greedy": _greedy,
     "soundness": _soundness,

@@ -95,6 +95,7 @@ malformed_family_texts = st.one_of(
     st.builds("n=3\n{}\n".format, st.integers(4, 100)),
     st.builds("n=3\n{}\n".format, st.integers(-100, 0)),
     st.builds("n=3\n1,{}\n".format, junk.filter(lambda t: t.strip() not in ("", "{}"))),
+    st.builds("n={}\n".format, st.integers(-100, -1)),
 )
 
 # A valid command line per subcommand; bad_flags breaks one flag of one.

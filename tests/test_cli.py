@@ -160,6 +160,15 @@ class TestAlphaCommand:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "above 64" in err
 
+    def test_negative_ground_set_refused(self, capsys, tmp_path):
+        path = tmp_path / "negative-n.txt"
+        path.write_text("n=-1\n")
+        code, out, err = run_cli(
+            capsys, "alpha", "--family", str(path), "--poset", "chain:2"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: ground set size must be >= 0, got -1\n"
+
     def test_largest_ground_set_is_accepted(self, capsys, tmp_path):
         path = tmp_path / "n64.txt"
         path.write_text("n=64\n1\n1,64\n")

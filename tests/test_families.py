@@ -91,6 +91,12 @@ class TestSetFamily:
         with pytest.raises(ValueError):
             SetFamily(3, [Subset.empty(4)])
 
+    def test_negative_ground_set_rejected(self):
+        # The same refusal as Subset(-1, 0), even for a family with no sets.
+        with pytest.raises(ValueError, match="ground set size must be >= 0, got -1"):
+            SetFamily(-1)
+        assert len(SetFamily(0, [Subset.empty(0)])) == 1
+
     def test_power_set_and_levels(self):
         assert len(SetFamily.power_set(4)) == 16
         assert len(SetFamily.levels(4, [2])) == 6

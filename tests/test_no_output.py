@@ -1,0 +1,41 @@
+"""Only the command line writes to stdout or stderr, so the library can run
+inside it without changing a byte of its output."""
+
+import ast
+from pathlib import Path
+
+import subposet_lab
+
+SRC = Path(subposet_lab.__file__).parent
+
+
+def _writes(tree: ast.AST) -> list[int]:
+    """Lines that call print or name sys.stdout / sys.stderr, however imported."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "print":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr"):
+            if isinstance(node.value, ast.Name) and node.value.id == "sys":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            if any(alias.name in ("stdout", "stderr") for alias in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_cli_writes_output():
+    found = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "cli.py"
+        for line in _writes(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, f"output outside cli.py: {found}"
+
+
+def test_the_check_sees_each_kind_of_write():
+    source = "import sys\nfrom sys import stderr\nprint(1)\nsys.stdout.write('x')\n"
+    assert _writes(ast.parse(source)) == [2, 3, 4]
+    assert _writes(ast.parse(Path(SRC / "cli.py").read_text()))

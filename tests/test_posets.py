@@ -224,7 +224,60 @@ class TestHeightAndMirsky:
                             assert not p.less(x, y)
 
 
+def _reference_product(p, q):
+    """The glued product as the relation list closed by Warshall."""
+    p_max = p.maximal_elements()
+    q_min = q.minimal_elements()
+    if len(p_max) != 1:
+        raise NotUniqueExtremum(f"left factor has maximal elements {p_max}")
+    if len(q_min) != 1:
+        raise NotUniqueExtremum(f"right factor has minimal elements {q_min}")
+    w, qm = p_max[0], q_min[0]
+
+    def q_id(e):
+        return w if e == qm else p.size + e - (1 if e > qm else 0)
+
+    pairs = list(p.relations())
+    pairs += [(q_id(a), q_id(b)) for a, b in q.relations()]
+    pairs += [
+        (x, q_id(y)) for x in range(p.size) if x != w for y in range(q.size) if y != qm
+    ]
+    return poset_from_relations(pairs, p.size + q.size - 1)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except NotUniqueExtremum as exc:
+        return (type(exc), str(exc))
+
+
 class TestProduct:
+    def test_glued_rows_match_the_relation_closure(self):
+        rng = random.Random(18)
+        glued = 0
+        for _ in range(2500):
+            p = random_poset(rng, rng.randint(1, 6))
+            q = random_poset(rng, rng.randint(1, 6))
+            got = _outcome(product, p, q)
+            assert got == _outcome(_reference_product, p, q), (p, q)
+            glued += isinstance(got, Poset)
+        # Both the glued and the refused branches are exercised.
+        assert 200 < glued < 2300
+
+    def test_spec_products_match_the_relation_closure(self):
+        for spec, factors in (
+            ("product:(diamond:1,diamond:2)", (diamond(1), diamond(2))),
+            ("product:(chain:2,diamond:3,antichain:1)",
+             (chain(2), diamond(3), antichain(1))),
+            ("product:(diamond:2,product:(diamond:3,chain:3))",
+             (diamond(2), _reference_product(diamond(3), chain(3)))),
+        ):
+            expected = factors[0]
+            for q in factors[1:]:
+                expected = _reference_product(expected, q)
+            assert parse_poset_spec(spec) == expected, spec
+
     def test_chains_concatenate(self):
         assert are_isomorphic(product(chain(2), chain(2)), chain(3))
 
@@ -682,6 +735,28 @@ class TestEmbedIntoDiamondProduct:
             result = embed_into_diamond_product(p)
             check_embedding(p, result.embedding, result.target)
 
+    def test_target_is_the_product_chain_of_diamonds(self):
+        # Reference: glue diamond(a_i) on one by one; layer i's middles are the
+        # ids that glueing gives its diamond's middles.
+        rng = random.Random(18)
+        cases = [complete_multilevel([rng.randint(1, 4) for _ in range(rng.randint(1, 5))])
+                 for _ in range(40)]
+        cases += [random_poset(rng, rng.randint(1, 8)) for _ in range(60)]
+        for p in cases:
+            decomp = p.mirsky_decomposition()
+            target = diamond(decomp.sizes[0])
+            middles = [range(1, decomp.sizes[0] + 1)]
+            for a in decomp.sizes[1:]:
+                middles.append(range(target.size, target.size + a))
+                target = product(target, diamond(a))
+            images = [0] * p.size
+            for layer, mids in zip(decomp.layers, middles):
+                for elem, mid in zip(sorted(layer), mids):
+                    images[elem] = mid
+            result = embed_into_diamond_product(p)
+            assert result.target == target, p
+            assert result.embedding.images == tuple(images), p
+
 
 class TestCheckEmbedding:
     def test_rejects_non_injective(self):
@@ -699,6 +774,13 @@ class TestCheckEmbedding:
         with pytest.raises(InvalidEmbedding):
             check_embedding(chain(2), Embedding("weak", "poset", (1, 0)), host)
 
+    def test_rejects_images_outside_the_host(self):
+        from subposet_lab.posets import Embedding
+
+        for images in ((0, 2), (2, 0), (0, -1)):
+            with pytest.raises(InvalidEmbedding, match="not all elements of the host"):
+                check_embedding(chain(2), Embedding("weak", "poset", images), chain(2))
+
     def test_induced_rejects_gained_relation(self):
         from subposet_lab.posets import Embedding
 
@@ -706,6 +788,67 @@ class TestCheckEmbedding:
         emb = Embedding("induced", "poset", (0, 1))
         with pytest.raises(InvalidEmbedding):
             check_embedding(antichain(2), emb, host)
+
+
+    def test_matches_the_pairwise_check(self):
+        # Reference: today's rule, one image comparison per ordered pair.
+        from subposet_lab.posets import Embedding
+
+        def reference(pattern, emb, host=None):
+            images = emb.images
+            if len(images) != pattern.size:
+                raise InvalidEmbedding("image count differs from pattern size")
+            if len(set(images)) != len(images):
+                raise InvalidEmbedding("assignment is not injective")
+
+            def img_less(a, b):
+                x, y = images[a], images[b]
+                if emb.target_kind == "family":
+                    return x.is_proper_subset(y)
+                if host is None:
+                    raise InvalidEmbedding("poset-target validation needs the host poset")
+                return host.less(x, y)
+
+            for a in range(pattern.size):
+                for b in range(pattern.size):
+                    if a == b:
+                        continue
+                    if pattern.less(a, b) and not img_less(a, b):
+                        raise InvalidEmbedding(f"relation {a} < {b} not preserved")
+                    if emb.mode == "induced" and not pattern.less(a, b) and img_less(a, b):
+                        raise InvalidEmbedding(f"spurious image relation under {a}, {b}")
+
+        def outcome(check, *args):
+            try:
+                check(*args)
+            except InvalidEmbedding as exc:
+                return str(exc)
+            return None
+
+        rng = random.Random(18)
+        seen = set()
+        for _ in range(3000):
+            pattern = random_poset(rng, rng.randint(1, 5))
+            mode = rng.choice(["weak", "induced"])
+            if rng.random() < 0.5:
+                n = rng.randint(3, 4)
+                pool = [Subset(n, m) for m in range(1 << n)]
+                host = None
+                kind = "family"
+            else:
+                host = random_poset(rng, rng.randint(pattern.size, 7))
+                pool = list(range(host.size))
+                kind = "poset"
+            images = tuple(rng.choice(pool) for _ in range(pattern.size))
+            if rng.random() < 0.8:
+                images = tuple(rng.sample(pool, pattern.size))
+            emb = Embedding(mode, kind, images)
+            if kind == "poset" and rng.random() < 0.2:
+                host = None
+            got = outcome(check_embedding, pattern, emb, host)
+            assert got == outcome(reference, pattern, emb, host), (pattern, emb, host)
+            seen.add(got.split()[0] if got else None)
+        assert seen == {None, "relation", "spurious", "assignment", "poset-target"}
 
 
 class TestInclusionPoset:

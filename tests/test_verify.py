@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
-from subposet_lab import bounds, families, verify
+from subposet_lab import bounds, families, posets, verify
 from subposet_lab.errors import PreconditionViolated
+
+from conftest import random_poset
 
 PARAMS = dict(k_values=(), n=None, samples=2, seed=1, steps=3)
 
@@ -63,3 +67,45 @@ def test_worstset_counts_the_sets_the_related_definition_qualifies():
         detail = verify._worst_set_partners(k, n_max)
         assert detail == f"{qualifying} qualifying sets, all with the unique partner"
         assert qualifying > 0
+
+
+def _reference_growth(n, P, candidates):
+    """The counting suite's family, grown with one full search per candidate."""
+    members = []
+    for mask in candidates:
+        trial = families.SetFamily(n, members + [families.Subset(n, mask)])
+        if posets.find_subposet(trial, P, "weak") is None:
+            members = list(trial)
+    return families.SetFamily(n, members)
+
+
+def test_grown_family_matches_one_search_per_candidate():
+    patterns = [posets.parse_poset_spec(spec) for spec in (
+        "chain:2", "chain:3", "diamond:1", "diamond:2", "K:1,2", "K:2,2", "antichain:2"
+    )]
+    cases = 0
+    for seed in range(160):
+        rng = random.Random(seed)
+        for P in patterns + [random_poset(rng, rng.randint(2, 4))]:
+            n = rng.randint(1, 6)
+            candidates = rng.sample(range(1 << n), rng.randint(0, 1 << n))
+            got = verify._grow_free(n, P, candidates)
+            assert got == _reference_growth(n, P, candidates), (seed, P, n)
+            cases += 1
+    assert cases >= 1000
+
+
+def test_counting_instance_builds_a_handful_of_searches(monkeypatch):
+    built = []
+    init = posets.EmbeddingSearch.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[1])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(posets.EmbeddingSearch, "__init__", counted)
+    for seed in range(5):
+        built.clear()
+        verify._double_count(seed)
+        # One to grow the family, not one per candidate (at least 8 of them).
+        assert len(built) <= 3, (seed, len(built))
