@@ -19,15 +19,13 @@ from . import bounds as bnd
 from . import verify
 from .embedder import greedy_embed
 from .errors import PreconditionViolated, SubposetLabError
-from .families import IntervalChainSpec, family_from_text, family_to_text, interval_chain
+from .families import IntervalChainSpec, check_chain_enumeration, interval_chain
+from .families import family_from_text, family_to_text
 from .posets import parse_poset_spec
 from .solver import alpha, la_exact, lubell_max
 
-# Largest ground set `chain`, `embed` and `alpha` accept, and the most sets
-# `chain` and `embed` may enumerate for a chain: (n - k + 1) intervals of 2^k
-# sets each bound its size.
+# Largest ground set `chain`, `embed` and `alpha` accept.
 MAX_GROUND_SET = 64
-MAX_CHAIN_ENUMERATION = 1 << 20
 
 
 def _parse_k_range(text: str) -> tuple[int, ...]:
@@ -154,14 +152,11 @@ def cmd_alpha(args: argparse.Namespace) -> int:
 
 def _chain_spec(n: int, k: int) -> IntervalChainSpec:
     """The canonical chain `chain` and `embed --n` enumerate, refused up front
-    past MAX_GROUND_SET or MAX_CHAIN_ENUMERATION."""
+    past MAX_GROUND_SET or families.MAX_CHAIN_ENUMERATION."""
     if n > MAX_GROUND_SET:
         raise PreconditionViolated(f"n={n} is above the ground-set cap {MAX_GROUND_SET}")
     spec = IntervalChainSpec.canonical(n, k)
-    if (n - k + 1) << k > MAX_CHAIN_ENUMERATION:
-        raise PreconditionViolated(
-            f"the chain bound (n-k+1)*2^k = {(n - k + 1) << k} is above {MAX_CHAIN_ENUMERATION}"
-        )
+    check_chain_enumeration(n, k)
     return spec
 
 

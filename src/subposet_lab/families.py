@@ -18,7 +18,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import OutOfRange
+from .errors import OutOfRange, PreconditionViolated
 
 
 @dataclass(frozen=True)
@@ -470,6 +470,20 @@ def _chain_masks(spec: IntervalChainSpec) -> Iterator[int]:
 def interval_chain(spec: IntervalChainSpec) -> SetFamily:
     """Enumerate the chain as a family: union of the n-k+1 intervals."""
     return SetFamily.from_masks(spec.n, _chain_masks(spec))
+
+
+# The most sets a caller may enumerate for one chain: its n - k + 1 intervals
+# of 2^k sets each bound its size.
+MAX_CHAIN_ENUMERATION = 1 << 20
+
+
+def check_chain_enumeration(n: int, k: int) -> None:
+    """Refuse to enumerate C_k[n] when its size bound is above MAX_CHAIN_ENUMERATION."""
+    bound = (n - k + 1) << k
+    if bound > MAX_CHAIN_ENUMERATION:
+        raise PreconditionViolated(
+            f"the chain bound (n-k+1)*2^k = {bound} at n={n}, k={k} is above {MAX_CHAIN_ENUMERATION}"
+        )
 
 
 def level_count(spec: IntervalChainSpec, m: int) -> int:

@@ -190,6 +190,8 @@ class Embedding:
 
 def poset_from_relations(pairs: Iterable[tuple[int, int]], size: int) -> Poset:
     """Transitive closure of the given (below, above) pairs; rejects cycles."""
+    if size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
     rows = [0] * size
     for lo, hi in pairs:
         if not (0 <= lo < size and 0 <= hi < size):
@@ -289,14 +291,16 @@ class EmbeddingSearch:
     and below host index z: a Poset host's rows and columns, or a family's
     containment_masks, which cost |H| * n mask operations, not a test per
     pair of sets. labels holds a family's sets (None for a Poset), so
-    embeddings can be reported as sets. _generic builds its per-element
-    plans on first use, so a search that a kernel answers builds none.
+    embeddings can be reported as sets. embeddings() builds its plan when
+    it runs and _generic its per-element plans on first use, so a search that
+    a kernel answers builds none.
 
     rel[u][e][z] is the mask of host candidates left for pattern element u
     (u != e) once e is imaged at host index z: the host's below / above row
-    when u lies below / above e, the non-neighbours of z when they are
-    incomparable in induced mode, and every index otherwise. The mode is
-    settled once, when the tables are built.
+    when u lies below / above e, else _incomparable[z]: z's non-neighbours in
+    induced mode, every other index in weak mode, so the mode is settled once.
+    No candidate table holds its own index, so no mask narrowed by an image
+    holds that image again, and the images stay distinct.
 
     embeds_using(allowed, z) asks for a copy inside `allowed` through host
     index z, and answers in three steps. Containing the pattern is monotone in
@@ -317,8 +321,8 @@ class EmbeddingSearch:
       - every other pattern, K:2,2,2 or a poset that is not complete, takes
         _generic, which pins a pattern element to z and runs _extend.
       Both kernels settle their last layer with one middle test, _middles:
-      _weak_middles (any k members) in weak mode, _induced_middles (k
-      pairwise incomparable members) in induced mode.
+      k members, each pair in _incomparable, which in weak mode is any k
+      distinct members.
     Every step gives the exact answer, so the caller's results do not depend
     on which one gave it. embeddings() reads and writes neither cache.
     """
@@ -331,7 +335,6 @@ class EmbeddingSearch:
         "mode",
         "order",
         "rel",
-        "_plan",
         "_pinned_plans",
         "_twin_reps",
         "_copies",
@@ -339,7 +342,6 @@ class EmbeddingSearch:
         "_incomparable",
         "_layers",
         "_full",
-        "_middles",
     )
 
     def __init__(self, host: Union[Poset, SetFamily], pattern: Poset, mode: str):
@@ -362,11 +364,9 @@ class EmbeddingSearch:
         size = len(above)
         full = (1 << size) - 1
         if mode == "induced":
-            incomparable = [
-                full & ~(above[z] | below[z] | 1 << z) for z in range(size)
-            ]
+            incomparable = [full & ~(above[z] | below[z] | 1 << z) for z in range(size)]
         else:
-            incomparable = [full] * size
+            incomparable = [full ^ 1 << z for z in range(size)]
         self.rel = [
             [
                 below if pattern.less(u, e)
@@ -376,28 +376,19 @@ class EmbeddingSearch:
             ]
             for u in range(q)
         ]
-        self._plan = self._plan_for(self.order)
         # _generic's plans, one per pinned element, built on first use.
         self._pinned_plans: dict[int, tuple] = {}
         # Elements with identical up- and down-sets are swappable, so a copy
         # through one exists iff a copy through any of its twins does.
-        seen: dict[tuple[int, int], int] = {}
-        reps = []
+        first: dict[tuple[int, int], int] = {}
         for e in range(q):
-            key = (pattern.above_mask(e), pattern.below_mask(e))
-            if key not in seen:
-                seen[key] = e
-                reps.append(e)
-        self._twin_reps = reps
+            first.setdefault((pattern.above_mask(e), pattern.below_mask(e)), e)
+        self._twin_reps = list(first.values())
         self._copies = [-1] * size
         self._misses = [0] * size
         self._incomparable = incomparable
-        # _full and _middles hold plain functions, so the search is not a cycle.
+        # _full holds a plain function, so the search is not a cycle.
         self._layers = layers = pattern.complete_layer_sizes() or ()
-        self._middles = (
-            EmbeddingSearch._weak_middles if mode == "weak"
-            else EmbeddingSearch._induced_middles
-        )
         if len(layers) == 3 and layers[0] == layers[2] == 1:
             self._full = EmbeddingSearch._diamond
         elif len(layers) == 2:
@@ -439,7 +430,7 @@ class EmbeddingSearch:
 
         q = self.pattern.size
         full = (1 << len(self.above)) - 1
-        _extend(self._plan, 0, [-1] * q, [full] * q, 0, keep, tick)
+        _extend(self._plan_for(self.order), 0, [-1] * q, [full] * q, keep, tick)
         return found
 
     def embeds_using(self, allowed_mask: int, host_idx: int) -> bool:
@@ -479,7 +470,7 @@ class EmbeddingSearch:
             images = [-1] * len(rel)
             images[e] = z
             cand = [allowed & row[e][z] for row in rel]
-            if _extend(plan, 1, images, cand, 1 << z, _stop, None):
+            if _extend(plan, 1, images, cand, _stop, None):
                 return sum(1 << x for x in images)
         return 0
 
@@ -506,7 +497,7 @@ class EmbeddingSearch:
             rest = up
             while rest:
                 d = rest.bit_length() - 1
-                found = middles(self, up & below[d], 0, k)
+                found = middles(up & below[d], 0, k)
                 if found:
                     return 1 << z | 1 << d | found
                 rest &= ~(below[d] | 1 << d)
@@ -515,7 +506,7 @@ class EmbeddingSearch:
             rest = down
             while rest:
                 a = (rest & -rest).bit_length() - 1
-                found = middles(self, down & above[a], 0, k)
+                found = middles(down & above[a], 0, k)
                 if found:
                     return 1 << z | 1 << a | found
                 rest &= ~(above[a] | 1 << a)
@@ -532,7 +523,7 @@ class EmbeddingSearch:
                 a = (rest & -rest).bit_length() - 1
                 span = above[a] & allowed
                 for d in tops:
-                    found = middles(self, span & below[d], 1 << z, k)
+                    found = middles(span & below[d], 1 << z, k)
                     if found:
                         return 1 << a | 1 << d | found
                 rest &= ~(above[a] | 1 << a)
@@ -556,8 +547,8 @@ class EmbeddingSearch:
         incomparable = self._incomparable
         middles = self._middles
         bit = 1 << z
-        # Picks of z's layer besides z. In weak mode _incomparable is all sets.
-        peers = allowed & incomparable[z] & ~bit
+        # Picks of z's layer besides z.
+        peers = allowed & incomparable[z]
         n_peers = peers.bit_count()
         for own, other, cand, toward, back in (
             (bottoms, tops, above[z] & allowed, above, below),
@@ -575,7 +566,7 @@ class EmbeddingSearch:
             stack = []
             while True:
                 if not need:
-                    found = middles(self, last, 0, last_need)
+                    found = middles(last, 0, last_need)
                     if found:
                         return bit | chosen | found
                 elif rest.bit_count() >= need:
@@ -596,21 +587,12 @@ class EmbeddingSearch:
                 chosen, rest, last, need = stack.pop()
         return 0
 
-    def _weak_middles(self, middle: int, through: int, k: int) -> int:
-        """k members of `middle`, `through` (0 or a member) and the lowest
-        others, as a mask, or 0 if it has fewer than k."""
-        if middle.bit_count() < k:
-            return 0
-        rest = middle & ~through
-        for _ in range(k - bool(through)):
-            rest &= rest - 1
-        return middle ^ rest
-
-    def _induced_middles(self, middle: int, through: int, k: int) -> int:
-        """k pairwise incomparable members of `middle`, `through` (0 or a
-        member) among them, as a mask, or 0 if there are none. Members are
-        tried lowest first, each next one among those incomparable to all
-        taken so far; the last two are a member with its least partner."""
+    def _middles(self, middle: int, through: int, k: int) -> int:
+        """k members of `middle` pairwise in _incomparable (any k in weak
+        mode), `through` (0 or a member) among them, as a mask, or 0 if there
+        are none. Members are tried lowest first, each next one in the
+        _incomparable row of all taken so far; the last two are a member with
+        its least partner."""
         incomparable = self._incomparable
         chosen = through
         if through:
@@ -654,35 +636,34 @@ def _extend(
     depth: int,
     images: list[int],
     cand: list[int],
-    used: int,
     leaf: Callable[[list[int]], bool],
     tick: Callable[[], None] | None,
 ) -> bool:
-    """Assign the plan's elements from `depth` on, given the images, candidate
-    masks and used host indices so far, and call leaf(images) at each full
-    assignment. Returns True, ending the search, as soon as a leaf does; tick,
-    when given, is called once per candidate tried."""
+    """Assign the plan's elements from `depth` on, given the images and
+    candidate masks so far, and call leaf(images) at each full assignment.
+    Returns True, ending the search, as soon as a leaf does; tick, when given,
+    is called once per candidate tried. No candidate table holds its own
+    index, so no mask narrowed by an image holds it again."""
     if depth == len(plan):
         return leaf(images)
     elem, later = plan[depth]
     depth += 1
-    choices = cand[elem] & ~used
+    choices = cand[elem]
     while choices:
         z = choices & -choices
         choices ^= z
         if tick is not None:
             tick()
         zi = z.bit_length() - 1
-        used_z = used | z
         narrowed = cand.copy()
         for u, masks in later:
             c = narrowed[u] & masks[zi]
-            if not c & ~used_z:
+            if not c:
                 break
             narrowed[u] = c
         else:
             images[elem] = zi
-            if _extend(plan, depth, images, narrowed, used_z, leaf, tick):
+            if _extend(plan, depth, images, narrowed, leaf, tick):
                 return True
     return False
 
@@ -841,6 +822,8 @@ def parse_edge_list(text: str) -> Poset:
                 raise ParseError(f"bad edge line (want 'u < v'): {raw!r}") from exc
     if size is None:
         raise ParseError("edge list needs a 'size N' header line")
+    if size < 1:
+        raise ParseError(f"edge list size must be >= 1, got {size}")
     _check_spec_size(size, "edge list")
     try:
         return poset_from_relations(pairs, size)

@@ -31,14 +31,17 @@ def _need(suite: str, what: str, value: int, least: int) -> None:
 
 
 def _per_k(suite: str, check, default_ks, default_n: int, least_k: int, n_floor):
-    """A suite of check(k, n_max) per k, refusing k < least_k and an n below
-    n_floor(least k), which leaves that k nothing to enumerate."""
+    """A suite of check(k, n_max) per k, refusing k < least_k, an n below
+    n_floor(least k), which leaves that k nothing to enumerate, and a chain
+    C_k[n_max] past the enumeration cap. The chain's size bound grows with k
+    below n, so the largest k that enumerates at n_max is the one checked."""
 
     def build(k_values, n, **_):
         ks = k_values or default_ks
         n_max = default_n if n is None else n
         _need(suite, "k", min(ks), least_k)
         _need(suite, "n", n_max, n_floor(min(ks)))
+        families.check_chain_enumeration(n_max, max(k for k in ks if n_floor(k) <= n_max))
         return [(f"{suite} k={k}", check, (k, n_max)) for k in ks]
 
     return build
@@ -185,6 +188,7 @@ def _greedy(k_values, n, samples, seed, **_):
     _need("greedy", "k", k, 2)
     _need("greedy", "samples", samples, 1)
     spec = families.IntervalChainSpec.canonical(n, k)
+    families.check_chain_enumeration(n, k)
     window = families.interval_chain(spec).restrict_sizes(*spec.embedding_window)
     patterns = [
         ("chain:3", posets.chain(3)),
@@ -217,10 +221,13 @@ def _soundness(k_values, **_):
     _need("soundness", "k", min(ks), 2)
     checks = []
     for k in ks:
-        n = bounds.min_valid_n(k)
-        if n > solver.N_GUARD:
+        # min_valid_n(k) >= k, as 2^(k-1) <= binom(n, n // 2) <= 2^(n-1): a k
+        # above the guard is refused before the search for its n.
+        n = bounds.min_valid_n(k) if k <= solver.N_GUARD else None
+        if n is None or n > solver.N_GUARD:
+            need = f">= {k}" if n is None else f"= {n}"
             raise PreconditionViolated(
-                f"soundness: k={k} needs n = min_valid_n(k) = {n}, "
+                f"soundness: k={k} needs n = min_valid_n(k) {need}, "
                 f"above the exact-search guard ({solver.N_GUARD})"
             )
         checks += [

@@ -185,6 +185,13 @@ def test_absent_or_oversized_family_file_is_refused(files):
     refuse(["alpha", "--family", str(big), "--poset", "chain:2"])
 
 
+def test_empty_edge_list_is_refused(files):
+    empty = files / "empty-poset.txt"
+    empty.write_text("size -1\n")
+    refuse(["bounds", "--poset", f"edges:{empty}"])
+    refuse(["exact", "--n", "3", "--poset", f"edges:{empty}"])
+
+
 def test_oversized_ground_set_is_refused(files):
     # No command may start: embed would build n-bit masks for an (n + 1)-set
     # base, alpha an n-tuple sort key per set, chain enumerate 2^40 sets.

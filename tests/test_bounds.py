@@ -55,6 +55,14 @@ class TestRationalFormulas:
         with pytest.raises(InvalidParams):
             bound_dk(1)
 
+    def test_bound_report_validation(self):
+        from subposet_lab.bounds import BoundReport
+
+        with pytest.raises(InvalidParams, match="side must be 'upper' or 'lower'"):
+            BoundReport("x", "middle", Fraction(1))
+        with pytest.raises(InvalidParams, match="nonnegative"):
+            BoundReport("x", "upper", Fraction(-1, 2))
+
     def test_reduction_identities_on_grid(self):
         for sizeP in range(1, 60):
             for h in range(1, sizeP + 1):

@@ -104,6 +104,17 @@ class TestExactCommand:
         assert code == 2 and out == ""
         assert err == "error: need n >= 0, got -1\n"
 
+    def test_lubell_objective(self, capsys):
+        from subposet_lab.posets import chain
+        from subposet_lab.solver import lubell_max
+
+        code, out, _ = run_cli(
+            capsys, "exact", "--n", "3", "--poset", "chain:2", "--objective", "lubell"
+        )
+        assert code == 0
+        expected = lubell_max(3, chain(2), "weak").as_dict()
+        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
     def test_budget_flags_nonexhaustive(self, capsys):
         code, out, _ = run_cli(
             capsys, "exact", "--n", "4", "--poset", "chain:2", "--budget", "10"
@@ -335,6 +346,28 @@ class TestVerifyCommand:
             (
                 ["soundness", "--k", "2..4"],
                 "soundness: k=3 needs n = min_valid_n(k) = 10, "
+                "above the exact-search guard (7)",
+            ),
+            (
+                ["levelsize", "--k", "16", "--n", "32"],
+                "the chain bound (n-k+1)*2^k = 1114112 at n=32, k=16 is above 1048576",
+            ),
+            (
+                ["worstset", "--k", "2..20", "--n", "40"],
+                "the chain bound (n-k+1)*2^k = 22020096 at n=40, k=20 is above 1048576",
+            ),
+            (
+                # k = 17..20 need n >= 64, so k = 16 enumerates the largest chain.
+                ["unrelated", "--k", "2..20", "--n", "60"],
+                "the chain bound (n-k+1)*2^k = 2949120 at n=60, k=16 is above 1048576",
+            ),
+            (
+                ["greedy", "--k", "20", "--n", "40"],
+                "the chain bound (n-k+1)*2^k = 22020096 at n=40, k=20 is above 1048576",
+            ),
+            (
+                ["soundness", "--k", "1000"],
+                "soundness: k=1000 needs n = min_valid_n(k) >= 1000, "
                 "above the exact-search guard (7)",
             ),
         ],

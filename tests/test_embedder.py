@@ -400,6 +400,10 @@ class TestGreedyEmbed:
 
 
 class TestShiftIntoInterior:
+    def test_k_below_two_refused(self):
+        with pytest.raises(ValueError, match="need k >= 2, got 1"):
+            shift_into_interior(SetFamily.power_set(2), 1)
+
     def test_empty_set_becomes_pad(self):
         fam = SetFamily(4, [Subset.empty(4)])
         shifted = shift_into_interior(fam, 2)
@@ -515,6 +519,34 @@ class TestSpanCertificate:
         emb = find_subposet(SetFamily.power_set(4), pattern, "weak")
         with pytest.raises(InvalidEmbedding):
             span_certificate(pattern, emb)
+
+    def test_rejects_poset_targets(self):
+        emb = Embedding("weak", "poset", (0, 1))
+        with pytest.raises(InvalidEmbedding, match="apply to family targets"):
+            span_certificate(chain(2), emb)
+
+    @pytest.mark.parametrize(
+        "sizes, layers, message",
+        [
+            # Layer 0's union {1} does not lie in layer 1's union {2}.
+            ((1, 1, 1), [[0b001], [0b010], [0b011]], "layer unions are not nested"),
+            # Two sets between {1, 2} and {1, 2} need a growth of one element.
+            ((2, 2, 2), [[0b01, 0b10], [0b01, 0b10], [0b11, 0b11]], "union growth 0"),
+            # Width 4 at height 3 needs two levels; every image has size 1.
+            (
+                (4, 4, 4),
+                [[0b001] * 4, [0b001, 0b010, 0b100, 0b001], [0b001] * 4],
+                "spanned 1 levels",
+            ),
+        ],
+    )
+    def test_invariant_refusals(self, monkeypatch, sizes, layers, message):
+        # A checked embedding always passes these three tests, so the images
+        # are built to break them and check_embedding is switched off.
+        monkeypatch.setattr(embedder, "check_embedding", lambda pattern, emb: None)
+        images = tuple(Subset(3, m) for layer in layers for m in layer)
+        with pytest.raises(InvalidEmbedding, match=message):
+            span_certificate(complete_multilevel(sizes), Embedding("weak", "family", images))
 
     def test_width_one_is_vacuously_fine(self):
         pattern = chain(3)

@@ -273,6 +273,14 @@ class TestIntervalChain:
         with pytest.raises(ValueError):
             IntervalChainSpec.canonical(3, 4)
 
+    def test_rejects_short_or_unnested_base(self):
+        base = IntervalChainSpec.canonical(3, 2).base
+        with pytest.raises(ValueError, match="maximal chain with n\\+1 sets"):
+            IntervalChainSpec(3, 2, base[:3])
+        unnested = (base[0], Subset(3, 0b001), Subset(3, 0b110), base[3])
+        with pytest.raises(ValueError, match="base chain is not nested"):
+            IntervalChainSpec(3, 2, unnested)
+
 
 class TestLevelCount:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -35,6 +36,7 @@ from conftest import (
     brute_contains_through,
     brute_poset_contains,
     is_copy,
+    random_family,
     random_poset,
 )
 
@@ -59,6 +61,11 @@ class TestConstruction:
     def test_out_of_range_ids(self):
         with pytest.raises(ValueError):
             poset_from_relations([(0, 5)], 3)
+
+    def test_negative_size_refused(self):
+        assert poset_from_relations([], 0).size == 0
+        with pytest.raises(ValueError, match="size must be >= 0, got -1"):
+            poset_from_relations([], -1)
 
     def test_direct_constructor_validates(self):
         with pytest.raises(ValueError):
@@ -694,6 +701,29 @@ class TestEmbedsUsing:
         assert EmbeddingSearch(host, diamond(1), "weak").embeds_using(without_2, z)
 
     @pytest.mark.parametrize("mode", ["weak", "induced"])
+    def test_no_candidate_table_holds_its_own_index(self, mode):
+        # _extend keeps the images distinct only because narrowing by an
+        # image drops it: no table row at host index z may hold z.
+        rng = random.Random(f"own-index:{mode}")
+        for trial in range(40):
+            if trial % 2:
+                host = random_poset(rng, rng.randint(1, 8))
+            else:
+                n = rng.randint(1, 5)
+                host = random_family(rng, n, rng.randint(1, 1 << n))
+            pattern = random_poset(rng, rng.randint(1, 4))
+            search = EmbeddingSearch(host, pattern, mode)
+            for z in range(len(host)):
+                assert not search._incomparable[z] >> z & 1, (host, pattern, z)
+                for row in search.rel:
+                    for table in row:
+                        assert not table[z] >> z & 1, (host, pattern, z)
+
+    def test_bad_mode_refused(self):
+        with pytest.raises(ValueError, match="mode must be 'weak' or 'induced'"):
+            EmbeddingSearch(SetFamily.power_set(2), chain(2), "strong")
+
+    @pytest.mark.parametrize("mode", ["weak", "induced"])
     def test_one_element_pattern_embeds_through_any_allowed_set(self, mode):
         host = SetFamily.power_set(3)
         for pattern in (chain(1), antichain(1)):
@@ -759,6 +789,12 @@ class TestEmbedIntoDiamondProduct:
 
 
 class TestCheckEmbedding:
+    def test_rejects_wrong_image_count(self):
+        from subposet_lab.posets import Embedding
+
+        with pytest.raises(InvalidEmbedding, match="image count differs"):
+            check_embedding(chain(2), Embedding("weak", "poset", (0,)), chain(2))
+
     def test_rejects_non_injective(self):
         from subposet_lab.posets import Embedding
 
@@ -897,8 +933,27 @@ class TestPosetSpecDSL:
             "product:(chain:2)",
             "product:(chain:2,chain:2",
             "edges:/nonexistent/file",
+            "product:(chain:2),(chain:3)",
         ],
     )
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
             parse_poset_spec(bad)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("size x\n", "bad size header: 'size x'"),
+            ("size\n", "bad size header: 'size'"),
+            ("size 3\n0 - 1\n", "bad edge line (want 'u < v'): '0 - 1'"),
+            ("0 < 1\n", "edge list needs a 'size N' header line"),
+            ("size 2\n0 < 2\n", "pair (0, 2) references ids outside 0..1"),
+            ("size 0\n", "edge list size must be >= 1, got 0"),
+            ("size -1\n", "edge list size must be >= 1, got -1"),
+        ],
+    )
+    def test_edge_list_refusals(self, tmp_path, text, message):
+        path = tmp_path / "poset.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_poset_spec(f"edges:{path}")

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -16,7 +17,14 @@ from subposet_lab.families import (
     lubell,
     min_chain_partition,
 )
-from subposet_lab.posets import antichain, chain, diamond, find_subposet, parse_poset_spec
+from subposet_lab.posets import (
+    Poset,
+    antichain,
+    chain,
+    diamond,
+    find_subposet,
+    parse_poset_spec,
+)
 from subposet_lab.solver import (
     MAX_HOST_SETS,
     alpha,
@@ -54,6 +62,13 @@ class TestAlpha:
     def test_chain_host_collapses(self):
         r = alpha(maximal_chain_family(5), chain(2))
         assert r.value == 1 and r.exhaustive
+
+    def test_refuses_empty_pattern_and_unknown_objective(self):
+        host = SetFamily.power_set(2)
+        with pytest.raises(ValueError, match="pattern must have at least one element"):
+            alpha(host, Poset([]))
+        with pytest.raises(ValueError, match="unknown objective 'mass'"):
+            alpha(host, chain(2), "weak", "mass")
 
     def test_sperner_on_small_cube(self):
         r = alpha(SetFamily.power_set(3), chain(2))
@@ -452,6 +467,38 @@ class TestLaExact:
         with pytest.raises(GuardRefused):
             la_exact(8, chain(2))
 
+    def test_diamond_free_family_of_36_at_six(self):
+        # La(6, D_2) >= 36: level 2 without the perfect matching {16, 25, 34},
+        # twelve 3-sets, and the complements of the twelve 2-sets.
+        def mask(digits):
+            return sum(1 << (int(d) - 1) for d in digits)
+
+        pairs = [
+            a * 10 + b
+            for a, b in itertools.combinations(range(1, 7), 2)
+            if a * 10 + b not in (16, 25, 34)
+        ]
+        triples = "125 126 134 136 146 156 234 235 245 256 345 346".split()
+        masks = [mask(str(p)) for p in pairs] + [mask(t) for t in triples]
+        masks += [0b111111 ^ mask(str(p)) for p in pairs]
+        assert len(set(masks)) == 36
+
+        def has_weak_diamond(family):
+            # Some A below D with two members strictly between them.
+            return any(
+                a & d == a != d
+                and sum(a & b == a != b and b & d == b != d for b in family) >= 2
+                for a in family
+                for d in family
+            )
+
+        assert not has_weak_diamond(masks)
+        fam = SetFamily.from_masks(6, masks)
+        assert find_subposet(fam, diamond(2)) is None
+        # Maximal: every other set of 2^[6] completes a diamond.
+        for extra in set(range(64)) - set(masks):
+            assert has_weak_diamond(masks + [extra]), extra
+
     def test_guard_override_allows(self):
         # budget keeps the override run small; value is a valid lower bound
         r = la_exact(8, chain(2), override=True, node_budget=50)
@@ -508,6 +555,10 @@ class TestVerifyDoubleCounting:
         fam = SetFamily.levels(4, [1, 2]).without([Subset.from_elements(4, [1, 2])])
         report = verify_double_counting(H, diamond(2), fam)
         assert report.holds and report.identity_holds
+
+    def test_rejects_mismatched_ground_sets(self):
+        with pytest.raises(ValueError, match="different ground sets"):
+            verify_double_counting(SetFamily.power_set(2), chain(2), SetFamily(3))
 
     def test_rejects_family_containing_pattern(self):
         H = SetFamily.power_set(3)
