@@ -3,9 +3,9 @@
 alpha() maximizes cardinality or Lubell mass over pattern-free subfamilies of
 a fixed family by depth-first branch and bound; it is the brute-force oracle
 against which every closed-form bound is checked. On unions of full levels it
-also prunes with the paper's double count over interval chains. The n-guard
-on whole-cube searches reflects that 2^(2^n) subfamily spaces are only
-reachable through pruning.
+also prunes with the paper's double count over interval chains and branches
+on S_n orbits. The n-guard on whole-cube searches reflects that 2^(2^n)
+subfamily spaces are only reachable through pruning.
 """
 
 from __future__ import annotations
@@ -175,6 +175,24 @@ def _knapsack_bound(weights: list[int], values: list[int]):
     return bound
 
 
+def _split_blocks(blocks: tuple[int, ...], a: int) -> tuple[int, ...] | None:
+    """The blocks of a partition of [n] (ground-set masks) cut by the set a,
+    sorted; None once every block has at most one element."""
+    parts = sorted(part for b in blocks for part in (b & a, b & ~a) if part)
+    return tuple(parts) if any(part & (part - 1) for part in parts) else None
+
+
+def _orbit_masks(masks: tuple[int, ...], blocks: tuple[int, ...]) -> list[int]:
+    """Per set in masks: the bits (over positions in masks) of its orbit under
+    the permutations of [n] that map each block to itself. That group moves A
+    onto B exactly when |A & b| = |B & b| for every block b."""
+    signatures = [tuple((s & b).bit_count() for b in blocks) for s in masks]
+    orbits: dict[tuple[int, ...], int] = {}
+    for i, signature in enumerate(signatures):
+        orbits[signature] = orbits.get(signature, 0) | 1 << i
+    return [orbits[signature] for signature in signatures]
+
+
 def _row_step(knapsacks: list, weights: tuple[int, ...], p: int, left: tuple[int, ...]):
     """The rows at branching position p with unused capacities `left`: the
     least knapsack bound of the sets from p on, and the capacities left after
@@ -223,14 +241,33 @@ def alpha(
     2. include-first in canonical order with the incumbent at v - 1,
        stopping at the first family of value v.
 
+    On such hosts both passes also branch orbitally (Margot 2002; Ostrowski
+    et al. 2011). Every permutation of [n] maps H onto itself and keeps each
+    set's level, so it maps a P-free family to one of the same value. At a
+    node, the permutations fixing each chosen set are those keeping each
+    block of the partition of [n] the chosen sets cut out; they move set A
+    onto every B in H with |A & b| = |B & b| for each block b. Excluding A
+    then forces that whole orbit out, and a forced-out set takes only its
+    exclude branch (still counted as a node). For any threshold u, no
+    pruned subtree holds F*, the first P-free family of value above u in a
+    pass's include-first order: if it held F*, F* would avoid A and hold some
+    B of A's orbit, and a permutation s of that group with s(B) = A would
+    give s(F*), P-free with the same value, holding every chosen set and A,
+    so it would come before F* in that order (the include branch on A was
+    searched earlier). Each improving leaf is such an F*, so the passes meet
+    the same improving leaves as without the orbits, in a subset of the
+    nodes: no search takes more nodes, and one that ends within its budget
+    without the orbits also does so with them, with the same value and
+    witness.
+
     Other hosts (interval chains, arbitrary families) get no rows, for cost
-    (see double_count_rows), and only the include-first pass. Either way
-    include-first order with strict improvement makes the witness the
-    lexicographically least optimum over canonical indices, and
-    nodes_explored counts the nodes of both passes (not those of the
-    capacity searches behind the rows). Both passes run one iterative loop
-    over a list of pending branches, so the search's depth in Python frames
-    does not grow with the host.
+    (see double_count_rows), no orbital branching, and only the
+    include-first pass. Either way include-first order with strict
+    improvement makes the witness the lexicographically least optimum over
+    canonical indices, and nodes_explored counts the nodes of both passes
+    (not those of the capacity searches behind the rows). Both passes run
+    one iterative loop over a list of pending branches, so the search's depth
+    in Python frames does not grow with the host.
 
     Hitting the node budget returns a valid lower bound flagged
     non-exhaustive: a stop in the first pass returns its incumbent, which
@@ -292,6 +329,24 @@ def _search(
     chain_bits = [sum(1 << i for i in c) for c in chains]
     embeds_using = search.embeds_using
 
+    # Orbital branching where every permutation of [n] maps H onto itself and
+    # keeps each set's level: a node's group fixes each chosen set, so it is
+    # the permutations keeping each block of the partition of [n] the chosen
+    # sets cut out. sym is (forced-out mask, blocks), blocks None once the
+    # group is trivial; sym is None on other hosts.
+    root_sym = (0, ((1 << H.n) - 1,)) if H.n >= 2 and _complete_levels(H) else None
+    set_masks = H.masks()
+    orbit_tables: dict[tuple[int, ...], list[int]] = {}
+    # (blocks, i) -> (set i's orbit, the blocks once set i is chosen).
+    branchings: dict[tuple[tuple[int, ...], int], tuple[int, tuple[int, ...] | None]] = {}
+
+    def branching(blocks: tuple[int, ...], i: int) -> tuple[int, tuple[int, ...] | None]:
+        table = orbit_tables.get(blocks)
+        if table is None:
+            table = orbit_tables[blocks] = _orbit_masks(set_masks, blocks)
+        got = branchings[blocks, i] = (table[i], _split_blocks(blocks, set_masks[i]))
+        return got
+
     best_value = -1
     best_mask = 0
     nodes = 0
@@ -318,12 +373,12 @@ def _search(
             memo: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...] | None]] = {}
         # A stack of exclude branches: (branching position, mask of the chosen
         # sets' canonical indices, value so far, bound, unused capacity per
-        # row). The include branch is taken in place, so each include subtree
-        # is finished before the exclude branch under it is popped. A chain's
-        # chosen count is read off the mask.
-        pending = [(0, 0, 0, root_bound, row_caps)]
+        # row, sym). The include branch is taken in place, so each include
+        # subtree is finished before the exclude branch under it is popped. A
+        # chain's chosen count is read off the mask.
+        pending = [(0, 0, 0, root_bound, row_caps, root_sym)]
         while pending:
-            p, mask, value, bound, left = pending.pop()
+            p, mask, value, bound, left, sym = pending.pop()
             while True:
                 nodes += 1
                 if node_budget is not None and nodes > node_budget:
@@ -348,7 +403,22 @@ def _search(
                         break
                 i, bit, bits, inc_p, exc_p, worth = steps[p]
                 k = (mask & bits).bit_count()
-                pending.append((p + 1, mask, value, bound + exc_p[k], left))
+                # Other hosts pay one test per node for the orbits.
+                if sym is None:
+                    pending.append((p + 1, mask, value, bound + exc_p[k], left, None))
+                else:
+                    out, blocks = sym
+                    excluded = sym
+                    if out >> i & 1:
+                        # An earlier exclude branch forced set i out.
+                        taken = None
+                    elif blocks:
+                        orbit, split = branchings.get((blocks, i)) or branching(blocks, i)
+                        # Excluding set i excludes its whole orbit; including
+                        # it splits the blocks (sym is the include child's).
+                        excluded = (out | orbit, blocks)
+                        sym = (out, split)
+                    pending.append((p + 1, mask, value, bound + exc_p[k], left, excluded))
                 if taken is None or k >= cap or embeds_using(mask | bit, i):
                     break
                 p, mask, value, bound, left = (

@@ -34,7 +34,7 @@ from subposet_lab.solver import (
     verify_double_counting,
 )
 
-from conftest import brute_alpha, brute_contains, random_family, random_poset
+from conftest import brute_alpha, brute_contains, is_copy, random_family, random_poset
 
 
 def first_optimum(H, P, mode, objective):
@@ -376,19 +376,19 @@ class TestAgainstBruteForce:
     @pytest.mark.parametrize(
         "host, spec, mode, objective, nodes",
         [
-            ((5, None), "chain:3", "weak", "cardinality", 92),
-            ((4, None), "diamond:2", "weak", "cardinality", 2182),
+            ((5, None), "chain:3", "weak", "cardinality", 88),
+            ((4, None), "diamond:2", "weak", "cardinality", 719),
             ((4, None), "K:2,2", "induced", "cardinality", 144),
-            ((4, None), "K:1,2", "induced", "cardinality", 2481),
+            ((4, None), "K:1,2", "induced", "cardinality", 757),
             ((4, None), "diamond:1", "induced", "lubell", 36),
             ((5, None), "chain:2", "induced", "lubell", 67),
             ((6, (2, 4)), "chain:3", "weak", "cardinality", 61),
-            ((5, (0, 2, 3)), "diamond:2", "weak", "lubell", 8607),
+            ((5, (0, 2, 3)), "diamond:2", "weak", "lubell", 1237),
         ],
     )
     def test_full_level_node_counts_are_pinned(self, host, spec, mode, objective, nodes):
-        # The symmetric chain cut is already minimum on full levels, so these
-        # searches branch and prune exactly as before min_chain_partition.
+        # The symmetric chain cut is already minimum on full levels; these
+        # counts include the subtrees that orbital branching cuts.
         n, levels = host
         H = SetFamily.power_set(n) if levels is None else SetFamily.levels(n, levels)
         assert alpha(H, parse_poset_spec(spec), mode, objective).nodes_explored == nodes
@@ -400,14 +400,15 @@ class TestAgainstBruteForce:
             ("C_2[10]", "K:2,2", "induced", "lubell", None, (Fraction(151, 63), True, 16_550)),
             ("random", "diamond:2", "weak", "cardinality", None, (18, True, 63_365)),
             # Budget stops in the value pass, below the optimum 7/3, and in
-            # the include-first witness pass, after the value pass's 2,220 nodes.
+            # the include-first witness pass, after the value pass's 562 nodes
+            # (650 in all).
             (
                 "2^[4]", "diamond:2", "weak", "lubell", 100,
                 (Fraction(9, 4), False, 101, (0, 8, 15)),
             ),
             (
-                "2^[4]", "diamond:2", "weak", "lubell", 2300,
-                (Fraction(7, 3), False, 2301, (0, 8, 4, 10, 6, 9, 5, 3)),
+                "2^[4]", "diamond:2", "weak", "lubell", 600,
+                (Fraction(7, 3), False, 601, (0, 8, 4, 10, 6, 9, 5, 3)),
             ),
             # Runs whose freeness checks go through the diamond kernels.
             (
@@ -421,8 +422,9 @@ class TestAgainstBruteForce:
                     (0, 2, 3, 11, 15, 47, 63, 191, 255, 767, 1023, 3071, 6143, 4095, 12287),
                 ),
             ),
-            # Whole-cube search whose budget runs out in the canonical witness pass.
-            ("2^[5]", "diamond:2", "weak", "cardinality", 300_000, (20, False, 300_001)),
+            # Whole-cube search whose budget runs out in the canonical witness
+            # pass, after the value pass's 2,980 nodes (24,057 in all).
+            ("2^[5]", "diamond:2", "weak", "cardinality", 20_000, (20, False, 20_001)),
         ],
     )
     def test_search_outcomes_are_pinned(self, host, spec, mode, objective, budget, outcome):
@@ -437,6 +439,83 @@ class TestAgainstBruteForce:
         # Budgeted outcomes also pin the witness masks.
         got = (r.value, r.exhaustive, r.nodes_explored, r.witness.masks())
         assert got[: len(outcome)] == outcome
+
+
+def first_optimum_by_copies(H, P, mode, objective):
+    """first_optimum, with freeness read off the copies of P in H: a family
+    is P-free when it holds no copy's sets. Fast enough for 10-set hosts."""
+    masks = H.masks()
+    m = len(masks)
+    copies = {
+        sum(1 << i for i in images)
+        for images in itertools.permutations(range(m), P.size)
+        if is_copy(tuple(masks[i] for i in images), P, mode)
+    }
+    worth = [1 if objective == "cardinality" else Fraction(1, comb(H.n, s.weight)) for s in H]
+    best = None
+    for picks in range(1 << m):
+        if any(picks & c == c for c in copies):
+            continue
+        value = sum((worth[i] for i in range(m) if picks >> i & 1), 0)
+        key = (value, tuple(picks >> i & 1 for i in range(m)))
+        if best is None or key > best[0]:
+            best = (key, picks)
+    return best[0][0], SetFamily(H.n, (H.sets[i] for i in range(m) if best[1] >> i & 1))
+
+
+def permute_mask(mask, perm):
+    return sum(1 << perm[j] for j in range(len(perm)) if mask >> j & 1)
+
+
+class TestOrbitalBranching:
+    """On unions of full levels the search forces a set's orbit out with it."""
+
+    def test_orbits_match_brute_force_over_all_permutations(self):
+        rng = random.Random(20)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            # All of 2^[n] in mask order, so a set's position is its mask.
+            masks = list(range(1 << n))
+            chosen = rng.sample(masks, rng.randint(0, min(3, len(masks))))
+            blocks = ((1 << n) - 1,) if n >= 2 else None
+            for a in chosen:
+                blocks = blocks and solver._split_blocks(blocks, a)
+            if blocks is None:
+                # Every block has at most one element: the group is trivial.
+                orbits = [1 << i for i in range(len(masks))]
+            else:
+                assert sum(blocks) == (1 << n) - 1
+                assert all(b & c == 0 for b, c in itertools.combinations(blocks, 2))
+                orbits = solver._orbit_masks(masks, blocks)
+            fixing = [
+                perm
+                for perm in itertools.permutations(range(n))
+                if all(permute_mask(a, perm) == a for a in chosen)
+            ]
+            assert (len(fixing) == 1) == (blocks is None)
+            for a in masks:
+                images = {permute_mask(a, perm) for perm in fixing}
+                assert orbits[a] == sum(1 << image for image in images)
+
+    @pytest.mark.parametrize("objective", ["cardinality", "lubell"])
+    @pytest.mark.parametrize("mode", ["weak", "induced"])
+    def test_value_and_witness_match_include_first_brute_force(self, objective, mode):
+        rng = random.Random(21)
+        hosts = [
+            SetFamily.power_set(3),
+            SetFamily.levels(4, [1, 2]),
+            SetFamily.levels(4, [0, 2, 4]),
+            SetFamily.levels(4, [1, 3]),
+            SetFamily.levels(5, [1, 4]),
+        ]
+        for H in hosts:
+            for _ in range(4):
+                P = random_poset(rng, rng.randint(3, 4))
+                fast = alpha(H, P, mode, objective)
+                value, witness = first_optimum_by_copies(H, P, mode, objective)
+                assert fast.exhaustive
+                assert fast.value == value
+                assert fast.witness == witness
 
 
 class TestLaExact:
