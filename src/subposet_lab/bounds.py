@@ -144,12 +144,22 @@ def bound_burcsi_nagy(sizeP: int, h: int) -> BoundReport:
     return BoundReport("burcsi_nagy", "upper", coeff, {"sizeP": sizeP, "h": h})
 
 
+def _chen_li_numerator(A: int, B: int, m: int) -> int:
+    """bound_chen_li's coefficient times 2(m + 1), with A = |P| - 1, B = h - 1."""
+    return 2 * A + (m * m + 3 * m - 2) * B
+
+
+def _main_numerator(A: int, B: int, k: int) -> int:
+    """bound_main's coefficient times 2^(k-1), with A = |P| - 1, B = h - 1."""
+    return A + (3 * k - 5) * (1 << (k - 2)) * B
+
+
 def bound_chen_li(sizeP: int, h: int, m: int) -> BoundReport:
     """Generalized double-chain coefficient, any fixed m >= 1."""
     _check_shape(sizeP, h)
     if m < 1:
         raise InvalidParams(f"need m >= 1, got {m}")
-    coeff = Fraction(2 * sizeP + (m * m + 3 * m - 2) * (h - 1) - 2, 2 * (m + 1))
+    coeff = Fraction(_chen_li_numerator(sizeP - 1, h - 1, m), 2 * (m + 1))
     return BoundReport("chen_li", "upper", coeff, {"sizeP": sizeP, "h": h, "m": m})
 
 
@@ -158,8 +168,7 @@ def bound_main(sizeP: int, h: int, k: int) -> BoundReport:
     _check_shape(sizeP, h)
     if k < 2:
         raise InvalidParams(f"need k >= 2, got {k}")
-    additive = (3 * k - 5) * (1 << (k - 2)) * (h - 1)
-    coeff = Fraction(sizeP + additive - 1, 1 << (k - 1))
+    coeff = Fraction(_main_numerator(sizeP - 1, h - 1, k), 1 << (k - 1))
     return BoundReport("main", "upper", coeff, {"sizeP": sizeP, "h": h, "k": k})
 
 
@@ -173,8 +182,8 @@ def best_main_k(sizeP: int, h: int) -> BoundReport:
     3 * 2^(k-1) B >= A. For h = 1 c only falls (or stays 0 when |P| = 1), so
     the answer is k_max (or 2). k_max = 2 + ceil(log2(|P| + 2)) caps the
     range; for h >= 2 the minimiser lies below it, since at k = k_max - 1
-    already 3 * 2^(k-1) B >= 3(|P| + 2) > A. bound_main is called at the
-    minimiser and, for h >= 2, at its successor, which must not be smaller;
+    already 3 * 2^(k-1) B >= 3(|P| + 2) > A. For h >= 2 the integer numerator
+    is evaluated again at the successor, whose coefficient must not be smaller;
     if it is, InvariantViolated is raised. The prescribed k = ceil(log2(|P|/h))
     is reported in the params whenever it is >= 2 (below that the plain
     chain bound |P| - 1 applies instead).
@@ -187,8 +196,9 @@ def best_main_k(sizeP: int, h: int) -> BoundReport:
     else:
         # The least t >= 0 with 2^t >= A / (3B); then k = t + 1, at least 2.
         arg_k = max(2, 1 + ((A - 1) // (3 * B)).bit_length())
-    coeff = bound_main(sizeP, h, arg_k).coefficient
-    if B and bound_main(sizeP, h, arg_k + 1).coefficient < coeff:
+    num = _main_numerator(A, B, arg_k)
+    # c(k+1) < c(k) exactly when N(k+1) / 2^k < N(k) / 2^(k-1).
+    if B and _main_numerator(A, B, arg_k + 1) < 2 * num:
         raise InvariantViolated(
             f"best_main_k({sizeP}, {h}): bound_main still falls past k = {arg_k}"
         )
@@ -200,7 +210,7 @@ def best_main_k(sizeP: int, h: int) -> BoundReport:
         "k_max": k_max,
         "prescribed_k": prescribed if prescribed >= 2 else None,
     }
-    return BoundReport("main_best_k", "upper", coeff, params)
+    return BoundReport("main_best_k", "upper", Fraction(num, 1 << (arg_k - 1)), params)
 
 
 def best_chen_li_m(sizeP: int, h: int) -> BoundReport:
@@ -212,8 +222,8 @@ def best_chen_li_m(sizeP: int, h: int) -> BoundReport:
     m_cap = 2 + 2 isqrt(2|P|) and the answer is the cap (or m = 1). For
     h >= 2 and A <= 2B, f rises with u, so m = 1. Otherwise f is convex with
     its real minimum at sqrt(2(A - 2B)/B) <= sqrt(2|P|), well inside the cap,
-    so the integer minimum lies at one of the two integers around it; they
-    are compared exactly by cross-multiplying, the smaller m winning a tie.
+    so the integer minimum lies at one of the two integers around it; their
+    integer numerators are cross-multiplied, the smaller m winning a tie.
     """
     _check_shape(sizeP, h)
     cap = 2 + 2 * isqrt(2 * sizeP)
@@ -223,13 +233,12 @@ def best_chen_li_m(sizeP: int, h: int) -> BoundReport:
     elif A <= 2 * B:
         arg_m = 1
     else:
-        lo = max(2, isqrt(2 * (A - 2 * B) // B))
-        hi = lo + 1
-        # 2u f(u) = 2A + B(u^2 + u - 4), so f(hi) < f(lo) cross-multiplies.
-        f_lo = 2 * A + B * (lo * lo + lo - 4)
-        f_hi = 2 * A + B * (hi * hi + hi - 4)
-        arg_m = (hi if f_hi * lo < f_lo * hi else lo) - 1
-    coeff = bound_chen_li(sizeP, h, arg_m).coefficient
+        # m = u - 1 or u: f(u + 1) < f(u) cross-multiplies over 2u and 2(u + 1).
+        u = max(2, isqrt(2 * (A - 2 * B) // B))
+        n_lo = _chen_li_numerator(A, B, u - 1)
+        n_hi = _chen_li_numerator(A, B, u)
+        arg_m = u if n_hi * u < n_lo * (u + 1) else u - 1
+    coeff = Fraction(_chen_li_numerator(A, B, arg_m), 2 * (arg_m + 1))
     params = {"sizeP": sizeP, "h": h, "m": arg_m, "m_cap": cap}
     return BoundReport("chen_li_best_m", "upper", coeff, params)
 

@@ -29,7 +29,7 @@ from .families import SetFamily, Subset, containment_masks
 class Poset:
     """Immutable finite strict partial order on elements 0..size-1."""
 
-    __slots__ = ("size", "rows", "_cols", "_heights")
+    __slots__ = ("size", "rows", "_cols", "_heights", "_mirsky")
 
     def __init__(self, rows: Sequence[int]):
         rows = tuple(rows)
@@ -59,6 +59,7 @@ class Poset:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_cols", tuple(cols))
         object.__setattr__(self, "_heights", None)
+        object.__setattr__(self, "_mirsky", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poset is immutable")
@@ -120,14 +121,16 @@ class Poset:
 
         Layer i collects the elements whose longest chain ending at them has
         exactly i elements, so elements of higher layers are never below
-        elements of lower ones.
+        elements of lower ones. Computed on the first call and kept.
         """
-        label = self.chain_heights()
-        layers = [
-            tuple(i for i in range(self.size) if label[i] == lv)
-            for lv in range(1, max(label, default=0) + 1)
-        ]
-        return AntichainDecomposition(tuple(layers))
+        if self._mirsky is None:
+            label = self.chain_heights()
+            layers = tuple(
+                tuple(i for i in range(self.size) if label[i] == lv)
+                for lv in range(1, max(label, default=0) + 1)
+            )
+            object.__setattr__(self, "_mirsky", AntichainDecomposition(layers))
+        return self._mirsky
 
     def complete_layer_sizes(self) -> tuple[int, ...] | None:
         """Mirsky layer sizes if this is a complete multilevel poset, else None.

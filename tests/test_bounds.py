@@ -63,6 +63,29 @@ class TestRationalFormulas:
         with pytest.raises(InvalidParams, match="nonnegative"):
             BoundReport("x", "upper", Fraction(-1, 2))
 
+    def test_shared_numerators_match_the_displayed_formulas(self):
+        # The paper's two coefficients, written out literally in Fractions.
+        half, two = Fraction(1, 2), Fraction(2)
+        for sizeP in range(1, 65):
+            for h in range(1, sizeP + 1):
+                for k in range(2, 13):
+                    paper = (sizeP + (3 * k - 5) * two ** (k - 2) * (h - 1) - 1) / two ** (k - 1)
+                    assert bound_main(sizeP, h, k).coefficient == paper
+                for m in range(1, 21):
+                    paper = (sizeP + half * (m * m + 3 * m - 2) * (h - 1) - 1) / (m + 1)
+                    assert bound_chen_li(sizeP, h, m).coefficient == paper
+        for sizeP, h in ((0, 1), (0, 0), (3, 0), (3, 4), (-1, -1)):
+            for bound in (lambda: bound_main(sizeP, h, 3), lambda: bound_chen_li(sizeP, h, 2),
+                          lambda: best_main_k(sizeP, h), lambda: best_chen_li_m(sizeP, h)):
+                with pytest.raises(InvalidParams):
+                    bound()
+        for k in (1, 0, -3):
+            with pytest.raises(InvalidParams):
+                bound_main(5, 2, k)
+        for m in (0, -2):
+            with pytest.raises(InvalidParams):
+                bound_chen_li(5, 2, m)
+
     def test_reduction_identities_on_grid(self):
         for sizeP in range(1, 60):
             for h in range(1, sizeP + 1):
@@ -128,13 +151,14 @@ class TestBestParameterSweeps:
         # Raised, not asserted, so the check survives python -O.
         from subposet_lab import bounds
 
-        real = bounds.bound_main
+        real = bounds._main_numerator
+        chosen = bounds.best_main_k(10, 2).params["k"]
 
-        def decreasing(sizeP, h, k):
-            report = real(sizeP, h, k)
-            return bounds.BoundReport(report.name, report.side, Fraction(1, k), report.params)
+        def still_falling(A, B, k):
+            # The successor's coefficient drops below the minimiser's.
+            return 2 * real(A, B, k - 1) - 1 if k == chosen + 1 else real(A, B, k)
 
-        monkeypatch.setattr(bounds, "bound_main", decreasing)
+        monkeypatch.setattr(bounds, "_main_numerator", still_falling)
         with pytest.raises(InvariantViolated):
             bounds.best_main_k(10, 2)
 
@@ -192,21 +216,29 @@ class TestClosedFormsMatchSweeps:
                 report = best_chen_li_m(sizeP, h)
                 assert (report.coefficient, report.params) == (coeff, params)
 
-    def test_one_bound_call_per_chen_li_answer(self, monkeypatch):
+    def test_one_report_per_answer(self, monkeypatch):
         from subposet_lab import bounds
 
-        calls = []
-        real = bounds.bound_chen_li
+        made, called = [], []
+        real_report = bounds.BoundReport
 
-        def counted(sizeP, h, m):
-            calls.append(m)
-            return real(sizeP, h, m)
+        def counted_report(*args, **kwargs):
+            made.append(args[0])
+            return real_report(*args, **kwargs)
 
-        monkeypatch.setattr(bounds, "bound_chen_li", counted)
-        for sizeP, h in ((1, 1), (7, 1), (7, 2), (9, 5), (160, 3)):
-            calls.clear()
-            report = bounds.best_chen_li_m(sizeP, h)
-            assert calls == [report.params["m"]]
+        def forbidden(name):
+            return lambda *args: called.append(name)
+
+        monkeypatch.setattr(bounds, "BoundReport", counted_report)
+        monkeypatch.setattr(bounds, "bound_main", forbidden("bound_main"))
+        monkeypatch.setattr(bounds, "bound_chen_li", forbidden("bound_chen_li"))
+        for sizeP, h in ((1, 1), (7, 1), (7, 2), (9, 5), (10, 2), (160, 3), (399, 7)):
+            for sweep, name in ((bounds.best_main_k, "main_best_k"),
+                                (bounds.best_chen_li_m, "chen_li_best_m")):
+                made.clear()
+                report = sweep(sizeP, h)
+                assert made == [name] and report.name == name
+        assert called == []
 
     def test_ceil_log2(self):
         for p in range(1, 300):

@@ -185,6 +185,20 @@ class TestHeightAndMirsky:
         with pytest.raises(AttributeError):
             p._heights = None
 
+    def test_mirsky_decomposition_is_kept(self):
+        rng = random.Random(3)
+        for p in [Poset(()), diamond(3)] + [random_poset(rng, rng.randint(1, 7)) for _ in range(20)]:
+            decomp = p.mirsky_decomposition()
+            # Later calls, and the layer readers, use the object the first call stored.
+            assert p.mirsky_decomposition() is decomp
+            p.complete_layer_sizes()
+            p.diamond_width()
+            assert p.mirsky_decomposition() is decomp
+            assert decomp == Poset(p.rows).mirsky_decomposition()
+            with pytest.raises(AttributeError):
+                p._mirsky = None
+        assert diamond(3).mirsky_decomposition().layers == ((0,), (1, 2, 3), (4,))
+
     def test_complete_layer_sizes(self):
         assert diamond(7).complete_layer_sizes() == (1, 7, 1)
         assert chain(4).complete_layer_sizes() == (1, 1, 1, 1)
