@@ -24,7 +24,6 @@ from .errors import (
     ParseError,
     PFreenessViolated,
     PreconditionViolated,
-    SearchBudgetExceeded,
     SubposetLabError,
 )
 from .families import (

@@ -17,10 +17,6 @@ class NotUniqueExtremum(SubposetLabError):
     """Poset product requires a unique maximum on the left and a unique minimum on the right."""
 
 
-class SearchBudgetExceeded(SubposetLabError):
-    """An exhaustive search hit its optional node-count cap."""
-
-
 class OutOfRange(SubposetLabError):
     """A counting function was queried outside its validity window."""
 

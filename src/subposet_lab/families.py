@@ -84,11 +84,6 @@ class Subset:
             raise ValueError("ground sets differ")
         return Subset(self.n, self.mask | other.mask)
 
-    def __and__(self, other: "Subset") -> "Subset":
-        if self.n != other.n:
-            raise ValueError("ground sets differ")
-        return Subset(self.n, self.mask & other.mask)
-
     def sort_key(self) -> tuple[int, int]:
         """Canonical order: by weight, then lexicographically by indicator vector.
 

@@ -21,7 +21,6 @@ from .errors import (
     InvalidSpec,
     NotUniqueExtremum,
     ParseError,
-    SearchBudgetExceeded,
 )
 from .families import SetFamily, Subset, containment_masks
 
@@ -407,33 +406,18 @@ class EmbeddingSearch:
             for depth, e in enumerate(order)
         )
 
-    def embeddings(
-        self, limit: int | None = None, node_budget: int | None = None
-    ) -> list[tuple[int, ...]]:
+    def embeddings(self, limit: int | None = None) -> list[tuple[int, ...]]:
         """Image tuples (indexed by pattern element id) in search order, the
-        first `limit` of them or all; every candidate tried counts as a node
-        against the budget."""
+        first `limit` of them or all."""
         found: list[tuple[int, ...]] = []
 
         def keep(images: list[int]) -> bool:
             found.append(tuple(images))
             return len(found) == limit
 
-        tick = None
-        if node_budget is not None:
-            nodes = 0
-
-            def tick() -> None:
-                nonlocal nodes
-                nodes += 1
-                if nodes > node_budget:
-                    raise SearchBudgetExceeded(
-                        f"embedding search exceeded {node_budget} nodes"
-                    )
-
         q = self.pattern.size
         full = (1 << len(self.above)) - 1
-        _extend(self._plan_for(self.order), 0, [-1] * q, [full] * q, keep, tick)
+        _extend(self._plan_for(self.order), 0, [-1] * q, [full] * q, keep)
         return found
 
     def embeds_using(self, allowed_mask: int, host_idx: int) -> bool:
@@ -473,7 +457,7 @@ class EmbeddingSearch:
             images = [-1] * len(rel)
             images[e] = z
             cand = [allowed & row[e][z] for row in rel]
-            if _extend(plan, 1, images, cand, _stop, None):
+            if _extend(plan, 1, images, cand, _stop):
                 return sum(1 << x for x in images)
         return 0
 
@@ -640,13 +624,12 @@ def _extend(
     images: list[int],
     cand: list[int],
     leaf: Callable[[list[int]], bool],
-    tick: Callable[[], None] | None,
 ) -> bool:
     """Assign the plan's elements from `depth` on, given the images and
     candidate masks so far, and call leaf(images) at each full assignment.
-    Returns True, ending the search, as soon as a leaf does; tick, when given,
-    is called once per candidate tried. No candidate table holds its own
-    index, so no mask narrowed by an image holds it again."""
+    Returns True, ending the search, as soon as a leaf does. No candidate
+    table holds its own index, so no mask narrowed by an image holds it
+    again."""
     if depth == len(plan):
         return leaf(images)
     elem, later = plan[depth]
@@ -655,8 +638,6 @@ def _extend(
     while choices:
         z = choices & -choices
         choices ^= z
-        if tick is not None:
-            tick()
         zi = z.bit_length() - 1
         narrowed = cand.copy()
         for u, masks in later:
@@ -666,7 +647,7 @@ def _extend(
             narrowed[u] = c
         else:
             images[elem] = zi
-            if _extend(plan, depth, images, narrowed, leaf, tick):
+            if _extend(plan, depth, images, narrowed, leaf):
                 return True
     return False
 
@@ -681,12 +662,11 @@ def iter_subposet_embeddings(
     host: Union[Poset, SetFamily],
     pattern: Poset,
     mode: str = "weak",
-    node_budget: int | None = None,
 ) -> Iterator[Embedding]:
     """All order-preserving injections of `pattern` into `host`. The search
-    runs to the end (or to the budget) before the first one is yielded."""
+    runs to the end before the first one is yielded."""
     search = EmbeddingSearch(host, pattern, mode)
-    for images in search.embeddings(node_budget=node_budget):
+    for images in search.embeddings():
         yield _as_embedding(search, images)
 
 
@@ -694,12 +674,11 @@ def find_subposet(
     host: Union[Poset, SetFamily],
     pattern: Poset,
     mode: str = "weak",
-    node_budget: int | None = None,
 ) -> Embedding | None:
     """First embedding of `pattern` in `host`, or None (exhaustively verified).
     The search stops at the first copy."""
     search = EmbeddingSearch(host, pattern, mode)
-    found = search.embeddings(limit=1, node_budget=node_budget)
+    found = search.embeddings(limit=1)
     return _as_embedding(search, found[0]) if found else None
 
 

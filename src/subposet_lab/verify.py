@@ -47,12 +47,20 @@ def _per_k(suite: str, check, default_ks, default_n: int, least_k: int, n_floor)
     return build
 
 
+def _chain_levels(spec: families.IntervalChainSpec) -> dict[int, list[int]]:
+    """The chain's member masks by weight, in enumeration order."""
+    levels: dict[int, list[int]] = {}
+    for x in families._chain_masks(spec):
+        levels.setdefault(x.bit_count(), []).append(x)
+    return levels
+
+
 def _level_counts(k: int, n_max: int) -> str:
     count = 0
     for n in range(2 * k, n_max + 1):
-        fam = families.interval_chain(families.IntervalChainSpec.canonical(n, k))
+        levels = _chain_levels(families.IntervalChainSpec.canonical(n, k))
         for m in range(k, n - k + 1):
-            enumerated = fam.count_of_size(m)
+            enumerated = len(levels.get(m, ()))
             expected = 1 << (k - 1)
             if enumerated != expected:
                 raise AssertionError(f"k={k} n={n} m={m}: {enumerated} != {expected}")
@@ -78,29 +86,28 @@ def _worst_set_partners(k: int, n_max: int) -> str:
     qualifying = 0
     for n in range(2 * k, n_max + 1):
         spec = families.IntervalChainSpec.canonical(n, k)
-        fam = families.interval_chain(spec)
+        levels = _chain_levels(spec)
         # Valid through the top of the embedding window; one level higher the
         # top of the chain degenerates and the partner is no longer unique.
         for m in range(k, spec.embedding_window[1] + 1):
-            blocker = families.worst_set(spec, m)
-            level_m = [s for s in fam if s.weight == m]
+            blocker = families.worst_set(spec, m).mask
+            level_m = levels.get(m, ())
             # A set smaller than m is related to a larger one exactly when
             # it lies inside it, so to all of level m + 1 when it lies inside
             # their meet.
             up_meet = (1 << n) - 1
-            for s in fam:
-                if s.weight == m + 1:
-                    up_meet &= s.mask
-            for a in fam:
-                if a.weight >= m or a.mask & ~up_meet:
+            for x in levels.get(m + 1, ()):
+                up_meet &= x
+            for a in (a for w in range(m) for a in levels.get(w, ())):
+                if a & ~up_meet:
                     continue
-                unrelated_m = [s for s in level_m if a.mask & ~s.mask]
+                unrelated_m = [x for x in level_m if a & ~x]
                 if not unrelated_m:
                     continue
                 if unrelated_m != [blocker]:
                     raise AssertionError(
-                        f"k={k} n={n} m={m} {a}: partners "
-                        f"{[str(s) for s in unrelated_m]}"
+                        f"k={k} n={n} m={m} {families.Subset(n, a)}: partners "
+                        f"{[str(families.Subset(n, x)) for x in unrelated_m]}"
                     )
                 qualifying += 1
     return f"{qualifying} qualifying sets, all with the unique partner"

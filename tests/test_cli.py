@@ -380,15 +380,18 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "golden, argv",
         [
-            ("verify_all.txt", []),
+            ("verify_all.txt", ["all"]),
             (
                 "verify_all_samples5_seed7.json",
-                ["--format", "json", "--samples", "5", "--seed", "7"],
+                ["all", "--format", "json", "--samples", "5", "--seed", "7"],
             ),
+            ("verify_levelsize_k2-7_n26.txt", ["levelsize", "--k", "2..7", "--n", "26"]),
+            ("verify_unrelated_k2-5_n22.txt", ["unrelated", "--k", "2..5", "--n", "22"]),
+            ("verify_worstset_k2-4_n18.txt", ["worstset", "--k", "2..4", "--n", "18"]),
         ],
     )
     def test_stdout_matches_golden_text(self, capsys, golden, argv):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "all", *argv)
+        code, out, _ = run_cli(capsys, "verify", "--suite", *argv)
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
 

@@ -32,6 +32,7 @@ def test_failing_check_reports_its_exception(monkeypatch):
 def test_inputs_refused_before_any_check_runs(monkeypatch):
     built = []
     monkeypatch.setattr(families, "interval_chain", built.append)
+    monkeypatch.setattr(families, "_chain_masks", built.append)
     with pytest.raises(PreconditionViolated, match="recursion: need steps >= 0, got -1"):
         verify.run(["levelsize", "recursion"], **{**PARAMS, "steps": -1})
     assert built == []
