@@ -396,11 +396,3 @@ def induced_exponent_chain(target: Union[Fraction, str, float]) -> InducedExpone
         ledger.append((2 * g + 1, 2 * b))
     return InducedExponentTrace(target, tuple(exponents), tuple(ledger))
 
-
-def induced_constant_from_width(P, width: int) -> Fraction:
-    """Exact constant C with La-induced(width, P) = C * binom(width, width//2),
-    computed by exhaustive search at the given small width."""
-    from .solver import la_exact
-
-    result = la_exact(width, P, mode="induced")
-    return Fraction(result.value, comb(width, width // 2))

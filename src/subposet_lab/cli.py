@@ -24,7 +24,7 @@ from .families import family_from_text, family_to_text
 from .posets import parse_poset_spec
 from .solver import alpha, la_exact, lubell_max
 
-# Largest ground set `chain`, `embed` and `alpha` accept.
+# Largest ground set `chain`, `embed`, `alpha` and `verify` accept.
 MAX_GROUND_SET = 64
 
 
@@ -37,6 +37,11 @@ def _parse_k_range(text: str) -> tuple[int, ...]:
     if not values:
         raise ValueError(f"empty k range {text!r}")
     return values
+
+
+def _check_ground_set(n: int | None) -> None:
+    if n is not None and n > MAX_GROUND_SET:
+        raise PreconditionViolated(f"n={n} is above the ground-set cap {MAX_GROUND_SET}")
 
 
 def _check_budget(args: argparse.Namespace) -> None:
@@ -153,8 +158,7 @@ def cmd_alpha(args: argparse.Namespace) -> int:
 def _chain_spec(n: int, k: int) -> IntervalChainSpec:
     """The canonical chain `chain` and `embed --n` enumerate, refused up front
     past MAX_GROUND_SET or families.MAX_CHAIN_ENUMERATION."""
-    if n > MAX_GROUND_SET:
-        raise PreconditionViolated(f"n={n} is above the ground-set cap {MAX_GROUND_SET}")
+    _check_ground_set(n)
     spec = IntervalChainSpec.canonical(n, k)
     check_chain_enumeration(n, k)
     return spec
@@ -208,6 +212,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     k_values = args.k_values
     if isinstance(k_values, str):
         k_values = _parse_k_range(k_values)
+    _check_ground_set(args.n)
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     records = verify.run(
         names, k_values=k_values, n=args.n, samples=args.samples, seed=args.seed, steps=args.steps

@@ -441,7 +441,7 @@ class IntervalChainSpec:
         return key
 
 
-def _chain_masks(spec: IntervalChainSpec) -> Iterator[int]:
+def chain_masks(spec: IntervalChainSpec) -> Iterator[int]:
     """Each member's mask once: all of the first interval [A_0, A_k], then from
     each later interval [A_i, A_{i+k}] the sets holding the element A_{i+k}
     adds, since the others already lie in [A_{i-1}, A_{i+k-1}]."""
@@ -464,7 +464,7 @@ def _chain_masks(spec: IntervalChainSpec) -> Iterator[int]:
 
 def interval_chain(spec: IntervalChainSpec) -> SetFamily:
     """Enumerate the chain as a family: union of the n-k+1 intervals."""
-    return SetFamily.from_masks(spec.n, _chain_masks(spec))
+    return SetFamily.from_masks(spec.n, chain_masks(spec))
 
 
 # The most sets a caller may enumerate for one chain: its n - k + 1 intervals
@@ -522,7 +522,7 @@ def unrelated_below(spec: IntervalChainSpec, m: int) -> SetFamily:
     lo, hi = spec.embedding_window
     if not lo <= m <= hi:
         raise OutOfRange(f"m={m} outside [{lo}, {hi}]")
-    masks = list(_chain_masks(spec))
+    masks = list(chain_masks(spec))
     # A set smaller than every big set is related to one exactly when it lies
     # inside it, so it is related to them all when it lies inside their meet.
     common = (1 << spec.n) - 1

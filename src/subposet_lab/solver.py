@@ -182,15 +182,14 @@ def _split_blocks(blocks: tuple[int, ...], a: int) -> tuple[int, ...] | None:
     return tuple(parts) if any(part & (part - 1) for part in parts) else None
 
 
-def _orbit_masks(masks: tuple[int, ...], blocks: tuple[int, ...]) -> list[int]:
-    """Per set in masks: the bits (over positions in masks) of its orbit under
-    the permutations of [n] that map each block to itself. That group moves A
+def _orbit(masks: tuple[int, ...], blocks: tuple[int, ...], i: int) -> int:
+    """The bits (over positions in masks) of set i's orbit under the
+    permutations of [n] that map each block to itself. That group moves A
     onto B exactly when |A & b| = |B & b| for every block b."""
-    signatures = [tuple((s & b).bit_count() for b in blocks) for s in masks]
-    orbits: dict[tuple[int, ...], int] = {}
-    for i, signature in enumerate(signatures):
-        orbits[signature] = orbits.get(signature, 0) | 1 << i
-    return [orbits[signature] for signature in signatures]
+    signature = [(masks[i] & b).bit_count() for b in blocks]
+    return sum(
+        1 << j for j, s in enumerate(masks) if [(s & b).bit_count() for b in blocks] == signature
+    )
 
 
 def _row_step(knapsacks: list, weights: tuple[int, ...], p: int, left: tuple[int, ...]):
@@ -307,10 +306,8 @@ def _search(
     # Lubell values and row weights are scaled to integers by the lcm of the binomials.
     unit = lcm(*(comb(H.n, s.weight) for s in members))
     if objective == "cardinality":
-        scale = 1
         values = [1] * m
     else:
-        scale = unit
         values = [unit // comb(H.n, s.weight) for s in members]
     if mode == "weak" or P.height() == P.size:
         index = {s.mask: i for i, s in enumerate(members)}
@@ -336,15 +333,13 @@ def _search(
     # group is trivial; sym is None on other hosts.
     root_sym = (0, ((1 << H.n) - 1,)) if H.n >= 2 and _complete_levels(H) else None
     set_masks = H.masks()
-    orbit_tables: dict[tuple[int, ...], list[int]] = {}
     # (blocks, i) -> (set i's orbit, the blocks once set i is chosen).
     branchings: dict[tuple[tuple[int, ...], int], tuple[int, tuple[int, ...] | None]] = {}
 
     def branching(blocks: tuple[int, ...], i: int) -> tuple[int, tuple[int, ...] | None]:
-        table = orbit_tables.get(blocks)
-        if table is None:
-            table = orbit_tables[blocks] = _orbit_masks(set_masks, blocks)
-        got = branchings[blocks, i] = (table[i], _split_blocks(blocks, set_masks[i]))
+        got = branchings[blocks, i] = (
+            _orbit(set_masks, blocks, i), _split_blocks(blocks, set_masks[i])
+        )
         return got
 
     best_value = -1
@@ -448,7 +443,7 @@ def _search(
     if best_value < 0:
         # Budget died before reaching any leaf; the empty family is always valid.
         best_value = 0
-    value = best_value if objective == "cardinality" else Fraction(best_value, scale)
+    value = best_value if objective == "cardinality" else Fraction(best_value, unit)
     witness = SetFamily(H.n, (members[i] for i in range(m) if best_mask >> i & 1))
     return ExtremalResult(value, witness, mode, objective, exhaustive, nodes)
 
@@ -491,6 +486,12 @@ def lubell_max(
     """Maximum Lubell mass of a P-free family in 2^[n], exactly."""
     _guard(n, override)
     return alpha(SetFamily.power_set(n), P, mode, "lubell", node_budget)
+
+
+def induced_constant_from_width(P: Poset, width: int) -> Fraction:
+    """Exact constant C with La-induced(width, P) = C * binom(width, width//2),
+    computed by exhaustive search at the given small width."""
+    return Fraction(la_exact(width, P, mode="induced").value, comb(width, width // 2))
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,10 @@ def _need(suite: str, what: str, value: int, least: int) -> None:
 
 
 def _per_k(suite: str, check, default_ks, default_n: int, least_k: int, n_floor):
-    """A suite of check(k, n_max) per k, refusing k < least_k, an n below
-    n_floor(least k), which leaves that k nothing to enumerate, and a chain
-    C_k[n_max] past the enumeration cap. The chain's size bound grows with k
-    below n, so the largest k that enumerates at n_max is the one checked."""
+    """A suite of check(k, range(n_floor(k), n_max + 1)) per k, refusing
+    k < least_k, an n below n_floor(least k), which leaves that k nothing to
+    enumerate, and a chain C_k[n_max] past the enumeration cap. The chain's size
+    bound grows with k below n, so the largest k enumerating at n_max is checked."""
 
     def build(k_values, n, **_):
         ks = k_values or default_ks
@@ -42,7 +42,7 @@ def _per_k(suite: str, check, default_ks, default_n: int, least_k: int, n_floor)
         _need(suite, "k", min(ks), least_k)
         _need(suite, "n", n_max, n_floor(min(ks)))
         families.check_chain_enumeration(n_max, max(k for k in ks if n_floor(k) <= n_max))
-        return [(f"{suite} k={k}", check, (k, n_max)) for k in ks]
+        return [(f"{suite} k={k}", check, (k, range(n_floor(k), n_max + 1))) for k in ks]
 
     return build
 
@@ -50,14 +50,14 @@ def _per_k(suite: str, check, default_ks, default_n: int, least_k: int, n_floor)
 def _chain_levels(spec: families.IntervalChainSpec) -> dict[int, list[int]]:
     """The chain's member masks by weight, in enumeration order."""
     levels: dict[int, list[int]] = {}
-    for x in families._chain_masks(spec):
+    for x in families.chain_masks(spec):
         levels.setdefault(x.bit_count(), []).append(x)
     return levels
 
 
-def _level_counts(k: int, n_max: int) -> str:
+def _level_counts(k: int, ns: range) -> str:
     count = 0
-    for n in range(2 * k, n_max + 1):
+    for n in ns:
         levels = _chain_levels(families.IntervalChainSpec.canonical(n, k))
         for m in range(k, n - k + 1):
             enumerated = len(levels.get(m, ()))
@@ -68,10 +68,10 @@ def _level_counts(k: int, n_max: int) -> str:
     return f"{count} level counts equal 2^(k-1)"
 
 
-def _unrelated_counts(k: int, n_max: int) -> str:
+def _unrelated_counts(k: int, ns: range) -> str:
     expected = families.unrelated_below_count(k)
     count = 0
-    for n in range(4 * k - 4, n_max + 1):
+    for n in ns:
         spec = families.IntervalChainSpec.canonical(n, k)
         lo, hi = spec.embedding_window
         for m in range(lo, hi + 1):
@@ -82,9 +82,9 @@ def _unrelated_counts(k: int, n_max: int) -> str:
     return f"{count} collections of size {expected}"
 
 
-def _worst_set_partners(k: int, n_max: int) -> str:
+def _worst_set_partners(k: int, ns: range) -> str:
     qualifying = 0
-    for n in range(2 * k, n_max + 1):
+    for n in ns:
         spec = families.IntervalChainSpec.canonical(n, k)
         levels = _chain_levels(spec)
         # Valid through the top of the embedding window; one level higher the

@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the package's search machinery: weak and
 induced containment are decided by looping over raw injections, and optima by
-enumerating every subfamily. Slow, obviously correct, and used to certify the
-fast paths.
+enumerating every subfamily or by branching on the hypergraph of the
+pattern's copies. Slow, obviously correct, and used to certify the fast paths.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -21,8 +21,10 @@ from subposet_lab.solver import la_exact
 
 
 def is_copy(images: tuple[int, ...], pattern: Poset, mode: str) -> bool:
-    """Do these set masks, indexed by pattern id, form a copy of the pattern?"""
-    q = pattern.size
+    """Do these set masks, indexed by pattern id, form a copy of the pattern?
+    Fewer masks than the pattern has elements are checked as a copy of the
+    pattern's first len(images) ids."""
+    q = len(images)
     for a in range(q):
         for b in range(q):
             if a == b:
@@ -97,6 +99,86 @@ def brute_alpha(
         if value > best:
             best = value
     return best
+
+
+def copy_edges(H: SetFamily, pattern: Poset, mode: str) -> set[int]:
+    """The copies of the pattern in H, each as the bits of its sets' canonical
+    indices: a subfamily is pattern-free exactly when it holds none of them.
+    Copies are injective, so every edge has pattern.size bits and none lies
+    inside another: all of them are minimal. Images are assigned in pattern-id
+    order, and a prefix that is no copy of its ids is not extended."""
+    masks = H.masks()
+    edges = set()
+    pending = [()]
+    while pending:
+        picked = pending.pop()
+        if len(picked) == pattern.size:
+            edges.add(sum(1 << i for i in picked))
+            continue
+        for i in range(len(masks)):
+            if i not in picked and is_copy(
+                tuple(masks[j] for j in picked) + (masks[i],), pattern, mode
+            ):
+                pending.append(picked + (i,))
+    return edges
+
+
+def hypergraph_alpha(
+    H: SetFamily, pattern: Poset, mode: str = "weak", objective: str = "cardinality"
+):
+    """Exact optimum as the heaviest independent set of the copy hypergraph.
+
+    Shares no pruning with the solver: no chain partition, no double-count
+    rows, no EmbeddingSearch. Branches include-first on the undecided set that
+    lies in the most of the live edges with fewest undecided sets; an edge is
+    live while none of its sets is excluded, and including all of one kills the
+    branch. A node is cut when the value so far plus every undecided set,
+    minus the lightest undecided set of each edge in a greedy packing of live
+    edges disjoint on their undecided sets, cannot beat the incumbent: a free
+    family leaves out a set of each live edge. Lubell weights 1 / C(n, |A|) are
+    scaled to integers by the lcm of the binomials.
+    """
+    m = len(H)
+    unit = lcm(*(comb(H.n, s.weight) for s in H)) if objective == "lubell" else 1
+    weight = [unit // comb(H.n, s.weight) if objective == "lubell" else 1 for s in H]
+
+    def members(bits):
+        while bits:
+            low = bits & -bits
+            yield low.bit_length() - 1
+            bits ^= low
+
+    best = 0
+    # (value so far, value of the undecided sets, undecided parts of live edges)
+    pending = [(0, sum(weight), frozenset(copy_edges(H, pattern, mode)))]
+    while pending:
+        value, rest, live = pending.pop()
+        if value + rest <= best:
+            continue
+        if not live:
+            best = value + rest
+            continue
+        packed = 0
+        bound = value + rest
+        for part in sorted(live, key=int.bit_count):
+            if not part & packed:
+                packed |= part
+                bound -= min(weight[i] for i in members(part))
+        if bound <= best:
+            continue
+        fewest = min(part.bit_count() for part in live)
+        hits = [0] * m
+        for part in live:
+            if part.bit_count() == fewest:
+                for i in members(part):
+                    hits[i] += 1
+        v = max(range(m), key=hits.__getitem__)
+        bit = 1 << v
+        pending.append((value, rest - weight[v], frozenset(part for part in live if not part & bit)))
+        shrunk = frozenset(part & ~bit for part in live)
+        if 0 not in shrunk:
+            pending.append((value + weight[v], rest - weight[v], shrunk))
+    return best if objective == "cardinality" else Fraction(best, unit)
 
 
 def are_isomorphic(p: Poset, q: Poset) -> bool:

@@ -382,7 +382,7 @@ class TestExponentRecursion:
         assert certainly_less(to_interval(0), enclosure)
 
     def test_constant_from_small_width(self):
-        from subposet_lab.bounds import induced_constant_from_width
+        from subposet_lab.solver import induced_constant_from_width
         from subposet_lab.posets import chain
 
         c = induced_constant_from_width(chain(2), 3)

@@ -286,6 +286,14 @@ class TestVerifyCommand:
         assert code == 0
         assert out.strip().endswith("(2/2 checks)")
 
+    def test_levelsize_runs_at_the_ground_set_cap(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "levelsize", "--k", "2", "--n", "64"
+        )
+        assert code == 0
+        # Levels 2..n-2 for each n in 4..64.
+        assert out == "[ok] levelsize k=2: 1891 level counts equal 2^(k-1)\nPASS (1/1 checks)\n"
+
     def test_unrelated_suite_values(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "unrelated", "--k", "2..4", "--n", "13"
@@ -370,6 +378,7 @@ class TestVerifyCommand:
                 "soundness: k=1000 needs n = min_valid_n(k) >= 1000, "
                 "above the exact-search guard (7)",
             ),
+            (["levelsize", "--k", "2", "--n", "65"], "n=65 is above the ground-set cap 64"),
         ],
     )
     def test_bad_suite_input_refused(self, capsys, argv, message):

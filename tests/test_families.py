@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from subposet_lab.errors import OutOfRange
 from subposet_lab.families import (
-    _chain_masks,
     IntervalChainSpec,
     SetFamily,
     Subset,
     apply_permutation,
+    chain_masks,
     containment_masks,
     count_trailing_zero_profile,
     family_from_text,
@@ -236,7 +236,7 @@ class TestIntervalChain:
         specs = [IntervalChainSpec.canonical(n, k) for n in range(1, 9) for k in range(1, n + 1)]
         specs += [random_spec(rng, n, k) for n, k in [(5, 2), (7, 3), (9, 4), (10, 1), (6, 6)]]
         for spec in specs:
-            masks = list(_chain_masks(spec))
+            masks = list(chain_masks(spec))
             union = {
                 mask
                 for i in range(spec.n - spec.k + 1)

@@ -34,7 +34,14 @@ from subposet_lab.solver import (
     verify_double_counting,
 )
 
-from conftest import brute_alpha, brute_contains, is_copy, random_family, random_poset
+from conftest import (
+    brute_alpha,
+    brute_contains,
+    copy_edges,
+    hypergraph_alpha,
+    random_family,
+    random_poset,
+)
 
 
 def first_optimum(H, P, mode, objective):
@@ -444,13 +451,8 @@ class TestAgainstBruteForce:
 def first_optimum_by_copies(H, P, mode, objective):
     """first_optimum, with freeness read off the copies of P in H: a family
     is P-free when it holds no copy's sets. Fast enough for 10-set hosts."""
-    masks = H.masks()
-    m = len(masks)
-    copies = {
-        sum(1 << i for i in images)
-        for images in itertools.permutations(range(m), P.size)
-        if is_copy(tuple(masks[i] for i in images), P, mode)
-    }
+    m = len(H)
+    copies = copy_edges(H, P, mode)
     worth = [1 if objective == "cardinality" else Fraction(1, comb(H.n, s.weight)) for s in H]
     best = None
     for picks in range(1 << m):
@@ -486,7 +488,7 @@ class TestOrbitalBranching:
             else:
                 assert sum(blocks) == (1 << n) - 1
                 assert all(b & c == 0 for b, c in itertools.combinations(blocks, 2))
-                orbits = solver._orbit_masks(masks, blocks)
+                orbits = [solver._orbit(masks, blocks, i) for i in range(len(masks))]
             fixing = [
                 perm
                 for perm in itertools.permutations(range(n))
@@ -516,6 +518,38 @@ class TestOrbitalBranching:
                 assert fast.exhaustive
                 assert fast.value == value
                 assert fast.witness == witness
+
+
+class TestHypergraphOracle:
+    """The solver against hypergraph_alpha, which shares none of its pruning,
+    on hosts too large for brute_alpha."""
+
+    @pytest.mark.parametrize("mode", ["weak", "induced"])
+    @pytest.mark.parametrize(
+        "spec", ["chain:3", "diamond:2", "K:2,2,2", "antichain:4", "product:(diamond:1,diamond:2)"]
+    )
+    def test_whole_cube_of_four_for_the_readme_patterns(self, spec, mode):
+        P = parse_poset_spec(spec)
+        H = SetFamily.power_set(4)
+        assert la_exact(4, P, mode).value == hypergraph_alpha(H, P, mode)
+        assert lubell_max(4, P, mode).value == hypergraph_alpha(H, P, mode, "lubell")
+
+    @pytest.mark.parametrize("spec, value", [("diamond:2", 20), ("K:2,2", 20), ("K:1,2", 13)])
+    def test_whole_cube_of_five(self, spec, value):
+        P = parse_poset_spec(spec)
+        assert la_exact(5, P).value == value == hypergraph_alpha(SetFamily.power_set(5), P)
+
+    def test_random_hosts_of_five(self):
+        rng = random.Random(7)
+        patterns = ["chain:3", "diamond:1", "diamond:2", "K:1,2", "K:2,2", "antichain:3"]
+        for _ in range(6):
+            H = random_family(rng, 5, rng.randint(16, 24))
+            P = parse_poset_spec(rng.choice(patterns))
+            for mode in ("weak", "induced"):
+                for objective in ("cardinality", "lubell"):
+                    got = alpha(H, P, mode, objective)
+                    assert got.exhaustive
+                    assert got.value == hypergraph_alpha(H, P, mode, objective)
 
 
 class TestLaExact:

@@ -32,7 +32,7 @@ def test_failing_check_reports_its_exception(monkeypatch):
 def test_inputs_refused_before_any_check_runs(monkeypatch):
     built = []
     monkeypatch.setattr(families, "interval_chain", built.append)
-    monkeypatch.setattr(families, "_chain_masks", built.append)
+    monkeypatch.setattr(families, "chain_masks", built.append)
     with pytest.raises(PreconditionViolated, match="recursion: need steps >= 0, got -1"):
         verify.run(["levelsize", "recursion"], **{**PARAMS, "steps": -1})
     assert built == []
@@ -65,7 +65,7 @@ def test_worstset_counts_the_sets_the_related_definition_qualifies():
                         continue
                     if any(not a.related(s) for s in level_m):
                         qualifying += 1
-        detail = verify._worst_set_partners(k, n_max)
+        detail = verify._worst_set_partners(k, range(2 * k, n_max + 1))
         assert detail == f"{qualifying} qualifying sets, all with the unique partner"
         assert qualifying > 0
 
