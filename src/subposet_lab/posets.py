@@ -307,9 +307,11 @@ class EmbeddingSearch:
     embeds_using(allowed, z) asks for a copy inside `allowed` through host
     index z, and answers in three steps. Containing the pattern is monotone in
     the allowed mask, so two answers are kept per host index:
-    - _copies[z] is the mask of the last copy found through z (-1, no copy,
+    - copies[z] is the mask of the last copy found through z (-1, no copy,
       at first). It answers True for every later mask that holds it, since a
       weak or induced copy depends only on the relations among its own images.
+      The list is public and never rebound, so a caller may run this test
+      itself (not copies[z] & ~allowed) before calling embeds_using.
     - _misses[z] is the last mask with no copy through z (0 at first). It
       answers False for every mask inside it, since a copy there would lie
       inside the miss too.
@@ -337,9 +339,9 @@ class EmbeddingSearch:
         "mode",
         "order",
         "rel",
+        "copies",
         "_pinned_plans",
         "_twin_reps",
-        "_copies",
         "_misses",
         "_incomparable",
         "_layers",
@@ -386,7 +388,7 @@ class EmbeddingSearch:
         for e in range(q):
             first.setdefault((pattern.above_mask(e), pattern.below_mask(e)), e)
         self._twin_reps = list(first.values())
-        self._copies = [-1] * size
+        self.copies = [-1] * size
         self._misses = [0] * size
         self._incomparable = incomparable
         # _full holds a plain function, so the search is not a cycle.
@@ -424,13 +426,13 @@ class EmbeddingSearch:
         """Is there a copy of the pattern inside `allowed_mask` whose image
         includes host_idx (which must lie in `allowed_mask`)? Boolean fast
         path for incremental freeness checks."""
-        if not self._copies[host_idx] & ~allowed_mask:
+        if not self.copies[host_idx] & ~allowed_mask:
             return True
         if not allowed_mask & ~self._misses[host_idx]:
             return False
         copy = self._full(self, allowed_mask, host_idx)
         if copy:
-            self._copies[host_idx] = copy
+            self.copies[host_idx] = copy
             return True
         self._misses[host_idx] = allowed_mask
         return False

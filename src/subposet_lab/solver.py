@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, inf, lcm
 from typing import Union
 
 from .errors import (
@@ -266,7 +266,12 @@ def alpha(
     canonical indices, and nodes_explored counts the nodes of both passes
     (not those of the capacity searches behind the rows). Both passes run
     one iterative loop over a list of pending branches, so the search's depth
-    in Python frames does not grow with the host.
+    in Python frames does not grow with the host. When a node's include
+    branch dies (its set forced out by an orbit, its chain full, a row
+    overflowed, or a copy of P completed), the loop goes on with the exclude
+    branch in place instead of pushing it and popping it straight back; it
+    visits the same nodes in the same order, and nodes_explored counts the
+    same nodes as a walk that pushes every exclude branch.
 
     Hitting the node budget returns a valid lower bound flagged
     non-exhaustive: a stop in the first pass returns its incumbent, which
@@ -333,15 +338,22 @@ def _search(
     # group is trivial; sym is None on other hosts.
     root_sym = (0, ((1 << H.n) - 1,)) if H.n >= 2 and _complete_levels(H) else None
     set_masks = H.masks()
-    # (blocks, i) -> (set i's orbit, the blocks once set i is chosen).
-    branchings: dict[tuple[tuple[int, ...], int], tuple[int, tuple[int, ...] | None]] = {}
+    # branchings[i]: blocks -> (set i's orbit, the blocks once set i is chosen),
+    # kept only where there are orbits.
+    branchings: list[dict[tuple[int, ...], tuple[int, tuple[int, ...] | None]]] = (
+        [{} for _ in range(m)] if root_sym is not None else []
+    )
 
     def branching(blocks: tuple[int, ...], i: int) -> tuple[int, tuple[int, ...] | None]:
-        got = branchings[blocks, i] = (
+        got = branchings[i][blocks] = (
             _orbit(set_masks, blocks, i), _split_blocks(blocks, set_masks[i])
         )
         return got
 
+    # The last copy of P found through each set: a mask holding it has a copy,
+    # so the walk reads it before asking embeds_using (whose first test it is).
+    copies = search.copies
+    limit = inf if node_budget is None else node_budget
     best_value = -1
     best_mask = 0
     nodes = 0
@@ -364,19 +376,23 @@ def _search(
                 _knapsack_bound([w[i] for i in order], [values[i] for i in order])
                 for w in row_weights
             ]
-            # _row_step's answer per (p, unused capacity per row).
-            memo: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...] | None]] = {}
+            # memo[p]: unused capacity per row -> _row_step's answer at p.
+            memo: list[dict[tuple[int, ...], tuple[int, tuple[int, ...] | None]]] = [
+                {} for _ in range(m)
+            ]
         # A stack of exclude branches: (branching position, mask of the chosen
         # sets' canonical indices, value so far, bound, unused capacity per
-        # row, sym). The include branch is taken in place, so each include
-        # subtree is finished before the exclude branch under it is popped. A
+        # row, sym). A living include branch is taken in place and its exclude
+        # branch pushed, so each include subtree is finished before the
+        # exclude branch under it is popped. When the include branch dies, the
+        # exclude branch, which would be popped next, is taken in place. A
         # chain's chosen count is read off the mask.
         pending = [(0, 0, 0, root_bound, row_caps, root_sym)]
         while pending:
             p, mask, value, bound, left, sym = pending.pop()
             while True:
                 nodes += 1
-                if node_budget is not None and nodes > node_budget:
+                if nodes > limit:
                     return False
                 if p == m:
                     # At a leaf every chain is decided and bound is the family's value.
@@ -390,9 +406,9 @@ def _search(
                     break
                 taken = left
                 if rows:
-                    got = memo.get((p, left))
+                    got = memo[p].get(left)
                     if got is None:
-                        got = memo[p, left] = _row_step(knapsacks, weights[p], p, left)
+                        got = memo[p][left] = _row_step(knapsacks, weights[p], p, left)
                     room, taken = got
                     if value + room <= best_value:
                         break
@@ -400,7 +416,7 @@ def _search(
                 k = (mask & bits).bit_count()
                 # Other hosts pay one test per node for the orbits.
                 if sym is None:
-                    pending.append((p + 1, mask, value, bound + exc_p[k], left, None))
+                    excluded = None
                 else:
                     out, blocks = sym
                     excluded = sym
@@ -408,16 +424,24 @@ def _search(
                         # An earlier exclude branch forced set i out.
                         taken = None
                     elif blocks:
-                        orbit, split = branchings.get((blocks, i)) or branching(blocks, i)
+                        orbit, split = branchings[i].get(blocks) or branching(blocks, i)
                         # Excluding set i excludes its whole orbit; including
                         # it splits the blocks (sym is the include child's).
                         excluded = (out | orbit, blocks)
                         sym = (out, split)
-                    pending.append((p + 1, mask, value, bound + exc_p[k], left, excluded))
-                if taken is None or k >= cap or embeds_using(mask | bit, i):
-                    break
+                grown = mask | bit
+                if (
+                    taken is None
+                    or k >= cap
+                    or not copies[i] & ~grown
+                    or embeds_using(grown, i)
+                ):
+                    # The include branch dies: go on with the exclude branch.
+                    p, bound, sym = p + 1, bound + exc_p[k], excluded
+                    continue
+                pending.append((p + 1, mask, value, bound + exc_p[k], left, excluded))
                 p, mask, value, bound, left = (
-                    p + 1, mask | bit, value + worth, bound + inc_p[k], taken
+                    p + 1, grown, value + worth, bound + inc_p[k], taken
                 )
         return True
 

@@ -574,7 +574,7 @@ class TestEmbedsUsing:
             )
             if not got:
                 continue
-            copy = search._copies[z]
+            copy = search.copies[z]
             assert copy >> z & 1 and not copy & ~allowed
             assert copy.bit_count() == pattern.size
             if copy not in verified:
@@ -718,7 +718,7 @@ class TestEmbedsUsing:
         full = (1 << len(host)) - 1
         without_2 = full & ~(1 << host.masks().index(0b10))
         d2 = EmbeddingSearch(host, diamond(2), mode)
-        assert d2.embeds_using(full, z) and d2._copies[z] == full
+        assert d2.embeds_using(full, z) and d2.copies[z] == full
         assert not EmbeddingSearch(host, diamond(2), mode).embeds_using(without_2, z)
         assert EmbeddingSearch(host, diamond(1), "weak").embeds_using(without_2, z)
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import sys
@@ -7,6 +8,7 @@ from math import comb
 import pytest
 
 from subposet_lab import solver
+from subposet_lab.embedder import middle_levels_family
 from subposet_lab.errors import GuardRefused, PFreenessViolated, PreconditionViolated
 from subposet_lab.families import (
     IntervalChainSpec,
@@ -42,6 +44,10 @@ from conftest import (
     random_family,
     random_poset,
 )
+
+
+# Levels 2 and 3 of 2^[6].
+MIDDLE_6 = SetFamily.levels(6, [2, 3]).masks()
 
 
 def first_optimum(H, P, mode, objective):
@@ -432,20 +438,80 @@ class TestAgainstBruteForce:
             # Whole-cube search whose budget runs out in the canonical witness
             # pass, after the value pass's 2,980 nodes (24,057 in all).
             ("2^[5]", "diamond:2", "weak", "cardinality", 20_000, (20, False, 20_001)),
+            # Sparse hosts where most include branches die on a cached copy,
+            # so the walk goes on with the exclude branch in place.
+            (
+                "C_4[14]", "chain:3", "weak", "lubell", 400_000,
+                (Fraction(9, 7), False, 400_001, (0, 8, 4, 2, 1)),
+            ),
+            (
+                "C_2[14]", "K:2,2", "induced", "cardinality", 150_000,
+                (
+                    17, False, 150_001,
+                    (0, 2, 1, 5, 3, 11, 15, 47, 63, 191, 255, 767, 1023, 3071, 4095,
+                     12287, 16383),
+                ),
+            ),
+            ("C_3[14]", "chain:3", "weak", "lubell", None, (2, True, 12_350, (0, 16383))),
+            # Levels 2..4 of 2^[6], and la_exact(6, diamond:2) stopped in its
+            # value pass: both return levels 2 and 3.
+            ("middle 6/3", "K:2,2", "weak", "cardinality", 300_000, (35, True, 137, MIDDLE_6)),
+            ("2^[6]", "diamond:2", "weak", "cardinality", 200_000, (35, False, 200_001, MIDDLE_6)),
         ],
     )
     def test_search_outcomes_are_pinned(self, host, spec, mode, objective, budget, outcome):
         H = {
             "C_2[10]": lambda: interval_chain(IntervalChainSpec.canonical(10, 2)),
             "C_2[14]": lambda: interval_chain(IntervalChainSpec.canonical(14, 2)),
+            "C_3[14]": lambda: interval_chain(IntervalChainSpec.canonical(14, 3)),
+            "C_4[14]": lambda: interval_chain(IntervalChainSpec.canonical(14, 4)),
             "random": lambda: random_family(random.Random(32), 6, 24),
+            "middle 6/3": lambda: middle_levels_family(6, 3),
             "2^[4]": lambda: SetFamily.power_set(4),
             "2^[5]": lambda: SetFamily.power_set(5),
+            "2^[6]": lambda: SetFamily.power_set(6),
         }[host]()
         r = alpha(H, parse_poset_spec(spec), mode, objective, budget)
         # Budgeted outcomes also pin the witness masks.
         got = (r.value, r.exhaustive, r.nodes_explored, r.witness.masks())
         assert got[: len(outcome)] == outcome
+
+    @pytest.mark.parametrize(
+        "host, spec, objective, step, full, digest",
+        [
+            # Two passes, rows and orbits.
+            (
+                SetFamily.power_set(4), "diamond:2", "lubell", 1, 650,
+                "d29ba76cb77bf45034fd1e880a01d4e7460835cd4c787580e851244a66d4182c",
+            ),
+            # One include-first pass through the diamond kernels.
+            (
+                interval_chain(IntervalChainSpec.canonical(10, 2)), "diamond:2",
+                "cardinality", 97, 11_346,
+                "a363170e9686629b5855a8ffa347a94868d1387bc709ee5d492a682fe47dd2d0",
+            ),
+        ],
+        ids=["2^[4]-lubell", "C_2[10]-cardinality"],
+    )
+    def test_every_budget_stops_on_the_same_node(self, host, spec, objective, step, full, digest):
+        # A budget of b nodes stops at node b + 1 wherever it falls, also in
+        # a run of exclude branches taken in place; the digest pins the
+        # (value, witness) seen at each budget.
+        P = parse_poset_spec(spec)
+        assert alpha(host, P, "weak", objective).nodes_explored == full
+        budgets = sorted({*range(1, full + 1, step), full})
+        seen = []
+        last = 0
+        for b in budgets:
+            r = alpha(host, P, "weak", objective, b)
+            assert r.nodes_explored == min(b + 1, full)
+            assert r.exhaustive == (b >= full)
+            assert find_subposet(r.witness, P, "weak") is None
+            worth = len(r.witness) if objective == "cardinality" else lubell(r.witness)
+            assert worth == r.value >= last
+            last = r.value
+            seen.append((r.value, r.witness.masks()))
+        assert hashlib.sha256(repr(seen).encode()).hexdigest() == digest
 
 
 def first_optimum_by_copies(H, P, mode, objective):
