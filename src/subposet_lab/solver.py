@@ -10,9 +10,12 @@ subfamily spaces are only reachable through pruning.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import accumulate, groupby
 from math import comb, factorial, inf, lcm
 from typing import Union
 
@@ -67,7 +70,7 @@ class ExtremalResult:
 
 def _complete_levels(H: SetFamily) -> tuple[int, ...]:
     """H's set sizes if H is a union of full levels of 2^[n], else ()."""
-    sizes = Counter(s.weight for s in H)
+    sizes = Counter(mask.bit_count() for mask in H.masks())
     if any(count != comb(H.n, w) for w, count in sizes.items()):
         return ()
     return tuple(sorted(sizes))
@@ -93,18 +96,24 @@ def double_count_rows(
     can cost more than the search they prune. Capacities are cached per
     (n, k, levels, P, mode).
     """
-    levels = _complete_levels(H)
+    return _rows(H.n, _complete_levels(H), P, mode)
+
+
+def _rows(
+    n: int, levels: tuple[int, ...], P: Poset, mode: str
+) -> tuple[tuple[int, dict[int, int], int], ...]:
+    """double_count_rows for a host over [n] with the given _complete_levels."""
     if not levels:
         return ()
     rows = []
-    for k in range(1, min(ROW_MAX_K, H.n - 1) + 1):
-        key = (H.n, k, levels, P.rows, mode)
+    for k in range(1, min(ROW_MAX_K, n - 1) + 1):
+        key = (n, k, levels, P.rows, mode)
         if key not in _ROW_CACHE:
-            chain_sets = interval_chain(IntervalChainSpec.canonical(H.n, k))
-            G = SetFamily(H.n, (s for s in chain_sets if s.weight in levels))
+            chain_sets = interval_chain(IntervalChainSpec.canonical(n, k))
+            G = SetFamily(n, (s for s in chain_sets if s.weight in levels))
             # No rows for G: it can be a union of full levels itself (H holds
             # levels 0 and n only), and building its rows would recurse.
-            found = _search(G, P, mode, "cardinality", CAPACITY_NODE_CAP, ())
+            found = _search(G, P, mode, "cardinality", CAPACITY_NODE_CAP, False)
             counts = dict(Counter(s.weight for s in G))
             _ROW_CACHE[key] = (k, counts, found.value) if found.exhaustive else None
         if _ROW_CACHE[key] is not None:
@@ -119,6 +128,12 @@ def _chain_tables(order: list[int], chains: list[list[int]], values: list[int], 
     chosen, the bound moves by inc[p][k] on include and exc[p][k] on exclude,
     where a chain's share is top(p, k) = the cap - k largest values among its
     members from position p on. Tables are indexed by branching position.
+
+    Each chain is walked once from its last member back. As values are
+    positive, top(q, .) at the member q after p holds the cap largest values
+    from q on as its differences, so top(p, .) and p's increments follow from
+    it and p's value in O(cap). They are worked out once per (value,
+    top(q, .), earlier members up to cap) and shared by the sets that match.
     """
     position = [0] * len(order)
     for p, i in enumerate(order):
@@ -127,49 +142,58 @@ def _chain_tables(order: list[int], chains: list[list[int]], values: list[int], 
     inc: list[list[int]] = [[]] * len(order)
     exc: list[list[int]] = [[]] * len(order)
     root_bound = 0
+    steps: dict[tuple, tuple[list[int], list[int], tuple[int, ...]]] = {}
     for c, members in enumerate(chains):
-        ps = sorted(position[i] for i in members)
-        top = []
-        for j in range(len(ps) + 1):
-            ahead = sorted((values[order[p]] for p in ps[j:]), reverse=True)
-            top.append([sum(ahead[: cap - k]) for k in range(cap + 1)])
-        root_bound += top[0][0]
-        for j, p in enumerate(ps):
+        after = (0,) * (cap + 1)  # top(q, k) for k = 0..cap
+        j = len(members)
+        for p in sorted([position[i] for i in members], reverse=True):
+            j -= 1  # the chain's members before p
+            worth = values[order[p]]
+            key = (worth, after, min(j, cap))
+            got = steps.get(key)
+            if got is None:
+                # The cap largest values from q on, ascending (0 for none), and p's.
+                kept = [after[k] - after[k + 1] for k in range(cap)]
+                insort(kept, worth)
+                del kept[0]
+                now = (*accumulate(reversed(kept), initial=0),)[::-1]
+                got = steps[key] = (
+                    [worth + after[k + 1] - now[k] for k in range(min(cap - 1, j) + 1)],
+                    [after[k] - now[k] for k in range(min(cap, j) + 1)],
+                    now,
+                )
             chain_of[p] = c
-            inc[p] = [
-                values[order[p]] + top[j + 1][k + 1] - top[j][k]
-                for k in range(min(cap - 1, j) + 1)
-            ]
-            exc[p] = [top[j + 1][k] - top[j][k] for k in range(min(cap, j) + 1)]
+            inc[p], exc[p], after = got
+        root_bound += after[0]
     return chain_of, inc, exc, root_bound
 
 
 def _knapsack_bound(weights: list[int], values: list[int]):
     """bound(p, r): the floor of the fractional knapsack optimum over items
-    p, p+1, ... with capacity r.
+    p, p+1, ... with capacity r >= 0, for positive values.
 
     Runs of equal (weight, value) items, such as the sets of one level, are
-    filled greedily by value per weight; a run is cut short at the capacity.
+    sorted once, best value per weight first (compared by cross-multiplying,
+    so a zero-weight run comes first), and filled greedily; a run is cut
+    short at the capacity, and its items before p are skipped. A zero-weight
+    run uses no capacity and is taken whole.
     """
-    runs: list[list[int]] = []  # [start, end, weight, value]
-    for p, item in enumerate(zip(weights, values)):
-        if runs and runs[-1][2:] == list(item):
-            runs[-1][1] = p + 1
-        else:
-            runs.append([p, p + 1, *item])
-    runs.sort(key=lambda run: Fraction(run[3], run[2]), reverse=True)
-    ahead = [
-        [(end - max(start, p), w, v) for start, end, w, v in runs if end > p]
-        for p in range(len(weights) + 1)
-    ]
+    runs: list[tuple[int, int, int, int]] = []  # (start, end, weight, value)
+    end = 0
+    for (w, v), run in groupby(zip(weights, values)):
+        start, end = end, end + len(list(run))
+        runs.append((start, end, w, v))
+    runs.sort(key=cmp_to_key(lambda a, b: b[3] * a[2] - a[3] * b[2]))
 
     def bound(p: int, r: int) -> int:
         got = 0
-        for count, w, v in ahead[p]:
-            if count * w > r:
-                return got + r * v // w
-            got += count * v
-            r -= count * w
+        for start, end, w, v in runs:
+            if end > p:
+                count = end - max(start, p)
+                if count * w > r:
+                    return got + r * v // w
+                got += count * v
+                r -= count * w
         return got
 
     return bound
@@ -182,25 +206,33 @@ def _split_blocks(blocks: tuple[int, ...], a: int) -> tuple[int, ...] | None:
     return tuple(parts) if any(part & (part - 1) for part in parts) else None
 
 
-def _orbit(masks: tuple[int, ...], blocks: tuple[int, ...], i: int) -> int:
-    """The bits (over positions in masks) of set i's orbit under the
-    permutations of [n] that map each block to itself. That group moves A
-    onto B exactly when |A & b| = |B & b| for every block b."""
-    signature = [(masks[i] & b).bit_count() for b in blocks]
-    return sum(
-        1 << j for j, s in enumerate(masks) if [(s & b).bit_count() for b in blocks] == signature
-    )
+def _orbits(masks: tuple[int, ...], blocks: tuple[int, ...]) -> list[int]:
+    """Each set's orbit, as bits over positions in masks, under the
+    permutations of [n] that map each block to itself, in one pass over the
+    sets. That group moves A onto B exactly when |A & b| = |B & b| for every
+    block b."""
+    signatures = list(zip(*([(s & b).bit_count() for s in masks] for b in blocks)))
+    orbit: dict[tuple[int, ...], int] = {}
+    for j, signature in enumerate(signatures):
+        orbit[signature] = orbit.get(signature, 0) | 1 << j
+    return [orbit[signature] for signature in signatures]
 
 
 def _row_step(knapsacks: list, weights: tuple[int, ...], p: int, left: tuple[int, ...]):
     """The rows at branching position p with unused capacities `left`: the
     least knapsack bound of the sets from p on, and the capacities left after
     taking set p (None when it overflows a row)."""
-    after = tuple(r - w for r, w in zip(left, weights))
-    return (
-        min(knapsack(p, r) for knapsack, r in zip(knapsacks, left)),
-        after if min(after) >= 0 else None,
-    )
+    room = inf
+    after = []
+    fits = True
+    for knapsack, r, w in zip(knapsacks, left, weights):
+        got = knapsack(p, r)
+        if got < room:
+            room = got
+        if r < w:
+            fits = False
+        after.append(r - w)
+    return room, tuple(after) if fits else None
 
 
 def alpha(
@@ -280,9 +312,8 @@ def alpha(
     MAX_HOST_SETS sets are refused before any work. The comparability masks
     cost |H| * n mask operations (containment_masks); the cap bounds what
     still grows faster with the host, the chain partition's matching on
-    hosts that are not unions of full levels, the chain tables and the
-    |H|-bit masks the search carries, to the size of 2^[9], the largest
-    whole cube it accepts.
+    hosts that are not unions of full levels and the |H|-bit masks the
+    search carries, to the size of 2^[9], the largest whole cube it accepts.
     """
     if P.size < 1:
         raise ValueError("pattern must have at least one element")
@@ -292,7 +323,7 @@ def alpha(
         raise PreconditionViolated(
             f"host has {len(H)} sets; the exact search handles at most {MAX_HOST_SETS}"
         )
-    return _search(H, P, mode, objective, node_budget, double_count_rows(H, P, mode))
+    return _search(H, P, mode, objective, node_budget, True)
 
 
 def _search(
@@ -301,21 +332,33 @@ def _search(
     mode: str,
     objective: str,
     node_budget: int | None,
-    rows: tuple[tuple[int, dict[int, int], int], ...],
+    with_rows: bool,
 ) -> ExtremalResult:
-    """alpha's branch and bound, pruning with the given double-count rows."""
+    """alpha's branch and bound, pruning with double_count_rows when
+    with_rows is set.
+
+    Per call it builds, besides the EmbeddingSearch and the chain partition,
+    each pass's chain tables (O(cap) per set, _chain_tables) and, with rows,
+    one knapsack per row over at most n + 1 runs (_knapsack_bound). Row steps
+    and orbits are filled as the walk first meets them: a _row_step per
+    (position, capacities left), one signature pass over the sets per
+    partition of [n] (_orbits), one _split_blocks per (partition, set).
+    """
+    levels = _complete_levels(H)
+    rows = _rows(H.n, levels, P, mode) if with_rows else ()
     search = EmbeddingSearch(H, P, mode)
     members = H.sets
     m = len(members)
+    set_masks = H.masks()
+    sizes = [mask.bit_count() for mask in set_masks]
 
     # Lubell values and row weights are scaled to integers by the lcm of the binomials.
-    unit = lcm(*(comb(H.n, s.weight) for s in members))
-    if objective == "cardinality":
-        values = [1] * m
-    else:
-        values = [unit // comb(H.n, s.weight) for s in members]
+    binomials = [comb(H.n, w) for w in range(H.n + 1)]
+    unit = lcm(*(binomials[w] for w in set(sizes)))
+    share = [unit // binomials[w] for w in sizes]
+    values = [1] * m if objective == "cardinality" else share
     if mode == "weak" or P.height() == P.size:
-        index = {s.mask: i for i, s in enumerate(members)}
+        index = {mask: i for i, mask in enumerate(set_masks)}
         chains = [[index[s.mask] for s in c] for c in min_chain_partition(H)]
         cap = P.size - 1
     else:
@@ -323,10 +366,7 @@ def _search(
         chains = [[i] for i in range(m)]
         cap = 1
     # Row weights N_w / C(n, w) and capacities, scaled by the same unit.
-    row_weights = [
-        [counts[s.weight] * (unit // comb(H.n, s.weight)) for s in members]
-        for _, counts, _ in rows
-    ]
+    row_weights = [[counts[w] * s for w, s in zip(sizes, share)] for _, counts, _ in rows]
     row_caps = tuple(capacity * unit for _, _, capacity in rows)
     chain_bits = [sum(1 << i for i in c) for c in chains]
     embeds_using = search.embeds_using
@@ -336,18 +376,19 @@ def _search(
     # the permutations keeping each block of the partition of [n] the chosen
     # sets cut out. sym is (forced-out mask, blocks), blocks None once the
     # group is trivial; sym is None on other hosts.
-    root_sym = (0, ((1 << H.n) - 1,)) if H.n >= 2 and _complete_levels(H) else None
-    set_masks = H.masks()
+    root_sym = (0, ((1 << H.n) - 1,)) if H.n >= 2 and levels else None
     # branchings[i]: blocks -> (set i's orbit, the blocks once set i is chosen),
-    # kept only where there are orbits.
+    # kept only where there are orbits; orbits: blocks -> every set's orbit.
     branchings: list[dict[tuple[int, ...], tuple[int, tuple[int, ...] | None]]] = (
         [{} for _ in range(m)] if root_sym is not None else []
     )
+    orbits: dict[tuple[int, ...], list[int]] = {}
 
     def branching(blocks: tuple[int, ...], i: int) -> tuple[int, tuple[int, ...] | None]:
-        got = branchings[i][blocks] = (
-            _orbit(set_masks, blocks, i), _split_blocks(blocks, set_masks[i])
-        )
+        of = orbits.get(blocks)
+        if of is None:
+            of = orbits[blocks] = _orbits(set_masks, blocks)
+        got = branchings[i][blocks] = (of[i], _split_blocks(blocks, set_masks[i]))
         return got
 
     # The last copy of P found through each set: a mask holding it has a copy,
@@ -371,11 +412,10 @@ def _search(
             for p, i in enumerate(order)
         ]
         if rows:
-            weights = [tuple(w[i] for w in row_weights) for i in order]
-            knapsacks = [
-                _knapsack_bound([w[i] for i in order], [values[i] for i in order])
-                for w in row_weights
-            ]
+            ordered = [[w[i] for i in order] for w in row_weights]
+            weights = list(zip(*ordered))
+            worths = [values[i] for i in order]
+            knapsacks = [_knapsack_bound(w, worths) for w in ordered]
             # memo[p]: unused capacity per row -> _row_step's answer at p.
             memo: list[dict[tuple[int, ...], tuple[int, tuple[int, ...] | None]]] = [
                 {} for _ in range(m)
@@ -451,7 +491,7 @@ def _search(
         # Look first where the optimum usually lies: the middle levels hold
         # the most sets, the outer ones weigh most in Lubell mass.
         outward = 1 if objective == "cardinality" else -1
-        distance = [outward * abs(2 * s.weight - H.n) for s in members]
+        distance = [outward * abs(2 * w - H.n) for w in sizes]
         first = sorted(canonical, key=lambda i: (distance[i], i))
     # When the value pass branches in canonical order anyway, it finds both
     # the value and the canonical witness.

@@ -3,7 +3,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 
 import pytest
 
@@ -46,8 +46,12 @@ from conftest import (
 )
 
 
-# Levels 2 and 3 of 2^[6].
-MIDDLE_6 = SetFamily.levels(6, [2, 3]).masks()
+def level_masks(n, *sizes):
+    """The masks of the given full levels of 2^[n], in SetFamily order."""
+    return SetFamily.levels(n, sizes).masks()
+
+
+MIDDLE_6 = level_masks(6, 2, 3)
 
 
 def first_optimum(H, P, mode, objective):
@@ -457,6 +461,34 @@ class TestAgainstBruteForce:
             # value pass: both return levels 2 and 3.
             ("middle 6/3", "K:2,2", "weak", "cardinality", 300_000, (35, True, 137, MIDDLE_6)),
             ("2^[6]", "diamond:2", "weak", "cardinality", 200_000, (35, False, 200_001, MIDDLE_6)),
+            # The cube-exact benchmark's ops (bench/expected.json), with the
+            # patterns as parsed rather than relabelled: every witness is a
+            # union of full levels.
+            ("2^[5]", "chain:3", "weak", "cardinality", None, (20, True, 88, level_masks(5, 2, 3))),
+            ("2^[5]", "chain:2", "weak", "cardinality", None, (10, True, 78, level_masks(5, 2))),
+            (
+                "2^[4]", "diamond:2", "weak", "cardinality", None,
+                (10, True, 719, level_masks(4, 1, 2)),
+            ),
+            ("2^[4]", "K:2,2", "weak", "cardinality", None, (10, True, 45, level_masks(4, 1, 2))),
+            (
+                "2^[4]", "diamond:1", "induced", "cardinality", None,
+                (10, True, 45, level_masks(4, 1, 2)),
+            ),
+            ("2^[4]", "diamond:1", "induced", "lubell", None, (2, True, 36, level_masks(4, 0, 1))),
+            ("2^[5]", "chain:2", "induced", "lubell", None, (1, True, 67, level_masks(5, 0))),
+            (
+                "2^[5]", "diamond:2", "weak", "cardinality", 300_000,
+                (20, True, 24_057, level_masks(5, 2, 3)),
+            ),
+            (
+                "2^[5]", "K:2,2", "weak", "cardinality", 300_000,
+                (20, True, 88, level_masks(5, 2, 3)),
+            ),
+            (
+                "2^[6]", "chain:2", "weak", "cardinality", 300_000,
+                (20, True, 153, level_masks(6, 3)),
+            ),
         ],
     )
     def test_search_outcomes_are_pinned(self, host, spec, mode, objective, budget, outcome):
@@ -535,6 +567,93 @@ def permute_mask(mask, perm):
     return sum(1 << perm[j] for j in range(len(perm)) if mask >> j & 1)
 
 
+def chain_tables_by_suffix_sorts(order, chains, values, cap):
+    """_chain_tables by its definition: top(p, k) read off a sort of every
+    suffix of every chain."""
+    position = [0] * len(order)
+    for p, i in enumerate(order):
+        position[i] = p
+    chain_of = [0] * len(order)
+    inc = [[]] * len(order)
+    exc = [[]] * len(order)
+    root_bound = 0
+    for c, members in enumerate(chains):
+        ps = sorted(position[i] for i in members)
+        top = []
+        for j in range(len(ps) + 1):
+            ahead = sorted((values[order[p]] for p in ps[j:]), reverse=True)
+            top.append([sum(ahead[: cap - k]) for k in range(cap + 1)])
+        root_bound += top[0][0]
+        for j, p in enumerate(ps):
+            chain_of[p] = c
+            inc[p] = [
+                values[order[p]] + top[j + 1][k + 1] - top[j][k]
+                for k in range(min(cap - 1, j) + 1)
+            ]
+            exc[p] = [top[j + 1][k] - top[j][k] for k in range(min(cap, j) + 1)]
+    return chain_of, inc, exc, root_bound
+
+
+def fractional_knapsack(weights, values, p, r):
+    """The floor of the fractional knapsack optimum over items p, p+1, ...
+    with capacity r, item by item in Fraction arithmetic; weightless items are
+    taken whole."""
+    got = Fraction(sum(v for w, v in zip(weights[p:], values[p:]) if not w))
+    room = Fraction(r)
+    items = [(w, v) for w, v in zip(weights[p:], values[p:]) if w]
+    for w, v in sorted(items, key=lambda item: Fraction(item[1], item[0]), reverse=True):
+        part = min(Fraction(1), room / w)
+        got += part * v
+        room -= part * w
+    return floor(got)
+
+
+class TestSearchTables:
+    """The tables _search builds per call, against their definitions."""
+
+    def test_chain_tables_match_suffix_sorts(self):
+        rng = random.Random(25)
+        for _ in range(300):
+            m = rng.randint(0, 14)
+            order = list(range(m))
+            rng.shuffle(order)
+            chain_of = [rng.randrange(max(1, m // 2)) for _ in range(m)]
+            chains = [[i for i in range(m) if chain_of[i] == c] for c in sorted(set(chain_of))]
+            values = [rng.randint(1, 9) if rng.random() < 0.7 else 1 for _ in range(m)]
+            cap = rng.randint(0, 5)
+            assert solver._chain_tables(order, chains, values, cap) == (
+                chain_tables_by_suffix_sorts(order, chains, values, cap)
+            )
+
+    def test_knapsack_bound_matches_fractional_knapsack(self):
+        rng = random.Random(26)
+        for _ in range(200):
+            # Runs of equal items, as the levels of a host give, some with
+            # no weight, and equal runs that are not adjacent.
+            kinds = [(rng.randint(0, 6), rng.randint(1, 6)) for _ in range(rng.randint(1, 4))]
+            weights, values = [], []
+            for _ in range(rng.randint(0, 6)):
+                w, v = rng.choice(kinds)
+                count = rng.randint(1, 4)
+                weights += [w] * count
+                values += [v] * count
+            bound = solver._knapsack_bound(weights, values)
+            # Up to p past every run, and r from 0 to past every weight.
+            total = sum(weights)
+            for p in range(len(weights) + 2):
+                for r in {0, 1, 2, rng.randint(0, total), rng.randint(0, total), total, total + 1}:
+                    assert bound(p, r) == fractional_knapsack(weights, values, p, r)
+
+    def test_zero_weight_runs_are_free(self):
+        # Items p.. with weights 0 0 2 2 and values 1 1 3 3: the weightless
+        # pair at any capacity, then 3 per 2 capacity.
+        bound = solver._knapsack_bound([0, 0, 2, 2], [1, 1, 3, 3])
+        assert [bound(0, r) for r in range(6)] == [2, 3, 5, 6, 8, 8]
+        assert [bound(1, 0), bound(2, 0), bound(2, 3), bound(4, 9)] == [1, 0, 4, 0]
+        # A weightless run between two weighted ones, at capacity 0.
+        assert solver._knapsack_bound([2, 0, 2], [3, 1, 3])(0, 0) == 1
+
+
 class TestOrbitalBranching:
     """On unions of full levels the search forces a set's orbit out with it."""
 
@@ -554,7 +673,7 @@ class TestOrbitalBranching:
             else:
                 assert sum(blocks) == (1 << n) - 1
                 assert all(b & c == 0 for b, c in itertools.combinations(blocks, 2))
-                orbits = [solver._orbit(masks, blocks, i) for i in range(len(masks))]
+                orbits = solver._orbits(tuple(masks), blocks)
             fixing = [
                 perm
                 for perm in itertools.permutations(range(n))
