@@ -124,13 +124,6 @@ class BoundReport:
         if isinstance(self.coefficient, Fraction) and self.coefficient.numerator < 0:
             raise InvalidParams("bound coefficients are nonnegative")
 
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.coefficient, Fraction)
-
-    def coefficient_as_str(self) -> str:
-        return coefficient_str(self.coefficient)
-
 
 def _check_shape(sizeP: int, h: int) -> None:
     if sizeP < 1 or not 1 <= h <= sizeP:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -22,7 +23,7 @@ from .errors import PreconditionViolated, SubposetLabError
 from .families import IntervalChainSpec, check_chain_enumeration, interval_chain
 from .families import family_from_text, family_to_text
 from .posets import parse_poset_spec
-from .solver import alpha, la_exact, lubell_max
+from .solver import ExtremalResult, alpha, la_exact, lubell_max
 
 # Largest ground set `chain`, `embed`, `alpha` and `verify` accept.
 MAX_GROUND_SET = 64
@@ -99,7 +100,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             "h": h,
             "bound_name": r.name,
             "params": {key: _param_value(v) for key, v in r.params.items()},
-            "coefficient": r.coefficient_as_str(),
+            "coefficient": bnd.coefficient_str(r.coefficient),
             "side": r.side,
         }
         for r in reports
@@ -135,6 +136,22 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_search(result: ExtremalResult, args: argparse.Namespace) -> int:
+    """Write an exact search's result as JSON; exit 0 if it is exhaustive, else 1."""
+    value = result.value
+    payload = {
+        "schema": 1,
+        "value": str(value) if isinstance(value, Fraction) else value,
+        "objective": args.objective,
+        "mode": args.mode,
+        "exhaustive": result.exhaustive,
+        "witness": [list(s.elements()) for s in result.witness],
+        "nodes_explored": result.nodes_explored,
+    }
+    _emit(_json_dumps(payload), args.output)
+    return 0 if result.exhaustive else 1
+
+
 def cmd_exact(args: argparse.Namespace) -> int:
     _check_budget(args)
     p = parse_poset_spec(args.poset_spec)
@@ -142,17 +159,14 @@ def cmd_exact(args: argparse.Namespace) -> int:
         result = la_exact(args.n, p, args.mode, args.override_guard, args.node_budget)
     else:
         result = lubell_max(args.n, p, args.mode, args.override_guard, args.node_budget)
-    _emit(_json_dumps(result.as_dict()), args.output)
-    return 0 if result.exhaustive else 1
+    return _report_search(result, args)
 
 
 def cmd_alpha(args: argparse.Namespace) -> int:
     _check_budget(args)
     fam = family_from_text(Path(args.family_path).read_text(), max_n=MAX_GROUND_SET)
     p = parse_poset_spec(args.poset_spec)
-    result = alpha(fam, p, args.mode, args.objective, args.node_budget)
-    _emit(_json_dumps(result.as_dict()), args.output)
-    return 0 if result.exhaustive else 1
+    return _report_search(alpha(fam, p, args.mode, args.objective, args.node_budget), args)
 
 
 def _chain_spec(n: int, k: int) -> IntervalChainSpec:

@@ -1,9 +1,9 @@
 """Constructive embedding procedures with executable certificates.
 
 greedy_embed turns the antichain-by-antichain embedding argument into code
-that re-checks its own arithmetic: each step's fresh removals (what
-GreedyTrace.new_removals reports) are checked against the closed-form
-allowance, and total consumption against the threshold, so a successful run
+that re-checks its own arithmetic: each step's fresh removals are checked
+against the closed-form allowance, and total consumption against the
+threshold, and GreedyTrace keeps the very counts checked, so a successful run
 is a machine-checked instance of the bound rather than a trusted one.
 
 Every k-interval chain is a permuted copy of the canonical one, so one path
@@ -54,27 +54,22 @@ class GreedyStep:
 
 @dataclass(frozen=True)
 class GreedyTrace:
-    """Full record of a greedy run over the total order it used."""
+    """Full record of a greedy run over the total order it used, with the
+    counts greedy_embed checked: each step's fresh removals (beyond its images
+    and all earlier removals) and the distinct sets used or discarded."""
 
     total_order: tuple[Subset, ...]
     steps: tuple[GreedyStep, ...]
     allowance: int
     threshold: int
+    fresh_counts: tuple[int, ...]
+    consumed: int
 
     def new_removals(self) -> tuple[int, ...]:
-        """Per step, how many sets were discarded beyond the images themselves
-        and everything already discarded."""
-        counts = []
-        prev_removed: set[int] = set()
-        for step in self.steps:
-            removed = {s.mask for s in step.removed}
-            counts.append(len(removed - prev_removed - {s.mask for s in step.images}))
-            prev_removed |= removed
-        return tuple(counts)
+        return self.fresh_counts
 
     def total_consumption(self) -> int:
-        """Distinct sets either used as images or discarded along the way."""
-        return len({s.mask for step in self.steps for s in step.images + step.removed})
+        return self.consumed
 
 
 def greedy_embed(
@@ -94,7 +89,7 @@ def greedy_embed(
     The order sorts on IntervalChainSpec.greedy_key, an integer memoised on
     the spec object for the sets runs have looked at, and the layers are
     placed on masks; each step's fresh discards and the total consumption
-    are counted as the steps are taken.
+    are counted and checked as the steps are taken, and the trace keeps them.
     """
     if spec.k < 2:
         raise PreconditionViolated(f"need k >= 2, got {spec.k}")
@@ -126,8 +121,8 @@ def greedy_embed(
     _, order, ordered = zip(*keyed) if keyed else ((), (), ())
     subset = dict(zip(order, ordered)).__getitem__
 
+    # Removals only grow (the meet shrinks, the images accumulate).
     unusable: set[int] = set()
-    discarded: set[int] = set()
     image_masks: set[int] = set()
     images: dict[int, int] = {}
     steps: list[GreedyStep] = []
@@ -150,26 +145,27 @@ def greedy_embed(
         if i >= 2:
             outside = ~meet
             removed = [m for m in order if m & outside or m in image_masks]
-            unusable = set(removed)
-            fresh = len(unusable.difference(discarded, placed))
-            discarded |= unusable
+            grown = set(removed)
+            fresh = len(grown.difference(unusable, placed))
+            if fresh > allowance:
+                raise InternalExhaustion(
+                    f"step {i} discarded {fresh} fresh sets, over the "
+                    f"allowance {allowance}; this is a bug"
+                )
+            unusable = grown
         fresh_counts.append(fresh)
         steps.append(
             GreedyStep(i, tuple(map(subset, placed)), tuple(map(subset, removed)))
         )
 
-    for step, fresh in zip(steps, fresh_counts):
-        if fresh > allowance:
-            raise InternalExhaustion(
-                f"step {step.layer} discarded {fresh} fresh sets, over the "
-                f"allowance {allowance}; this is a bug"
-            )
-    consumed = len(discarded | image_masks)
+    consumed = len(unusable | image_masks)
     if consumed > threshold:
         raise InternalExhaustion(
             f"consumed {consumed} sets, over the threshold {threshold}; this is a bug"
         )
-    trace = GreedyTrace(ordered, tuple(steps), allowance, threshold)
+    trace = GreedyTrace(
+        ordered, tuple(steps), allowance, threshold, tuple(fresh_counts), consumed
+    )
     embedding = Embedding(
         "weak", "family", tuple(subset(images[e]) for e in range(P.size))
     )

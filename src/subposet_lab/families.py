@@ -488,7 +488,7 @@ def level_count(spec: IntervalChainSpec, m: int) -> int:
         raise ValueError(f"level {m} outside 0..{spec.n}")
     if spec.k <= m <= spec.n - spec.k:
         return 1 << (spec.k - 1)
-    return interval_chain(spec).count_of_size(m)
+    return sum(mask.bit_count() == m for mask in chain_masks(spec))
 
 def count_trailing_zero_profile(spec: IntervalChainSpec, m: int, j: int) -> int:
     """Number of size-m chain sets with at least j zeros before their last 1.

@@ -148,7 +148,7 @@ class Poset:
 
     def diamond_width(self) -> int:
         """k if this is the diamond D_k (complete layers (1, k, 1)), else 0.
-        The bounds table asks it; EmbeddingSearch reads the layer sizes."""
+        The bounds table asks it, and EmbeddingSearch asks it to pick _diamond."""
         layers = self.complete_layer_sizes()
         if layers is not None and len(layers) == 3 and layers[0] == layers[2] == 1:
             return layers[1]
@@ -318,7 +318,8 @@ class EmbeddingSearch:
     - Otherwise _full(allowed, z) searches, and its answer is stored in one
       of the two. _full is chosen once, from the pattern's complete layer
       sizes, so relabelled patterns qualify:
-      - layers (1, k, 1), the diamond D_k and the 3-chain D_1, take _diamond:
+      - the diamond D_k (Poset.diamond_width, layers (1, k, 1)) and the
+        3-chain D_1 take _diamond:
         some A below D with k middles strictly between them;
       - two layers (a, b), the K:a,b and the 2-chain, take _two_layer: every
         bottom below every top;
@@ -393,7 +394,7 @@ class EmbeddingSearch:
         self._incomparable = incomparable
         # _full holds a plain function, so the search is not a cycle.
         self._layers = layers = pattern.complete_layer_sizes() or ()
-        if len(layers) == 3 and layers[0] == layers[2] == 1:
+        if pattern.diamond_width():
             self._full = EmbeddingSearch._diamond
         elif len(layers) == 2:
             self._full = EmbeddingSearch._two_layer

@@ -51,21 +51,8 @@ class ExtremalResult:
 
     value: Union[int, Fraction]
     witness: SetFamily
-    mode: str
-    objective: str
     exhaustive: bool
     nodes_explored: int
-
-    def as_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "value": str(self.value) if isinstance(self.value, Fraction) else self.value,
-            "objective": self.objective,
-            "mode": self.mode,
-            "exhaustive": self.exhaustive,
-            "witness": [list(s.elements()) for s in self.witness],
-            "nodes_explored": self.nodes_explored,
-        }
 
 
 def _complete_levels(H: SetFamily) -> tuple[int, ...]:
@@ -509,7 +496,7 @@ def _search(
         best_value = 0
     value = best_value if objective == "cardinality" else Fraction(best_value, unit)
     witness = SetFamily(H.n, (members[i] for i in range(m) if best_mask >> i & 1))
-    return ExtremalResult(value, witness, mode, objective, exhaustive, nodes)
+    return ExtremalResult(value, witness, exhaustive, nodes)
 
 
 def _guard(n: int, override: bool) -> None:
@@ -572,7 +559,6 @@ class DoubleCountingReport:
     lhs: Fraction
     alpha_value: int
     holds: bool
-    mode: str
     exhaustive: bool
     pairs_by_sets: int | None = None
     pairs_by_permutations: int | None = None
@@ -617,7 +603,6 @@ def verify_double_counting(
         lhs=lhs,
         alpha_value=alpha_res.value,
         holds=lhs <= alpha_res.value,
-        mode=mode,
         exhaustive=exhaustive,
         pairs_by_sets=pairs_by_sets,
         pairs_by_permutations=pairs_by_perms,

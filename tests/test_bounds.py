@@ -265,7 +265,7 @@ class TestLogarithmicBounds:
 
     def test_corollary_interval_irrational_ratio(self):
         report = bound_corollary_interval(10, 3)
-        assert not report.is_exact
+        assert not isinstance(report.coefficient, Fraction)
         # (3/2) log2(10/3) * 3 + 3.5 * 3 between 18 and 19
         assert certainly_less(to_interval(18), report.coefficient)
         assert certainly_less(report.coefficient, to_interval(19))

@@ -112,8 +112,16 @@ class TestExactCommand:
             capsys, "exact", "--n", "3", "--poset", "chain:2", "--objective", "lubell"
         )
         assert code == 0
-        expected = lubell_max(3, chain(2), "weak").as_dict()
-        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+        result = lubell_max(3, chain(2), "weak")
+        assert json.loads(out) == {
+            "schema": 1,
+            "value": str(result.value),
+            "objective": "lubell",
+            "mode": "weak",
+            "exhaustive": result.exhaustive,
+            "witness": [list(s.elements()) for s in result.witness],
+            "nodes_explored": result.nodes_explored,
+        }
 
     def test_budget_flags_nonexhaustive(self, capsys):
         code, out, _ = run_cli(
@@ -403,6 +411,44 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", *argv)
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
+
+
+class TestResultGoldens:
+    """exact, alpha and embed stdout and exit codes, pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "golden, argv, want",
+        [
+            ("exact_n5_diamond2.json", ["exact", "--n", "5", "--poset", "diamond:2"], 0),
+            (
+                "exact_n4_K22_lubell_induced.json",
+                ["exact", "--n", "4", "--poset", "K:2,2", "--objective", "lubell",
+                 "--mode", "induced"],
+                0,
+            ),
+            (
+                "exact_n5_chain3_b50.json",
+                ["exact", "--n", "5", "--poset", "chain:3", "--budget", "50"],
+                1,
+            ),
+            (
+                "embed_K232_k3_n16.json",
+                ["embed", "--poset", "K:2,3,2", "--k", "3", "--n", "16"],
+                0,
+            ),
+        ],
+    )
+    def test_stdout_matches_golden_text(self, capsys, golden, argv, want):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == want
+        assert out == (GOLDEN / golden).read_text()
+
+    def test_alpha_on_a_chain_file(self, capsys, tmp_path):
+        path = tmp_path / "chain.txt"
+        assert run_cli(capsys, "chain", "--n", "8", "--k", "2", "--output", str(path))[0] == 0
+        code, out, _ = run_cli(capsys, "alpha", "--family", str(path), "--poset", "diamond:2")
+        assert code == 0
+        assert out == (GOLDEN / "alpha_chain8k2_diamond2.json").read_text()
 
 
 class TestDeterminism:

@@ -44,7 +44,8 @@ def window_family(n, k):
 def reference_greedy_embed(H, P, spec):
     """greedy_embed written the direct way, as a reference: a string order
     key per run, membership through spec.contains, the layers placed on
-    Subsets, and the certificates read back off the finished trace."""
+    Subsets, and the certificate counts recounted from the finished steps,
+    so comparing whole traces checks the counts greedy_embed stores."""
     if spec.k < 2:
         raise PreconditionViolated(f"need k >= 2, got {spec.k}")
     if H.n != spec.n:
@@ -98,18 +99,28 @@ def reference_greedy_embed(H, P, spec):
             removed = [s for s in ordered if s.mask & ~meet or s.mask in image_masks]
             unusable = {s.mask for s in removed}
         steps.append(embedder.GreedyStep(i, tuple(placed), tuple(removed)))
-    trace = embedder.GreedyTrace(tuple(ordered), tuple(steps), allowance, threshold)
-    for step, fresh in zip(trace.steps, trace.new_removals()):
+    # Recount from the steps: each step's removals beyond its own images and
+    # everything removed before, and every set either placed or removed.
+    fresh_counts = []
+    prev_removed = set()
+    for step in steps:
+        removed = {s.mask for s in step.removed}
+        fresh = len(removed - prev_removed - {s.mask for s in step.images})
         if fresh > allowance:
             raise InternalExhaustion(
                 f"step {step.layer} discarded {fresh} fresh sets, over the "
                 f"allowance {allowance}; this is a bug"
             )
-    if trace.total_consumption() > threshold:
+        fresh_counts.append(fresh)
+        prev_removed |= removed
+    consumed = len({s.mask for step in steps for s in step.images + step.removed})
+    if consumed > threshold:
         raise InternalExhaustion(
-            f"consumed {trace.total_consumption()} sets, over the threshold "
-            f"{threshold}; this is a bug"
+            f"consumed {consumed} sets, over the threshold {threshold}; this is a bug"
         )
+    trace = embedder.GreedyTrace(
+        tuple(ordered), tuple(steps), allowance, threshold, tuple(fresh_counts), consumed
+    )
     embedding = Embedding("weak", "family", tuple(images[e] for e in range(P.size)))
     check_embedding(P, embedding)
     return embedding, trace

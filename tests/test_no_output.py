@@ -39,3 +39,29 @@ def test_the_check_sees_each_kind_of_write():
     source = "import sys\nfrom sys import stderr\nprint(1)\nsys.stdout.write('x')\n"
     assert _writes(ast.parse(source)) == [2, 3, 4]
     assert _writes(ast.parse(Path(SRC / "cli.py").read_text()))
+
+
+def _schema_keys(tree: ast.AST) -> list[int]:
+    """Lines of dict literals with a "schema" key."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Dict)
+        for key in node.keys
+        if isinstance(key, ast.Constant) and key.value == "schema"
+    ]
+
+
+def test_only_the_cli_owns_the_output_schema():
+    found = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "cli.py"
+        for line in _schema_keys(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, f"output schema outside cli.py: {found}"
+
+
+def test_the_schema_check_sees_a_schema_key():
+    assert _schema_keys(ast.parse('x = {"a": 1,\n "schema": 1}')) == [1]
+    assert _schema_keys(ast.parse(Path(SRC / "cli.py").read_text()))
