@@ -14,7 +14,7 @@ from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from itertools import accumulate, groupby
 from math import comb, factorial, inf, lcm
 from typing import Union
@@ -28,7 +28,7 @@ from .errors import (
 from .families import (
     IntervalChainSpec,
     SetFamily,
-    interval_chain,
+    chain_masks,
     min_chain_partition,
     permutation_hit_count,
     permutation_image_counts,
@@ -41,7 +41,6 @@ MAX_HOST_SETS = 512
 # capacity search is dropped, with its row, after CAPACITY_NODE_CAP nodes.
 ROW_MAX_K = 3
 CAPACITY_NODE_CAP = 200_000
-_ROW_CACHE: dict[tuple, tuple[int, dict[int, int], int] | None] = {}
 
 
 @dataclass(frozen=True)
@@ -77,11 +76,15 @@ def double_count_rows(
 
     Returns one (k, {w: N_w(G)}, alpha(G, P, mode)) row per
     1 <= k <= min(ROW_MAX_K, n - 1) whose capacity search finished within
-    CAPACITY_NODE_CAP nodes when H is a union of full levels of 2^[n], and no
-    rows for any other host. The rows are withheld there for cost, not
-    validity: on a sparse host they bind little, and their capacity searches
-    can cost more than the search they prune. Capacities are cached per
-    (n, k, levels, P, mode).
+    CAPACITY_NODE_CAP nodes when H is a union of full levels of 2^[n] with a
+    level strictly between 0 and n, and no rows for any other host. Hosts
+    within {empty set, [n]} are one chain, whose chain capacity already gives
+    the bound its rows would. On every other host the rows are withheld for
+    cost, not validity: there they bind little, and their capacity searches
+    can cost more than the search they prune. Each capacity is an alpha call
+    on G, cached per (n, k, levels, P, mode, cap); G always has a level
+    strictly between 0 and n and is never a union of full levels, so it gets
+    no rows and the recursion stops there.
     """
     return _rows(H.n, _complete_levels(H), P, mode)
 
@@ -90,22 +93,26 @@ def _rows(
     n: int, levels: tuple[int, ...], P: Poset, mode: str
 ) -> tuple[tuple[int, dict[int, int], int], ...]:
     """double_count_rows for a host over [n] with the given _complete_levels."""
-    if not levels:
+    # Levels 0 and n alone are one chain, whose capacity gives what rows would.
+    if not set(levels) - {0, n}:
         return ()
-    rows = []
-    for k in range(1, min(ROW_MAX_K, n - 1) + 1):
-        key = (n, k, levels, P.rows, mode)
-        if key not in _ROW_CACHE:
-            chain_sets = interval_chain(IntervalChainSpec.canonical(n, k))
-            G = SetFamily(n, (s for s in chain_sets if s.weight in levels))
-            # No rows for G: it can be a union of full levels itself (H holds
-            # levels 0 and n only), and building its rows would recurse.
-            found = _search(G, P, mode, "cardinality", CAPACITY_NODE_CAP, False)
-            counts = dict(Counter(s.weight for s in G))
-            _ROW_CACHE[key] = (k, counts, found.value) if found.exhaustive else None
-        if _ROW_CACHE[key] is not None:
-            rows.append(_ROW_CACHE[key])
-    return tuple(rows)
+    ks = range(1, min(ROW_MAX_K, n - 1) + 1)
+    rows = (_row(n, k, levels, P, mode, CAPACITY_NODE_CAP) for k in ks)
+    return tuple(row for row in rows if row is not None)
+
+
+@cache
+def _row(
+    n: int, k: int, levels: tuple[int, ...], P: Poset, mode: str, cap: int
+) -> tuple[int, dict[int, int], int] | None:
+    """The row of the canonical k-interval chain G on the given levels, or
+    None when alpha(G, P, mode) does not finish within cap nodes."""
+    chain = chain_masks(IntervalChainSpec.canonical(n, k))
+    G = SetFamily.from_masks(n, (mask for mask in chain if mask.bit_count() in levels))
+    found = alpha(G, P, mode, "cardinality", cap)
+    if not found.exhaustive:
+        return None
+    return k, dict(Counter(mask.bit_count() for mask in G.masks())), found.value
 
 
 def _chain_tables(order: list[int], chains: list[list[int]], values: list[int], cap: int):
@@ -245,13 +252,13 @@ def alpha(
     scaled to integers by the lcm of the binomials involved, so no node does
     Fraction arithmetic.
 
-    When H is a union of full levels of 2^[n] (the power set, a middle-levels
-    window), the knapsack rows of double_count_rows prune too: a node is cut
-    when the value so far plus the floor of the fractional knapsack optimum
-    of the undecided sets under one row's remaining capacity cannot beat the
-    incumbent, and a set that overflows a row is refused without a freeness
-    check. Such hosts are searched twice (once when the first order below is
-    the canonical one):
+    When H is a union of full levels of 2^[n] with a level strictly between
+    0 and n (the power set, a middle-levels window), the knapsack rows of
+    double_count_rows prune too: a node is cut when the value so far plus the
+    floor of the fractional knapsack optimum of the undecided sets under one
+    row's remaining capacity cannot beat the incumbent, and a set that
+    overflows a row is refused without a freeness check. Hosts with rows are
+    searched twice (once when the first order below is the canonical one):
 
     1. to exhaustion for the optimum v, in the order where good families
        come early: middle-out (by |2|A| - n|, then canonically) for
@@ -259,30 +266,30 @@ def alpha(
     2. include-first in canonical order with the incumbent at v - 1,
        stopping at the first family of value v.
 
-    On such hosts both passes also branch orbitally (Margot 2002; Ostrowski
-    et al. 2011). Every permutation of [n] maps H onto itself and keeps each
-    set's level, so it maps a P-free family to one of the same value. At a
-    node, the permutations fixing each chosen set are those keeping each
-    block of the partition of [n] the chosen sets cut out; they move set A
-    onto every B in H with |A & b| = |B & b| for each block b. Excluding A
-    then forces that whole orbit out, and a forced-out set takes only its
-    exclude branch (still counted as a node). For any threshold u, no
-    pruned subtree holds F*, the first P-free family of value above u in a
-    pass's include-first order: if it held F*, F* would avoid A and hold some
-    B of A's orbit, and a permutation s of that group with s(B) = A would
-    give s(F*), P-free with the same value, holding every chosen set and A,
-    so it would come before F* in that order (the include branch on A was
-    searched earlier). Each improving leaf is such an F*, so the passes meet
-    the same improving leaves as without the orbits, in a subset of the
-    nodes: no search takes more nodes, and one that ends within its budget
-    without the orbits also does so with them, with the same value and
-    witness.
+    On every union of full levels, rows or not, both passes also branch
+    orbitally (Margot 2002; Ostrowski et al. 2011). Every permutation of [n]
+    maps H onto itself and keeps each set's level, so it maps a P-free family
+    to one of the same value. At a node, the permutations fixing each chosen
+    set are those keeping each block of the partition of [n] the chosen sets
+    cut out; they move set A onto every B in H with |A & b| = |B & b| for
+    each block b. Excluding A then forces that whole orbit out, and a
+    forced-out set takes only its exclude branch (still counted as a node).
+    For any threshold u, no pruned subtree holds F*, the first P-free family
+    of value above u in a pass's include-first order: if it held F*, F* would
+    avoid A and hold some B of A's orbit, and a permutation s of that group
+    with s(B) = A would give s(F*), P-free with the same value, holding every
+    chosen set and A, so it would come before F* in that order (the include
+    branch on A was searched earlier). Each improving leaf is such an F*, so
+    the passes meet the same improving leaves as without the orbits, in a
+    subset of the nodes: no search takes more nodes, and one that ends within
+    its budget without the orbits also does so with them, with the same value
+    and witness.
 
     Other hosts (interval chains, arbitrary families) get no rows, for cost
-    (see double_count_rows), no orbital branching, and only the
-    include-first pass. Either way include-first order with strict
-    improvement makes the witness the lexicographically least optimum over
-    canonical indices, and nodes_explored counts the nodes of both passes
+    (see double_count_rows), and no orbital branching. A host without rows
+    takes only the include-first pass. Either way include-first order with
+    strict improvement makes the witness the lexicographically least optimum
+    over canonical indices, and nodes_explored counts the nodes of both passes
     (not those of the capacity searches behind the rows). Both passes run
     one iterative loop over a list of pending branches, so the search's depth
     in Python frames does not grow with the host. When a node's include
@@ -301,6 +308,14 @@ def alpha(
     still grows faster with the host, the chain partition's matching on
     hosts that are not unions of full levels and the |H|-bit masks the
     search carries, to the size of 2^[9], the largest whole cube it accepts.
+
+    Per call it builds, besides the rows (whose capacity searches are
+    cached), the EmbeddingSearch and the chain partition, each pass's chain
+    tables (O(cap) per set, _chain_tables) and, with rows, one knapsack per
+    row over at most n + 1 runs (_knapsack_bound). Row steps and orbits are
+    filled as the walk first meets them: a _row_step per (position,
+    capacities left), one signature pass over the sets per partition of [n]
+    (_orbits), one _split_blocks per (partition, set).
     """
     if P.size < 1:
         raise ValueError("pattern must have at least one element")
@@ -310,29 +325,8 @@ def alpha(
         raise PreconditionViolated(
             f"host has {len(H)} sets; the exact search handles at most {MAX_HOST_SETS}"
         )
-    return _search(H, P, mode, objective, node_budget, True)
-
-
-def _search(
-    H: SetFamily,
-    P: Poset,
-    mode: str,
-    objective: str,
-    node_budget: int | None,
-    with_rows: bool,
-) -> ExtremalResult:
-    """alpha's branch and bound, pruning with double_count_rows when
-    with_rows is set.
-
-    Per call it builds, besides the EmbeddingSearch and the chain partition,
-    each pass's chain tables (O(cap) per set, _chain_tables) and, with rows,
-    one knapsack per row over at most n + 1 runs (_knapsack_bound). Row steps
-    and orbits are filled as the walk first meets them: a _row_step per
-    (position, capacities left), one signature pass over the sets per
-    partition of [n] (_orbits), one _split_blocks per (partition, set).
-    """
     levels = _complete_levels(H)
-    rows = _rows(H.n, levels, P, mode) if with_rows else ()
+    rows = _rows(H.n, levels, P, mode)
     search = EmbeddingSearch(H, P, mode)
     members = H.sets
     m = len(members)

@@ -1,4 +1,5 @@
-"""Shared fixtures and independent oracles.
+"""Shared fixtures, independent oracles, and the package source for the
+static tests.
 
 The oracles here deliberately avoid the package's search machinery: weak and
 induced containment are decided by looping over raw injections, and optima by
@@ -8,16 +9,32 @@ pattern's copies. Slow, obviously correct, and used to certify the fast paths.
 
 from __future__ import annotations
 
+import ast
 import itertools
 import random
 from fractions import Fraction
+from functools import cache
 from math import comb, lcm
+from pathlib import Path
 
 import pytest
 
+import subposet_lab
 from subposet_lab.families import SetFamily, Subset
 from subposet_lab.posets import Poset, chain, diamond
 from subposet_lab.solver import la_exact
+
+SRC = Path(subposet_lab.__file__).parent
+
+
+@cache
+def source_trees() -> tuple[tuple[Path, ast.Module], ...]:
+    """(path relative to src/subposet_lab, parsed tree) for each package
+    module, in path order, parsed once per test session."""
+    return tuple(
+        (path.relative_to(SRC), ast.parse(path.read_text(), filename=str(path)))
+        for path in sorted(SRC.rglob("*.py"))
+    )
 
 
 def is_copy(images: tuple[int, ...], pattern: Poset, mode: str) -> bool:

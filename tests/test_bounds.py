@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -12,6 +13,7 @@ from subposet_lab.bounds import (
     bound_corollary_diamond,
     bound_corollary_interval,
     bound_dk,
+    bound_dk_any,
     bound_main,
     bound_product_composition,
     ceil_log2,
@@ -407,3 +409,24 @@ class TestNumericHelpers:
         assert coefficient_str(Fraction(5, 2)) == "5/2"
         text = coefficient_str(log2_interval(3))
         assert text.startswith("1.58496250072115618145373894394781650875981")
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: bound_dk_any(0), "need width >= 1, got 0"),
+            (lambda: bound_product_composition([]), "composition needs at least one part"),
+            (
+                lambda: bound_product_composition(
+                    [bound_dk(2), lower_bound_complete_multilevel(3, 4)]
+                ),
+                "only upper bounds compose additively",
+            ),
+            (lambda: bound_corollary_diamond([0]), "layer sizes must all be >= 1, got (0,)"),
+            (lambda: min_valid_n(1), "need k >= 2, got 1"),
+        ],
+    )
+    def test_bad_parameters_are_refused(self, call, message):
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+            call()

@@ -5,9 +5,7 @@ callers may still try to catch."""
 import ast
 from pathlib import Path
 
-import subposet_lab
-
-SRC = Path(subposet_lab.__file__).parent
+from conftest import source_trees
 
 
 def _raised_name(exc: ast.expr | None) -> str | None:
@@ -21,14 +19,14 @@ def _raised_name(exc: ast.expr | None) -> str | None:
 
 
 def test_every_error_class_is_raised_in_src():
+    trees = dict(source_trees())
     declared = {
         node.name
-        for node in ast.parse((SRC / "errors.py").read_text()).body
+        for node in trees[Path("errors.py")].body
         if isinstance(node, ast.ClassDef)
     }
     raised = set()
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for tree in trees.values():
         raised |= {
             _raised_name(node.exc) for node in ast.walk(tree) if isinstance(node, ast.Raise)
         }

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -666,3 +667,46 @@ class TestMinChainPartition:
         levels = [w for w in range(n + 1) if rng.random() < 0.5]
         fam = SetFamily.levels(n, levels)
         assert min_chain_partition(fam) == symmetric_chain_partition(fam)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: Subset(-1, 0), ValueError, "ground set size must be >= 0, got -1"),
+            (lambda: Subset(2, 1) | Subset(3, 1), ValueError, "ground sets differ"),
+            (lambda: SetFamily(2).union(SetFamily(3)), ValueError, "ground sets differ"),
+            (lambda: unrelated_below_count(1), OutOfRange, "need k >= 2, got 1"),
+            (
+                lambda: unrelated_below(IntervalChainSpec.canonical(4, 1), 1),
+                OutOfRange,
+                "need k >= 2, got 1",
+            ),
+            (
+                lambda: permutation_hit_count(SetFamily.power_set(3), Subset(4, 1)),
+                ValueError,
+                "ground sets differ",
+            ),
+            (
+                lambda: permutation_hit_count_exhaustive(SetFamily.power_set(3), Subset(4, 1)),
+                ValueError,
+                "ground sets differ",
+            ),
+        ],
+    )
+    def test_bad_arguments_are_refused(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_set_family_attributes_cannot_be_assigned(self):
+        fam = SetFamily(2)
+        with pytest.raises(AttributeError, match="^SetFamily is immutable$"):
+            fam.n = 3
+        assert fam.n == 2
+
+    def test_worst_set_needs_the_canonical_base(self):
+        # The base adds the elements from 5 down to 1.
+        base = tuple(Subset(5, 0b11111 ^ ((1 << (5 - i)) - 1)) for i in range(6))
+        spec = IntervalChainSpec(5, 2, base)
+        with pytest.raises(ValueError, match="^worst_set is defined for the canonical base only$"):
+            worst_set(spec, 3)

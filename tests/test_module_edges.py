@@ -3,17 +3,10 @@ modules only through their public names: no import hides inside a function,
 and no module reaches into another one's `_name`."""
 
 import ast
-from pathlib import Path
 
-import subposet_lab
+from conftest import source_trees
 
-SRC = Path(subposet_lab.__file__).parent
-MODULES = {path.stem for path in SRC.glob("*.py")}
-
-
-def _trees():
-    for path in sorted(SRC.rglob("*.py")):
-        yield path.relative_to(SRC), ast.parse(path.read_text(), filename=str(path))
+MODULES = {path.stem for path, _ in source_trees()}
 
 
 def _private(name: str) -> bool:
@@ -23,7 +16,7 @@ def _private(name: str) -> bool:
 def test_no_import_inside_a_function():
     found = [
         f"{path}:{node.lineno}"
-        for path, tree in _trees()
+        for path, tree in source_trees()
         for func in ast.walk(tree)
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(func)
@@ -34,7 +27,7 @@ def test_no_import_inside_a_function():
 
 def test_no_module_reads_another_modules_private_names():
     found = []
-    for path, tree in _trees():
+    for path, tree in source_trees():
         # Names this module binds to sibling modules (`from . import families`).
         siblings = set()
         for node in ast.walk(tree):

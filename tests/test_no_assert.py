@@ -2,19 +2,15 @@
 statements, so the package raises its own errors instead."""
 
 import ast
-from pathlib import Path
 
-import subposet_lab
-
-SRC = Path(subposet_lab.__file__).parent
+from conftest import source_trees
 
 
 def test_no_assert_statements_in_src():
     found = []
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in source_trees():
         found += [
-            f"{path.relative_to(SRC)}:{node.lineno}"
+            f"{path}:{node.lineno}"
             for node in ast.walk(tree)
             if isinstance(node, ast.Assert)
         ]

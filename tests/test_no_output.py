@@ -4,9 +4,9 @@ inside it without changing a byte of its output."""
 import ast
 from pathlib import Path
 
-import subposet_lab
+from conftest import source_trees
 
-SRC = Path(subposet_lab.__file__).parent
+CLI = dict(source_trees())[Path("cli.py")]
 
 
 def _writes(tree: ast.AST) -> list[int]:
@@ -27,10 +27,10 @@ def _writes(tree: ast.AST) -> list[int]:
 
 def test_only_the_cli_writes_output():
     found = [
-        f"{path.relative_to(SRC)}:{line}"
-        for path in sorted(SRC.rglob("*.py"))
+        f"{path}:{line}"
+        for path, tree in source_trees()
         if path.name != "cli.py"
-        for line in _writes(ast.parse(path.read_text(), filename=str(path)))
+        for line in _writes(tree)
     ]
     assert not found, f"output outside cli.py: {found}"
 
@@ -38,7 +38,7 @@ def test_only_the_cli_writes_output():
 def test_the_check_sees_each_kind_of_write():
     source = "import sys\nfrom sys import stderr\nprint(1)\nsys.stdout.write('x')\n"
     assert _writes(ast.parse(source)) == [2, 3, 4]
-    assert _writes(ast.parse(Path(SRC / "cli.py").read_text()))
+    assert _writes(CLI)
 
 
 def _schema_keys(tree: ast.AST) -> list[int]:
@@ -54,14 +54,14 @@ def _schema_keys(tree: ast.AST) -> list[int]:
 
 def test_only_the_cli_owns_the_output_schema():
     found = [
-        f"{path.relative_to(SRC)}:{line}"
-        for path in sorted(SRC.rglob("*.py"))
+        f"{path}:{line}"
+        for path, tree in source_trees()
         if path.name != "cli.py"
-        for line in _schema_keys(ast.parse(path.read_text(), filename=str(path)))
+        for line in _schema_keys(tree)
     ]
     assert not found, f"output schema outside cli.py: {found}"
 
 
 def test_the_schema_check_sees_a_schema_key():
     assert _schema_keys(ast.parse('x = {"a": 1,\n "schema": 1}')) == [1]
-    assert _schema_keys(ast.parse(Path(SRC / "cli.py").read_text()))
+    assert _schema_keys(CLI)

@@ -979,3 +979,20 @@ class TestPosetSpecDSL:
         path.write_text(text)
         with pytest.raises(ParseError, match=re.escape(message)):
             parse_poset_spec(f"edges:{path}")
+
+
+class TestRefusals:
+    def test_empty_poset_has_height_zero(self):
+        assert Poset([]).height() == 0
+
+    def test_unclosed_product_is_refused(self):
+        message = "unbalanced parentheses in '(chain:2,chain:3'"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_poset_spec("product:((chain:2,chain:3)")
+
+    def test_edge_list_skips_blank_and_comment_lines(self):
+        text = (
+            "# the diamond D_2\n\nsize 4\n   # bottom first\n"
+            "0 < 1\n0 < 2  # a tail\n\n1 < 3\n2 < 3\n"
+        )
+        assert posets.parse_edge_list(text) == diamond(2)

@@ -274,11 +274,29 @@ class TestDoubleCountRows:
         level = SetFamily.levels(5, [2])
         assert double_count_rows(level, chain(2), "weak")
         assert double_count_rows(level.without(level.sets[3:4]), chain(2), "weak") == ()
+        assert double_count_rows(SetFamily.levels(5, [0, 5]), chain(2), "weak") == ()
         for _ in range(30):
             n = rng.randint(2, 5)
             H = random_family(rng, n, rng.randint(1, 1 << n))
             full = all(H.count_of_size(s.weight) == comb(n, s.weight) for s in H)
-            assert bool(double_count_rows(H, chain(2), "weak")) == full
+            inner = any(0 < s.weight < n for s in H)
+            assert bool(double_count_rows(H, chain(2), "weak")) == (full and inner)
+
+    @pytest.mark.parametrize(
+        "P, nodes_both", [(chain(2), 4), (chain(3), 5), (diamond(2), 5)]
+    )
+    @pytest.mark.parametrize("objective", ["cardinality", "lubell"])
+    @pytest.mark.parametrize("mode", ["weak", "induced"])
+    def test_no_rows_within_bottom_and_top(self, P, nodes_both, objective, mode):
+        # Levels 0 and n form one chain, whose capacity gives what rows would;
+        # the node counts are those the search took when it still had rows.
+        for n in range(2, 6):
+            for levels, nodes in [([0], 3), ([n], 3), ([0, n], nodes_both)]:
+                H = SetFamily.levels(n, levels)
+                assert double_count_rows(H, P, mode) == ()
+                r = alpha(H, P, mode, objective)
+                assert r.exhaustive and r.nodes_explored == nodes
+                assert r.value == brute_alpha(H, P, mode, objective)
 
     @pytest.mark.parametrize("objective", ["cardinality", "lubell"])
     @pytest.mark.parametrize("mode", ["weak", "induced"])
@@ -290,7 +308,7 @@ class TestDoubleCountRows:
                 rng, rng.randint(2, 3)
             )
             rows = double_count_rows(H, P, mode)
-            assert rows
+            assert bool(rows) == any(0 < s.weight < H.n for s in H)
             fast = alpha(H, P, mode, objective)
             value, witness = first_optimum(H, P, mode, objective)
             assert fast.exhaustive
@@ -306,21 +324,31 @@ class TestDoubleCountRows:
             assert all(row_load(row, r.witness) <= row[2] for row in rows)
 
     def test_capacity_searches_are_not_counted(self, monkeypatch):
-        monkeypatch.setattr(solver, "_ROW_CACHE", {})
+        # Capacities are cached per cap, so a cap no other call uses makes
+        # the first call here run its capacity searches.
+        monkeypatch.setattr(solver, "CAPACITY_NODE_CAP", solver.CAPACITY_NODE_CAP + 1)
         cold = la_exact(5, chain(3))
         warm = la_exact(5, chain(3))
         assert cold.nodes_explored == warm.nodes_explored
         assert cold.witness == warm.witness
-        monkeypatch.setattr(solver, "_ROW_CACHE", {})
+        monkeypatch.setattr(solver, "CAPACITY_NODE_CAP", solver.CAPACITY_NODE_CAP + 1)
         budgeted = la_exact(5, chain(3), node_budget=cold.nodes_explored)
         assert budgeted.exhaustive and budgeted.nodes_explored == cold.nodes_explored
 
     def test_unfinished_capacity_search_drops_its_row(self, monkeypatch):
-        monkeypatch.setattr(solver, "_ROW_CACHE", {})
         monkeypatch.setattr(solver, "CAPACITY_NODE_CAP", 5)
         assert double_count_rows(SetFamily.power_set(5), chain(3), "weak") == ()
         r = la_exact(4, chain(3))
         assert r.value == 10 and r.exhaustive
+
+    def test_rows_come_back_when_the_cap_is_restored(self, monkeypatch):
+        # A capacity search cut short at a lower cap is not reused at a higher one.
+        H = SetFamily.power_set(6)
+        monkeypatch.setattr(solver, "CAPACITY_NODE_CAP", 5)
+        assert double_count_rows(H, chain(3), "weak") == ()
+        monkeypatch.undo()
+        rows = double_count_rows(H, chain(3), "weak")
+        assert [(k, capacity) for k, _, capacity in rows] == [(1, 2), (2, 4), (3, 8)]
 
     def test_budget_stops_in_either_pass(self):
         full = la_exact(5, chain(3))
@@ -609,7 +637,7 @@ def fractional_knapsack(weights, values, p, r):
 
 
 class TestSearchTables:
-    """The tables _search builds per call, against their definitions."""
+    """The tables alpha builds per call, against their definitions."""
 
     def test_chain_tables_match_suffix_sorts(self):
         rng = random.Random(25)
@@ -853,6 +881,13 @@ class TestVerifyDoubleCounting:
         fam = SetFamily.levels(4, [1, 2]).without([Subset.from_elements(4, [1, 2])])
         report = verify_double_counting(H, diamond(2), fam)
         assert report.holds and report.identity_holds
+
+    def test_pair_counts_stop_above_six(self):
+        # At n = 7 the pairs are not counted, so the identity holds vacuously.
+        report = verify_double_counting(maximal_chain_family(7), chain(2), SetFamily.levels(7, [1]))
+        assert report.holds and report.lhs == 1 and report.alpha_value == 1
+        assert not report.exhaustive and report.identity_holds
+        assert report.pairs_by_sets is None and report.pairs_by_permutations is None
 
     def test_rejects_mismatched_ground_sets(self):
         with pytest.raises(ValueError, match="different ground sets"):
