@@ -330,6 +330,12 @@ class EmbeddingSearch:
       distinct members.
     Every step gives the exact answer, so the caller's results do not depend
     on which one gave it. embeddings() reads and writes neither cache.
+
+    completers() asks embeds_using's question for many sets at once, after
+    one set joins the chosen ones. Its rule, _grow, is chosen once like
+    _full: a few unions of above masks for the 2- and 3-chains, and for D_2
+    and K:a,b with a, b <= 2 in weak mode; one embeds_using call per
+    candidate for every other pattern or mode.
     """
 
     __slots__ = (
@@ -347,6 +353,7 @@ class EmbeddingSearch:
         "_incomparable",
         "_layers",
         "_full",
+        "_grow",
     )
 
     def __init__(self, host: Union[Poset, SetFamily], pattern: Poset, mode: str):
@@ -392,7 +399,7 @@ class EmbeddingSearch:
         self.copies = [-1] * size
         self._misses = [0] * size
         self._incomparable = incomparable
-        # _full holds a plain function, so the search is not a cycle.
+        # _full and _grow hold plain functions, so the search is not a cycle.
         self._layers = layers = pattern.complete_layer_sizes() or ()
         if pattern.diamond_width():
             self._full = EmbeddingSearch._diamond
@@ -400,6 +407,14 @@ class EmbeddingSearch:
             self._full = EmbeddingSearch._two_layer
         else:
             self._full = EmbeddingSearch._generic
+        # Induced copies of a chain are its weak copies.
+        weak = mode == "weak" or len(layers) == q
+        if weak and layers in ((1, 1, 1), (1, 2, 1)):
+            self._grow = EmbeddingSearch._diamond_completers
+        elif weak and len(layers) == 2 and max(layers) <= 2:
+            self._grow = EmbeddingSearch._two_layer_completers
+        else:
+            self._grow = EmbeddingSearch._completers_by_query
 
     def _plan_for(self, order: Sequence[int]) -> tuple:
         # Per depth: the element assigned there and, for each later element,
@@ -437,6 +452,92 @@ class EmbeddingSearch:
             return True
         self._misses[host_idx] = allowed_mask
         return False
+
+    def completers(self, grown: int, newest: int, candidates: int) -> int:
+        """The mask of the candidates j (host indices outside `grown`) for
+        which grown | 1 << j holds a copy of the pattern through j, when the
+        set `newest` has just been added to `grown`. Two preconditions:
+
+        - no member of grown lies strictly above newest or above a candidate;
+        - no candidate completes a copy without newest: grown minus newest,
+          with j, holds no copy through j.
+
+        A copy through j then has j as the image of a maximal element and
+        holds newest. The rules read that off a few mask unions, where lows
+        are the members of grown below newest:
+        - the 2-chain: j above newest;
+        - the 3-chain D_1: j above newest, when lows is not empty;
+        - D_2 in weak mode: j above newest and above some other member of
+          grown that lies above a member of lows;
+        - K:a,b in weak mode with a, b <= 2: with one top, newest is a bottom
+          and j lies above it (and, for a = 2, above another member); with
+          two tops, newest is the other one and j lies above a members of
+          lows.
+        Every other pattern, or mode, asks embeds_using once per candidate,
+        which needs neither precondition."""
+        return self._grow(self, grown, newest, candidates)
+
+    def _completers_by_query(self, grown: int, newest: int, candidates: int) -> int:
+        copies = self.copies
+        found = 0
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            j = low.bit_length() - 1
+            if not copies[j] & ~(grown | low) or self.embeds_using(grown | low, j):
+                found |= low
+        return found
+
+    def _diamond_completers(self, grown: int, newest: int, candidates: int) -> int:
+        # j is the top, and newest a middle: as the bottom it would need a
+        # middle above it, and only j lies above it.
+        above = self.above
+        lows = grown & self.below[newest]
+        if not lows:
+            return 0
+        found = candidates & above[newest]
+        if self._layers[1] == 1 or not found:
+            return found
+        # The other middle: a member above a member of lows.
+        middles = 0
+        while lows:
+            low = lows & -lows
+            lows ^= low
+            middles |= above[low.bit_length() - 1]
+        middles &= grown ^ 1 << newest
+        ups = 0
+        while middles:
+            low = middles & -middles
+            middles ^= low
+            ups |= above[low.bit_length() - 1]
+        return found & ups
+
+    def _two_layer_completers(self, grown: int, newest: int, candidates: int) -> int:
+        bottoms, tops = self._layers
+        above = self.above
+        if tops == 1:
+            # newest is a bottom under j.
+            found = candidates & above[newest]
+            if bottoms == 1 or not found:
+                return found
+            others = grown ^ 1 << newest
+            ups = 0
+            while others:
+                low = others & -others
+                others ^= low
+                ups |= above[low.bit_length() - 1]
+            return found & ups
+        # newest is the other top: j lies above `bottoms` members of lows,
+        # counted once and twice per set.
+        lows = grown & self.below[newest]
+        once = twice = 0
+        while lows:
+            low = lows & -lows
+            lows ^= low
+            up = above[low.bit_length() - 1]
+            twice |= once & up
+            once |= up
+        return candidates & (once if bottoms == 1 else twice)
 
     def _generic(self, allowed: int, z: int) -> int:
         """Mask of a copy inside `allowed` through z, or 0, by pinning each

@@ -321,20 +321,34 @@ def alpha(
       values minus lost[p], the sum of those copies' least values. In
       induced mode with P not a chain the chain bound is exactly the value
       so far plus the undecided values, and lost is folded into its
-      increments, at no cost per node; elsewhere it is one more cut test.
+      increments, at no cost per node; with dead sets it is part of their
+      bound. Where the chain bound exists and P takes no kernel there are no
+      dead sets, and the packing is left out: as a cut test of its own it
+      cut almost nothing, since the chain bound already allows only |P| - 1
+      sets per chain (the n = 7 k = 3 capacity search of K:2,2,2 took
+      366,814 nodes with it and 369,364 without).
     - Dead sets. Where the chain bound exists and P takes a kernel of
       EmbeddingSearch (a diamond or two complete layers), each node also
       carries the mask of the undecided sets that can no longer be chosen.
-      After an include every later set not yet dead is asked whether it
-      completes a copy with the chosen sets, and the later members of a
-      chain that now holds cap sets die unasked. The chosen sets only grow,
-      so a set stays dead, and a set is dead exactly when the include test
-      would refuse it, which then reads one bit. The copy bound also leaves
-      out the dead sets' values and counts only the packed copies that avoid
-      them. This costs up to one freeness query per undecided set per
-      include, so other patterns keep the packing alone: with dead sets the
-      n = 7 k = 3 capacity search of K:2,2,2 fell from 366,814 to 138,121
-      nodes but took about 4x as long.
+      After set p is included, the later members of a chain that now holds
+      cap sets die, and so do the later sets not yet dead that complete a
+      copy with the chosen sets, which EmbeddingSearch.completers names in
+      one call. Its two preconditions hold in this pass: canonical order
+      sorts sets by size first, so no chosen set strictly contains p or a
+      later set; and a later set still alive completed no copy with the sets
+      chosen before p, or it would have died then (one set alone holds no
+      copy of a pattern with a kernel). So a new copy through a later set j
+      holds p and has j as the image of a maximal element, and for the 2-
+      and 3-chains, D_2 and K:a,b with a, b <= 2 the answer is a few unions
+      of comparability masks over the chosen sets, with no freeness query;
+      the larger kernel patterns ask one freeness query per undecided set.
+      The chosen sets only grow, so a set stays dead, and a set is dead
+      exactly when the include test would refuse it, which then reads one
+      bit. The copy bound also leaves out the dead sets' values and counts
+      only the packed copies that avoid them. Patterns that take the
+      generic search get no dead sets: asking their freeness queries on
+      every include, the n = 7 k = 3 capacity search of K:2,2,2 fell from
+      366,814 nodes (with the packing) to 138,121 but took about 4x as long.
 
     Both bounds cut only subtrees that hold no leaf above the incumbent, and
     the include test answers as before, so the pass meets the same improving
@@ -358,7 +372,8 @@ def alpha(
     filled as the walk first meets them: a _row_step per (position,
     capacities left), one signature pass over the sets per partition of [n]
     (_orbits), one _split_blocks per (partition, set). The copy packing
-    makes one embeds_using call per set.
+    makes one embeds_using call per set, and dead sets one completers call
+    per include.
     """
     if P.size < 1:
         raise ValueError("pattern must have at least one element")
@@ -395,6 +410,7 @@ def alpha(
     row_caps = tuple(capacity * unit for _, _, capacity in rows)
     chain_bits = [sum(1 << i for i in c) for c in chains]
     embeds_using = search.embeds_using
+    completers = search.completers
 
     # Orbital branching where every permutation of [n] maps H onto itself and
     # keeps each set's level: a node's group fixes each chosen set, so it is
@@ -421,14 +437,18 @@ def alpha(
     copies = search.copies
 
     # Copy bounds where there are neither rows nor orbits, whose one pass runs
-    # in canonical order, so a set's branching position is its index. Sets q
-    # from last to first each take a copy through q among the later sets no
-    # copy taken yet holds, if there is one: pack[q] is its mask, ell[q] its
-    # least value, owner[j] the q whose copy holds set j, and lost[p] the sum
-    # of ell over positions p on.
-    packing = not rows and root_sym is None
-    dead_sets = False
-    gaps = None
+    # in canonical order, so a set's branching position is its index. Dead
+    # sets need the chain bound and a kernel of EmbeddingSearch for P; the
+    # packing runs with them, and where there is no chain bound. With the
+    # chain bound and no kernel nothing else would read the packing, which
+    # cut almost nothing there, so it is left out. Sets q from last to first
+    # each take a copy through q among the later sets no copy taken yet
+    # holds, if there is one: pack[q] is its mask, ell[q] its least value,
+    # owner[j] the q whose copy holds set j, and lost[p] the sum of ell over
+    # positions p on.
+    kernel = bool(P.diamond_width() or len(P.complete_layer_sizes() or ()) == 2)
+    packing = not rows and root_sym is None and (kernel or not capped)
+    dead_sets = packing and capped
     if packing:
         pack = [0] * m
         ell = [0] * m
@@ -444,15 +464,6 @@ def alpha(
                 for j in _bits(pack[q]):
                     owner[j] = q
             lost[q] = lost[q + 1] + ell[q]
-        # Dead sets need the chain bound and a kernel behind each freeness
-        # query: EmbeddingSearch takes one for these patterns.
-        dead_sets = capped and bool(
-            P.diamond_width() or len(P.complete_layer_sizes() or ()) == 2
-        )
-        if capped and not dead_sets:
-            # gaps[p]: the values from p on, less lost[p].
-            rest = accumulate(reversed(values), initial=0)
-            gaps = [r - c for r, c in zip([*rest][::-1], lost)]
         everything = (1 << m) - 1
 
     def bury(grown: int, p: int, full: int, dead: int, ub: int) -> tuple[int, int]:
@@ -463,15 +474,13 @@ def alpha(
         the first to meet."""
         ahead = everything >> (p + 1) << (p + 1) & ~dead
         new = full & ahead
-        unasked = ahead ^ new
-        while unasked:
-            low = unasked & -unasked
-            unasked ^= low
-            j = low.bit_length() - 1
-            if not copies[j] & ~(grown | low) or embeds_using(grown | low, j):
-                new |= low
+        new |= completers(grown, p, ahead ^ new)
         met = 0
-        for j in _bits(new):
+        rest = new
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
             ub -= values[j]
             q = owner[j]
             if q > p and not (pack[q] & dead or met >> q & 1):
@@ -563,8 +572,6 @@ def alpha(
                     sym = bury(mask, i, bits if k + 1 == cap else 0, dead, ub)
                     p, value, bound = p + 1, value + worth, bound + inc_p[k]
                     continue
-                elif gaps is not None and value + gaps[p] <= best_value:
-                    break
                 i, bit, bits, inc_p, exc_p, worth = steps[p]
                 k = (mask & bits).bit_count()
                 # Other hosts pay one test per node for the orbits.

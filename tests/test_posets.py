@@ -12,7 +12,7 @@ from subposet_lab.errors import (
     ParseError,
 )
 from subposet_lab import posets
-from subposet_lab.families import SetFamily, Subset
+from subposet_lab.families import IntervalChainSpec, SetFamily, Subset, interval_chain
 from subposet_lab.posets import (
     EmbeddingSearch,
     Poset,
@@ -753,6 +753,104 @@ class TestEmbedsUsing:
             for z in range(len(host)):
                 assert search.embeds_using(1 << z, z)
                 assert search.embeds_using((1 << len(host)) - 1, z)
+
+
+def completers_by_query(search, grown, candidates):
+    """The per-set loop that EmbeddingSearch.completers replaces: the
+    candidates j for which grown | j holds a copy through j."""
+    found = 0
+    for j in range(len(search.above)):
+        if candidates >> j & 1 and search.embeds_using(grown | 1 << j, j):
+            found |= 1 << j
+    return found
+
+
+def include_first_states(host, search, rng):
+    """(grown, newest, candidates) at each include of a random include-first
+    walk through the host's canonical order that keeps alpha's dead
+    sets: a set dies when it completes a copy with the sets taken, by
+    completers_by_query, or at random, as the later members of a full chain
+    do. The oracle, not the method under test, steers the walk."""
+    m = len(host)
+    grown = dead = 0
+    for p in range(m):
+        if dead >> p & 1 or rng.random() < 0.4:
+            continue
+        grown |= 1 << p
+        ahead = ((1 << m) - 1) >> (p + 1) << (p + 1) & ~dead
+        full = ahead & rng.getrandbits(m) if rng.random() < 0.2 else 0
+        candidates = ahead ^ full
+        yield grown, p, candidates
+        dead |= full | completers_by_query(search, grown, candidates)
+
+
+class TestCompleters:
+    """EmbeddingSearch.completers against one embeds_using query per
+    candidate, on the states of include-first walks in canonical order,
+    where its preconditions hold."""
+
+    # Shapes with a mask rule in weak mode (and in induced mode for the
+    # chains), and two that ask embeds_using per candidate.
+    RULES = ["chain:2", "chain:3", "diamond:1", "diamond:2", "K:1,2", "K:2,1", "K:2,2"]
+    QUERIES = ["diamond:3", "K:2,3", "K:3,1", "chain:4"]
+
+    @staticmethod
+    def _hosts(rng):
+        for trial in range(16):
+            n = rng.randint(3, 7)
+            if trial % 3 == 2:
+                # An interval chain over a random maximal chain of 2^[n].
+                order = list(range(n))
+                rng.shuffle(order)
+                base, mask = [Subset(n, 0)], 0
+                for bit in order:
+                    mask |= 1 << bit
+                    base.append(Subset(n, mask))
+                k = rng.randint(1, min(3, (n - 1) // 2 + 1))
+                yield interval_chain(IntervalChainSpec(n, k, tuple(base)))
+            else:
+                yield random_family(rng, n, rng.randint(4, 40))
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    @pytest.mark.parametrize(
+        "spec, mode",
+        [(spec, "weak") for spec in RULES + QUERIES]
+        + [(spec, "induced") for spec in ("chain:2", "chain:3", "diamond:1")],
+    )
+    def test_matches_one_query_per_candidate(self, spec, mode, relabel):
+        rng = random.Random(f"completers:{spec}:{mode}:{relabel}")
+        pattern = parse_poset_spec(spec)
+        if relabel:
+            pattern = relabelled(pattern, rng)
+        # Includes where some candidate completes a copy, and where none does.
+        seen = [0, 0]
+        for host in self._hosts(rng):
+            fast = EmbeddingSearch(host, pattern, mode)
+            oracle = EmbeddingSearch(host, pattern, mode)
+            for _ in range(3):
+                for grown, p, candidates in include_first_states(host, oracle, rng):
+                    got = fast.completers(grown, p, candidates)
+                    assert got == completers_by_query(oracle, grown, candidates), (
+                        host.masks(), spec, mode, bin(grown), p, bin(candidates)
+                    )
+                    seen[got != 0] += 1
+            if spec in self.RULES:
+                # The mask rules ask no freeness query.
+                assert fast.copies == [-1] * len(host)
+        assert min(seen) >= 10, seen
+
+    @pytest.mark.parametrize("spec", ["diamond:2", "K:2,2", "K:1,2"])
+    def test_induced_non_chains_ask_per_candidate(self, spec):
+        # Induced copies of these are not their weak copies, so the rules do
+        # not apply; completers still answers, one query per candidate.
+        rng = random.Random(f"induced:{spec}")
+        pattern = parse_poset_spec(spec)
+        for host in self._hosts(rng):
+            fast = EmbeddingSearch(host, pattern, "induced")
+            oracle = EmbeddingSearch(host, pattern, "induced")
+            for grown, p, candidates in include_first_states(host, oracle, rng):
+                got = fast.completers(grown, p, candidates)
+                assert got == completers_by_query(oracle, grown, candidates)
 
 
 class TestEmbedIntoDiamondProduct:
