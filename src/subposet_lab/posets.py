@@ -333,9 +333,12 @@ class EmbeddingSearch:
 
     completers() asks embeds_using's question for many sets at once, after
     one set joins the chosen ones. Its rule, _grow, is chosen once like
-    _full: a few unions of above masks for the 2- and 3-chains, and for D_2
-    and K:a,b with a, b <= 2 in weak mode; one embeds_using call per
-    candidate for every other pattern or mode.
+    _full: a few unions of above masks for the 2- and 3-chains and D_2 in
+    either mode (induced D_2 reads _incomparable for its middles), and for
+    K:a,b with a, b <= 2 in weak mode; one embeds_using call per candidate
+    for every other pattern or mode (completers_by_masks tells which). Each
+    union of above masks over a mask is read off the mask's minimal members
+    (_union_above).
     """
 
     __slots__ = (
@@ -407,9 +410,10 @@ class EmbeddingSearch:
             self._full = EmbeddingSearch._two_layer
         else:
             self._full = EmbeddingSearch._generic
-        # Induced copies of a chain are its weak copies.
+        # D_1 and D_2 take their rule in either mode; K:a,b only where its
+        # induced copies are its weak copies, in weak mode or as the 2-chain.
         weak = mode == "weak" or len(layers) == q
-        if weak and layers in ((1, 1, 1), (1, 2, 1)):
+        if layers in ((1, 1, 1), (1, 2, 1)):
             self._grow = EmbeddingSearch._diamond_completers
         elif weak and len(layers) == 2 and max(layers) <= 2:
             self._grow = EmbeddingSearch._two_layer_completers
@@ -467,8 +471,9 @@ class EmbeddingSearch:
         are the members of grown below newest:
         - the 2-chain: j above newest;
         - the 3-chain D_1: j above newest, when lows is not empty;
-        - D_2 in weak mode: j above newest and above some other member of
-          grown that lies above a member of lows;
+        - D_2: j above newest and above some other member of grown that
+          lies above a member of lows and, in induced mode, is incomparable
+          with newest (the copy's other middle);
         - K:a,b in weak mode with a, b <= 2: with one top, newest is a bottom
           and j lies above it (and, for a = 2, above another member); with
           two tops, newest is the other one and j lies above a members of
@@ -476,6 +481,12 @@ class EmbeddingSearch:
         Every other pattern, or mode, asks embeds_using once per candidate,
         which needs neither precondition."""
         return self._grow(self, grown, newest, candidates)
+
+    @property
+    def completers_by_masks(self) -> bool:
+        """Whether completers answers from unions of above masks, asking no
+        freeness query."""
+        return self._grow is not EmbeddingSearch._completers_by_query
 
     def _completers_by_query(self, grown: int, newest: int, candidates: int) -> int:
         copies = self.copies
@@ -498,19 +509,11 @@ class EmbeddingSearch:
         found = candidates & above[newest]
         if self._layers[1] == 1 or not found:
             return found
-        # The other middle: a member above a member of lows.
-        middles = 0
-        while lows:
-            low = lows & -lows
-            lows ^= low
-            middles |= above[low.bit_length() - 1]
-        middles &= grown ^ 1 << newest
-        ups = 0
-        while middles:
-            low = middles & -middles
-            middles ^= low
-            ups |= above[low.bit_length() - 1]
-        return found & ups
+        # The other middle: a member above a member of lows and, in induced
+        # mode, incomparable with newest (in weak mode the row is every other
+        # index, so this only drops newest).
+        middles = _union_above(above, lows) & grown & self._incomparable[newest]
+        return found & _union_above(above, middles)
 
     def _two_layer_completers(self, grown: int, newest: int, candidates: int) -> int:
         bottoms, tops = self._layers
@@ -520,13 +523,7 @@ class EmbeddingSearch:
             found = candidates & above[newest]
             if bottoms == 1 or not found:
                 return found
-            others = grown ^ 1 << newest
-            ups = 0
-            while others:
-                low = others & -others
-                others ^= low
-                ups |= above[low.bit_length() - 1]
-            return found & ups
+            return found & _union_above(above, grown ^ 1 << newest)
         # newest is the other top: j lies above `bottoms` members of lows,
         # counted once and twice per set.
         lows = grown & self.below[newest]
@@ -720,6 +717,20 @@ class EmbeddingSearch:
 
 def _stop(images: list[int]) -> bool:
     return True
+
+
+def _union_above(above: Sequence[int], mask: int) -> int:
+    """The union of above[x] over the members x of mask, read off its
+    minimal members: take the lowest index a, then drop a and every member
+    above it, whose above masks lie inside above[a]. Exact in any index
+    order; in one that extends inclusion each index taken is minimal, so
+    the steps are the mask's minimal members, at most its width."""
+    ups = 0
+    while mask:
+        a = (mask & -mask).bit_length() - 1
+        ups |= above[a]
+        mask &= ~above[a] ^ 1 << a
+    return ups
 
 
 def _extend(

@@ -328,27 +328,34 @@ def alpha(
       sets per chain (the n = 7 k = 3 capacity search of K:2,2,2 took
       366,814 nodes with it and 369,364 without).
     - Dead sets. Where the chain bound exists and P takes a kernel of
-      EmbeddingSearch (a diamond or two complete layers), each node also
-      carries the mask of the undecided sets that can no longer be chosen.
-      After set p is included, the later members of a chain that now holds
-      cap sets die, and so do the later sets not yet dead that complete a
-      copy with the chosen sets, which EmbeddingSearch.completers names in
-      one call. Its two preconditions hold in this pass: canonical order
-      sorts sets by size first, so no chosen set strictly contains p or a
-      later set; and a later set still alive completed no copy with the sets
-      chosen before p, or it would have died then (one set alone holds no
-      copy of a pattern with a kernel). So a new copy through a later set j
-      holds p and has j as the image of a maximal element, and for the 2-
-      and 3-chains, D_2 and K:a,b with a, b <= 2 the answer is a few unions
-      of comparability masks over the chosen sets, with no freeness query;
-      the larger kernel patterns ask one freeness query per undecided set.
-      The chosen sets only grow, so a set stays dead, and a set is dead
-      exactly when the include test would refuse it, which then reads one
-      bit. The copy bound also leaves out the dead sets' values and counts
-      only the packed copies that avoid them. Patterns that take the
-      generic search get no dead sets: asking their freeness queries on
-      every include, the n = 7 k = 3 capacity search of K:2,2,2 fell from
-      366,814 nodes (with the packing) to 138,121 but took about 4x as long.
+      EmbeddingSearch (a diamond or two complete layers), and without the
+      chain bound where completers has a mask rule for P (induced D_2),
+      each node also carries the mask of the undecided sets that can no
+      longer be chosen. After set p is included, the later members of a
+      chain that now holds cap sets die, and so do the later sets not yet
+      dead that complete a copy with the chosen sets, which
+      EmbeddingSearch.completers names in one call. Its two preconditions
+      hold in this pass: canonical order sorts sets by size first, so no
+      chosen set strictly contains p or a later set; and a later set still
+      alive completed no copy with the sets chosen before p, or it would
+      have died then (one set alone holds no copy of a pattern with a
+      kernel). So a new copy through a later set j holds p and has j as the
+      image of a maximal element. For the 2- and 3-chains, for D_2 (p is a
+      middle, and in induced mode the other middle is incomparable with p)
+      and for K:a,b with a, b <= 2 in weak mode, the answer is a few unions
+      of comparability masks over the chosen sets, each read off the
+      minimal sets it ranges over, with no freeness query; the larger kernel
+      patterns ask one freeness query per undecided set. The chosen sets
+      only grow, so a set stays dead, and a set is dead exactly when the
+      include test would refuse it, which then reads one bit. The copy
+      bound also leaves out the dead sets' values and counts only the
+      packed copies that avoid them; after an include it takes one step per
+      packed copy that a new dead set meets. Patterns that take the generic
+      search get no dead sets: asking their freeness queries on every
+      include, the n = 7 k = 3 capacity search of K:2,2,2 fell from 366,814
+      nodes (with the packing) to 138,121 but took about 4x as long. Nor do
+      induced patterns without a mask rule (D_k with k >= 3, K:a,b), which
+      would ask one freeness query per undecided set on every include.
 
     Both bounds cut only subtrees that hold no leaf above the incumbent, and
     the include test answers as before, so the pass meets the same improving
@@ -438,53 +445,58 @@ def alpha(
 
     # Copy bounds where there are neither rows nor orbits, whose one pass runs
     # in canonical order, so a set's branching position is its index. Dead
-    # sets need the chain bound and a kernel of EmbeddingSearch for P; the
-    # packing runs with them, and where there is no chain bound. With the
-    # chain bound and no kernel nothing else would read the packing, which
-    # cut almost nothing there, so it is left out. Sets q from last to first
-    # each take a copy through q among the later sets no copy taken yet
-    # holds, if there is one: pack[q] is its mask, ell[q] its least value,
-    # owner[j] the q whose copy holds set j, and lost[p] the sum of ell over
-    # positions p on.
+    # sets need the chain bound and a kernel of EmbeddingSearch for P, or a
+    # mask rule of completers without the chain bound; the packing runs with
+    # them, and where there is no chain bound. With the chain bound and no
+    # kernel nothing else would read the packing, which cut almost nothing
+    # there, so it is left out. Sets q from last to first each take a copy
+    # through q among the later sets no copy taken yet holds, if there is
+    # one: pack[q] is its mask, ell[q] its least value, owner[j] the q whose
+    # copy holds set j, and lost[p] the sum of ell over positions p on.
     kernel = bool(P.diamond_width() or len(P.complete_layer_sizes() or ()) == 2)
     packing = not rows and root_sym is None and (kernel or not capped)
-    dead_sets = packing and capped
+    dead_sets = packing and (capped or search.completers_by_masks)
     if packing:
         pack = [0] * m
         ell = [0] * m
         owner = [-1] * m
         lost = [0] * (m + 1)
-        free = 0
+        # owned[q]: the sets of the copies packed from position q on.
+        owned = [0] * (m + 1)
+        everything = (1 << m) - 1
         for q in reversed(range(m)):
-            free |= 1 << q
-            if embeds_using(free, q):
+            if embeds_using(everything >> q << q & ~owned[q + 1], q):
                 pack[q] = copies[q]
-                free ^= pack[q]
                 ell[q] = min(values[j] for j in _bits(pack[q]))
                 for j in _bits(pack[q]):
                     owner[j] = q
             lost[q] = lost[q + 1] + ell[q]
-        everything = (1 << m) - 1
+            owned[q] = owned[q + 1] | pack[q]
 
     def bury(grown: int, p: int, full: int, dead: int, ub: int) -> tuple[int, int]:
         """The dead mask and copy bound once set p is chosen into grown: a
         later set dies when it is in `full` (its chain now holds cap sets) or
         completes a copy of P with grown. The bound loses each new dead set's
-        value and gets back ell of each packed copy that a new dead set is
-        the first to meet."""
+        value and gets back ell of each packed copy ahead that the new dead
+        sets meet and the old ones did not. The walk over the new dead sets
+        in owned[p + 1] drops each copy's sets at its first step, so it takes
+        one step per copy met."""
         ahead = everything >> (p + 1) << (p + 1) & ~dead
         new = full & ahead
         new |= completers(grown, p, ahead ^ new)
-        met = 0
-        rest = new
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            j = low.bit_length() - 1
-            ub -= values[j]
-            q = owner[j]
-            if q > p and not (pack[q] & dead or met >> q & 1):
-                met |= 1 << q
+        if objective == "cardinality":
+            ub -= new.bit_count()
+        else:
+            rest = new
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                ub -= values[low.bit_length() - 1]
+        met = new & owned[p + 1]
+        while met:
+            q = owner[(met & -met).bit_length() - 1]
+            met &= ~pack[q]
+            if not pack[q] & dead:
                 ub += ell[q]
         return dead | new, ub
 

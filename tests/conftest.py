@@ -143,21 +143,54 @@ def copy_edges(H: SetFamily, pattern: Poset, mode: str) -> set[int]:
 def hypergraph_alpha(
     H: SetFamily, pattern: Poset, mode: str = "weak", objective: str = "cardinality"
 ):
-    """Exact optimum as the heaviest independent set of the copy hypergraph.
+    """Exact optimum as the heaviest independent set of the copy hypergraph
+    (heaviest_independent). Lubell weights 1 / C(n, |A|) are scaled to
+    integers by the lcm of the binomials."""
+    unit, worth = _scaled_worths(H, objective)
+    best = heaviest_independent(worth, copy_edges(H, pattern, mode))
+    return best if objective == "cardinality" else Fraction(best, unit)
+
+
+def hypergraph_first_optimum(
+    H: SetFamily, pattern: Poset, mode: str = "weak", objective: str = "cardinality"
+):
+    """(value, witness) of the optimum an include-first walk in canonical
+    order reaches first: the best value with the lexicographically largest
+    include vector over canonical indices, as test_solver's first_optimum
+    finds by brute force. Set i weighs its value times 2^|H| plus
+    2^(|H| - 1 - i): the tie-break bits of two families differ, sum to less
+    than 2^|H|, and order them as their include vectors, so the heaviest
+    independent set under these weights is that optimum, read off the
+    weight's two parts."""
+    m = len(H)
+    unit, worth = _scaled_worths(H, objective)
+    best = heaviest_independent(
+        [w << m | 1 << (m - 1 - i) for i, w in enumerate(worth)], copy_edges(H, pattern, mode)
+    )
+    value = best >> m if objective == "cardinality" else Fraction(best >> m, unit)
+    picks = (H.sets[i] for i in range(m) if best >> (m - 1 - i) & 1)
+    return value, SetFamily(H.n, picks)
+
+
+def _scaled_worths(H: SetFamily, objective: str) -> tuple[int, list[int]]:
+    unit = lcm(*(comb(H.n, s.weight) for s in H)) if objective == "lubell" else 1
+    return unit, [unit // comb(H.n, s.weight) if objective == "lubell" else 1 for s in H]
+
+
+def heaviest_independent(weight: list[int], edges) -> int:
+    """The heaviest weight of a set of indices that holds no edge whole.
 
     Shares no pruning with the solver: no chain partition, no double-count
-    rows, no EmbeddingSearch. Branches include-first on the undecided set that
-    lies in the most of the live edges with fewest undecided sets; an edge is
-    live while none of its sets is excluded, and including all of one kills the
-    branch. A node is cut when the value so far plus every undecided set,
-    minus the lightest undecided set of each edge in a greedy packing of live
-    edges disjoint on their undecided sets, cannot beat the incumbent: a free
-    family leaves out a set of each live edge. Lubell weights 1 / C(n, |A|) are
-    scaled to integers by the lcm of the binomials.
+    rows, no EmbeddingSearch. Branches include-first on the undecided index
+    that lies in the most of the live edges with fewest undecided indices; an
+    edge is live while none of its indices is excluded, and including all of
+    one kills the branch. A node is cut when the weight so far plus every
+    undecided index, minus the lightest undecided index of each edge in a
+    greedy packing of live edges disjoint on their undecided indices, cannot
+    beat the incumbent: an independent set leaves out an index of each live
+    edge.
     """
-    m = len(H)
-    unit = lcm(*(comb(H.n, s.weight) for s in H)) if objective == "lubell" else 1
-    weight = [unit // comb(H.n, s.weight) if objective == "lubell" else 1 for s in H]
+    m = len(weight)
 
     def members(bits):
         while bits:
@@ -166,8 +199,8 @@ def hypergraph_alpha(
             bits ^= low
 
     best = 0
-    # (value so far, value of the undecided sets, undecided parts of live edges)
-    pending = [(0, sum(weight), frozenset(copy_edges(H, pattern, mode)))]
+    # (weight so far, weight of the undecided indices, undecided parts of live edges)
+    pending = [(0, sum(weight), frozenset(edges))]
     while pending:
         value, rest, live = pending.pop()
         if value + rest <= best:
@@ -195,7 +228,7 @@ def hypergraph_alpha(
         shrunk = frozenset(part & ~bit for part in live)
         if 0 not in shrunk:
             pending.append((value + weight[v], rest - weight[v], shrunk))
-    return best if objective == "cardinality" else Fraction(best, unit)
+    return best
 
 
 def are_isomorphic(p: Poset, q: Poset) -> bool:

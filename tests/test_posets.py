@@ -765,19 +765,22 @@ def completers_by_query(search, grown, candidates):
     return found
 
 
-def include_first_states(host, search, rng):
+def include_first_states(search, rng, order=None):
     """(grown, newest, candidates) at each include of a random include-first
-    walk through the host's canonical order that keeps alpha's dead
-    sets: a set dies when it completes a copy with the sets taken, by
-    completers_by_query, or at random, as the later members of a full chain
-    do. The oracle, not the method under test, steers the walk."""
-    m = len(host)
+    walk that keeps alpha's dead sets, through `order`, an order of the host
+    indices that extends inclusion (the host's index order by default, which
+    is canonical for a family). A set dies when it completes a copy with the
+    sets taken, by completers_by_query, or at random, as the later members of
+    a full chain do. The oracle, not the method under test, steers the walk."""
+    m = len(search.above)
+    later = (1 << m) - 1
     grown = dead = 0
-    for p in range(m):
+    for p in range(m) if order is None else order:
+        later ^= 1 << p
         if dead >> p & 1 or rng.random() < 0.4:
             continue
         grown |= 1 << p
-        ahead = ((1 << m) - 1) >> (p + 1) << (p + 1) & ~dead
+        ahead = later & ~dead
         full = ahead & rng.getrandbits(m) if rng.random() < 0.2 else 0
         candidates = ahead ^ full
         yield grown, p, candidates
@@ -790,9 +793,10 @@ class TestCompleters:
     where its preconditions hold."""
 
     # Shapes with a mask rule in weak mode (and in induced mode for the
-    # chains), and two that ask embeds_using per candidate.
+    # chains and D_2), and some that ask embeds_using per candidate.
     RULES = ["chain:2", "chain:3", "diamond:1", "diamond:2", "K:1,2", "K:2,1", "K:2,2"]
     QUERIES = ["diamond:3", "K:2,3", "K:3,1", "chain:4"]
+    INDUCED_RULES = ["chain:2", "chain:3", "diamond:1", "diamond:2"]
 
     @staticmethod
     def _hosts(rng):
@@ -815,7 +819,7 @@ class TestCompleters:
     @pytest.mark.parametrize(
         "spec, mode",
         [(spec, "weak") for spec in RULES + QUERIES]
-        + [(spec, "induced") for spec in ("chain:2", "chain:3", "diamond:1")],
+        + [(spec, "induced") for spec in INDUCED_RULES],
     )
     def test_matches_one_query_per_candidate(self, spec, mode, relabel):
         rng = random.Random(f"completers:{spec}:{mode}:{relabel}")
@@ -827,8 +831,9 @@ class TestCompleters:
         for host in self._hosts(rng):
             fast = EmbeddingSearch(host, pattern, mode)
             oracle = EmbeddingSearch(host, pattern, mode)
+            assert fast.completers_by_masks == (spec in self.RULES)
             for _ in range(3):
-                for grown, p, candidates in include_first_states(host, oracle, rng):
+                for grown, p, candidates in include_first_states(oracle, rng):
                     got = fast.completers(grown, p, candidates)
                     assert got == completers_by_query(oracle, grown, candidates), (
                         host.masks(), spec, mode, bin(grown), p, bin(candidates)
@@ -839,16 +844,48 @@ class TestCompleters:
                 assert fast.copies == [-1] * len(host)
         assert min(seen) >= 10, seen
 
-    @pytest.mark.parametrize("spec", ["diamond:2", "K:2,2", "K:1,2"])
+    @pytest.mark.parametrize(
+        "spec, mode", [(spec, "weak") for spec in RULES] + [("diamond:2", "induced")]
+    )
+    def test_rules_hold_in_any_index_order(self, spec, mode):
+        # Inclusion posets with shuffled labels, walked through a linear
+        # extension: the preconditions hold, but the index order does not
+        # extend inclusion, so the lowest member of a mask need not be
+        # minimal, and the unions of above masks over minimal members must
+        # stay exact anyway.
+        rng = random.Random(f"shuffled:{spec}:{mode}")
+        pattern = parse_poset_spec(spec)
+        seen = [0, 0]
+        unsorted = 0
+        for family in self._hosts(rng):
+            host = relabelled(inclusion_poset(family), rng)
+            order = sorted(range(host.size), key=lambda z: host.below_mask(z).bit_count())
+            unsorted += order != sorted(order)
+            fast = EmbeddingSearch(host, pattern, mode)
+            oracle = EmbeddingSearch(host, pattern, mode)
+            for _ in range(3):
+                for grown, p, candidates in include_first_states(oracle, rng, order):
+                    got = fast.completers(grown, p, candidates)
+                    assert got == completers_by_query(oracle, grown, candidates), (
+                        host.rows, spec, mode, bin(grown), p, bin(candidates)
+                    )
+                    seen[got != 0] += 1
+            assert fast.copies == [-1] * host.size
+        assert min(seen) >= 10 and unsorted >= 10, (seen, unsorted)
+
+    @pytest.mark.parametrize("spec", ["K:2,2", "K:1,2", "diamond:3"])
     def test_induced_non_chains_ask_per_candidate(self, spec):
-        # Induced copies of these are not their weak copies, so the rules do
-        # not apply; completers still answers, one query per candidate.
+        # Induced copies of these need a layer of pairwise incomparable
+        # members that no mask rule reads (D_2's two middles are the one
+        # such layer with a rule); completers still answers, one query per
+        # candidate.
         rng = random.Random(f"induced:{spec}")
         pattern = parse_poset_spec(spec)
         for host in self._hosts(rng):
             fast = EmbeddingSearch(host, pattern, "induced")
             oracle = EmbeddingSearch(host, pattern, "induced")
-            for grown, p, candidates in include_first_states(host, oracle, rng):
+            assert not fast.completers_by_masks
+            for grown, p, candidates in include_first_states(oracle, rng):
                 got = fast.completers(grown, p, candidates)
                 assert got == completers_by_query(oracle, grown, candidates)
 

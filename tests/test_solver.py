@@ -42,6 +42,7 @@ from conftest import (
     brute_contains,
     copy_edges,
     hypergraph_alpha,
+    hypergraph_first_optimum,
     random_family,
     random_poset,
 )
@@ -478,7 +479,7 @@ class TestAgainstBruteForce:
             (
                 "C_2[14]", "diamond:2", "induced", "cardinality", 150_000,
                 (
-                    15, True, 141_916,
+                    15, True, 51_225,
                     (0, 2, 3, 11, 15, 47, 63, 191, 255, 767, 1023, 3071, 6143, 4095, 12287),
                 ),
             ),
@@ -810,9 +811,10 @@ class TestHypergraphOracle:
     @pytest.mark.parametrize("spec", ["chain:3", "diamond:2", "K:2,2", "K:1,2", "K:2,2,2"])
     def test_copy_bounds_keep_value_and_witness(self, spec, mode, objective):
         # Hosts of at most 12 sets that are not unions of full levels, so
-        # they get the copy bounds: dead sets for chain:3, and for diamond:2,
-        # K:2,2 and K:1,2 in weak mode; the packing alone for K:2,2,2 in weak
-        # mode; the packing folded into the bound in induced mode.
+        # they get the copy bounds: dead sets for chain:3 and diamond:2, and
+        # for K:2,2 and K:1,2 in weak mode; the packing alone for K:2,2,2 in
+        # weak mode; the packing folded into the bound for the other induced
+        # patterns. The brute force also checks hypergraph_first_optimum.
         rng = random.Random(f"{spec}-{mode}-{objective}")
         P = parse_poset_spec(spec)
         for _ in range(4):
@@ -823,6 +825,37 @@ class TestHypergraphOracle:
             value, witness = first_optimum_by_copies(H, P, mode, objective)
             assert got.exhaustive
             assert got.value == value == hypergraph_alpha(H, P, mode, objective)
+            assert got.witness == witness
+            assert hypergraph_first_optimum(H, P, mode, objective) == (value, witness)
+
+    # Induced D_2 on hosts without rows takes dead sets through the mask rule
+    # of EmbeddingSearch.completers. These hosts are too large for
+    # first_optimum_by_copies (2^|H| families), so the witness is checked
+    # against hypergraph_first_optimum, which the test above checks against
+    # it on small hosts.
+
+    def test_induced_diamond_on_a_three_interval_chain(self):
+        # Without dead sets this search stopped at 13 after 300,000 nodes.
+        H = interval_chain(IntervalChainSpec.canonical(10, 3))
+        P = parse_poset_spec("diamond:2")
+        got = alpha(H, P, "induced", "cardinality", 300_000)
+        # One oracle call, about 3 s: the value is hypergraph_alpha's search
+        # under weights that also break ties.
+        value, witness = hypergraph_first_optimum(H, P, "induced")
+        assert (got.value, got.exhaustive, got.nodes_explored) == (15, True, 238_733)
+        assert got.value == value and got.witness == witness
+
+    @pytest.mark.parametrize("objective", ["cardinality", "lubell"])
+    def test_induced_diamond_on_random_hosts_of_26_sets(self, objective):
+        # Without dead sets these searches took 1.4 * 10^5 to 8.7 * 10^6 nodes.
+        P = parse_poset_spec("diamond:2")
+        for seed in range(4):
+            rng = random.Random(f"induced-diamond:{seed}")
+            H = SetFamily.from_masks(6, rng.sample(range(64), 26))
+            got = alpha(H, P, "induced", objective)
+            value, witness = hypergraph_first_optimum(H, P, "induced", objective)
+            assert got.exhaustive
+            assert got.value == value == hypergraph_alpha(H, P, "induced", objective)
             assert got.witness == witness
 
 
