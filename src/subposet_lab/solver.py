@@ -246,27 +246,30 @@ def alpha(
 ) -> ExtremalResult:
     """Exact optimum over P-free subfamilies of H.
 
-    Branches include-first through H. Adding a set that completes a copy of
-    P kills the include branch (freeness is closed under removal). A node is
-    pruned when its chain-capacity bound cannot beat the incumbent: H is cut
-    into as few chains as its width (min_chain_partition: the symmetric chain
-    decomposition's cut, made minimum by matching), and any |P| sets on one
-    chain hold a weak copy of P (an induced one when P is a chain), so a
-    P-free family takes at most cap = |P| - 1 sets of each chain. The bound
-    is the value so far plus, per chain, the cap - chosen largest values
-    among its undecided members; with no cap (induced mode, P not a chain) it
-    is the value so far plus everything still ahead. A chain already holding
-    cap sets refuses further sets without a freeness check. Lubell values are
-    scaled to integers by the lcm of the binomials involved, so no node does
-    Fraction arithmetic.
+    Branches include-first through H, in one iterative loop over a list of
+    pending exclude branches, so the search's depth in Python frames does
+    not grow with the host. Adding a set that completes a copy of P kills
+    the include branch (freeness is closed under removal); when an include
+    branch dies, the loop goes on with the exclude branch in place. Lubell
+    values are scaled to integers by the lcm of the binomials involved, so
+    no node does Fraction arithmetic.
 
-    When H is a union of full levels of 2^[n] with a level strictly between
-    0 and n (the power set, a middle-levels window), the knapsack rows of
-    double_count_rows prune too: a node is cut when the value so far plus the
-    floor of the fractional knapsack optimum of the undecided sets under one
-    row's remaining capacity cannot beat the incumbent, and a set that
-    overflows a row is refused without a freeness check. Hosts with rows are
-    searched twice (once when the first order below is the canonical one):
+    Chain bound. H is cut into as few chains as its width
+    (min_chain_partition), and any |P| sets on one chain hold a weak copy of
+    P (an induced one when P is a chain), so a P-free family takes at most
+    cap = |P| - 1 sets of each chain. A node is cut when the value so far
+    plus, per chain, the cap - chosen largest undecided values cannot beat
+    the incumbent; with no cap (induced mode, P not a chain) the bound is
+    the value so far plus everything still ahead. A chain holding cap sets
+    refuses further sets without a freeness check.
+
+    Rows and passes. When H is a union of full levels of 2^[n] with a level
+    strictly between 0 and n, the knapsack rows of double_count_rows prune
+    too: a node is cut when the value so far plus the floor of the
+    fractional knapsack optimum of the undecided sets under one row's
+    remaining capacity cannot beat the incumbent, and a set that overflows
+    a row is refused. Such hosts are searched twice (once when the first
+    order is the canonical one):
 
     1. to exhaustion for the optimum v, in the order where good families
        come early: middle-out (by |2|A| - n|, then canonically) for
@@ -274,113 +277,86 @@ def alpha(
     2. include-first in canonical order with the incumbent at v - 1,
        stopping at the first family of value v.
 
-    On every union of full levels, rows or not, both passes also branch
-    orbitally (Margot 2002; Ostrowski et al. 2011). Every permutation of [n]
-    maps H onto itself and keeps each set's level, so it maps a P-free family
-    to one of the same value. At a node, the permutations fixing each chosen
-    set are those keeping each block of the partition of [n] the chosen sets
-    cut out; they move set A onto every B in H with |A & b| = |B & b| for
-    each block b. Excluding A then forces that whole orbit out, and a
-    forced-out set takes only its exclude branch (still counted as a node).
-    For any threshold u, no pruned subtree holds F*, the first P-free family
-    of value above u in a pass's include-first order: if it held F*, F* would
-    avoid A and hold some B of A's orbit, and a permutation s of that group
-    with s(B) = A would give s(F*), P-free with the same value, holding every
-    chosen set and A, so it would come before F* in that order (the include
-    branch on A was searched earlier). Each improving leaf is such an F*, so
-    the passes meet the same improving leaves as without the orbits, in a
-    subset of the nodes: no search takes more nodes, and one that ends within
-    its budget without the orbits also does so with them, with the same value
-    and witness.
+    Other hosts take the canonical pass alone. With strict improvement the
+    witness is the lexicographically least optimum over canonical indices.
+    nodes_explored counts the nodes of both passes, not those of the
+    capacity searches behind the rows.
 
-    Other hosts (interval chains, arbitrary families) get no rows, for cost
-    (see double_count_rows), and no orbital branching. A host without rows
-    takes only the include-first pass. Either way include-first order with
-    strict improvement makes the witness the lexicographically least optimum
-    over canonical indices, and nodes_explored counts the nodes of both passes
-    (not those of the capacity searches behind the rows). Both passes run
-    one iterative loop over a list of pending branches, so the search's depth
-    in Python frames does not grow with the host. When a node's include
-    branch dies (its set forced out by an orbit, its chain full, a row
-    overflowed, or a copy of P completed), the loop goes on with the exclude
-    branch in place instead of pushing it and popping it straight back; it
-    visits the same nodes in the same order, and nodes_explored counts the
-    same nodes as a walk that pushes every exclude branch.
+    Node state. In a walk with dead sets each node carries (dead, ub,
+    blocks); in the other walks it carries (forced-out mask, blocks) on
+    unions of full levels and None elsewhere. blocks is the partition of [n]
+    that the chosen sets cut out, None once the group below is trivial or
+    where there are no orbits. A dead or forced-out set takes only its
+    exclude branch, still counted as a node, with no freeness check.
 
-    On hosts with neither rows nor orbits two more bounds read the copies of
-    P, with no list of them kept. A P-free family leaves out at least one set
-    of every copy of P in H (packing bounds for hitting set, Niedermeier and
-    Rossmanith 2003; forward checking, Haralick and Elliott 1980):
+    - Orbits (Margot 2002; Ostrowski et al. 2011), in both passes on every
+      union of full levels. Every permutation of [n] maps H onto itself and
+      keeps each set's level, so it maps a P-free family to one of the same
+      value. The permutations fixing each chosen set are those keeping each
+      block; they move set A onto every B in H with |A & b| = |B & b| for
+      each block b. Excluding A, for whatever reason, forces its orbit out.
+      For any threshold u, let F* be the first P-free family of value above
+      u in the pass's include-first order. If F* lay below that exclude
+      branch and held some B of A's orbit, a permutation s of the group with
+      s(B) = A would give s(F*): P-free, of the same value, holding every
+      chosen set and A, and so earlier than F* in that order, against the
+      choice of F*.
+    - Dead sets, in the canonical walk only, where completers has a mask
+      rule for P and, off full levels, also where the chain bound exists
+      and P takes a kernel of EmbeddingSearch (a diamond or two complete
+      layers). A later set dies when its chain comes to hold cap sets, when
+      it completes a copy of P with the chosen sets, or when an excluded
+      set's orbit takes it (kill), so the forced-out mask is the dead mask.
+      After set p is included, EmbeddingSearch.completers names the later
+      live sets that complete a copy, in one call. Its two preconditions
+      hold in this walk: canonical order sorts sets by size first, so no
+      chosen set strictly contains p or a later set; and a later live set
+      completed no copy with the sets chosen before p, or it would have
+      died then (one set alone holds no copy of a pattern with a kernel).
+      The chosen sets only grow, so a set stays dead.
+    - Copy bound. A P-free family leaves out a set of every copy of P in H
+      (packing bounds for hitting set, Niedermeier and Rossmanith 2003;
+      forward checking, Haralick and Elliott 1980). Off full levels, with
+      dead sets or without the chain bound, the positions q go from last to
+      first before the walk, and each makes one embeds_using call for a
+      copy through set q among the sets from q on that no copy taken so far
+      holds, and takes it if there is one. The copies taken from position p
+      on are disjoint and undecided at p. ub is the value so far plus the
+      live undecided values, minus the least value of each packed copy
+      ahead that holds no dead set; a set's death takes its value off ub
+      and gives back the least value of a packed copy it is the first dead
+      set of, one step per copy met. Without a cap, where the chain bound is
+      the value so far plus everything ahead, the packing is folded into
+      its increments too, at no cost per node.
 
-    - Copy packing. Before the walk the positions q go from last to first,
-      and each makes one embeds_using call for a copy through set q among
-      the sets from q on that no copy taken so far holds, and takes it if
-      there is one. The copies taken from position p on are disjoint and
-      undecided at p, so a P-free family leaves out a distinct set of each:
-      no leaf below a node at p beats the value so far plus the undecided
-      values minus lost[p], the sum of those copies' least values. In
-      induced mode with P not a chain the chain bound is exactly the value
-      so far plus the undecided values, and lost is folded into its
-      increments, at no cost per node; with dead sets it is part of their
-      bound. Where the chain bound exists and P takes no kernel there are no
-      dead sets, and the packing is left out: as a cut test of its own it
-      cut almost nothing, since the chain bound already allows only |P| - 1
-      sets per chain (the n = 7 k = 3 capacity search of K:2,2,2 took
-      366,814 nodes with it and 369,364 without).
-    - Dead sets. Where the chain bound exists and P takes a kernel of
-      EmbeddingSearch (a diamond or two complete layers), and without the
-      chain bound where completers has a mask rule for P (induced D_2),
-      each node also carries the mask of the undecided sets that can no
-      longer be chosen. After set p is included, the later members of a
-      chain that now holds cap sets die, and so do the later sets not yet
-      dead that complete a copy with the chosen sets, which
-      EmbeddingSearch.completers names in one call. Its two preconditions
-      hold in this pass: canonical order sorts sets by size first, so no
-      chosen set strictly contains p or a later set; and a later set still
-      alive completed no copy with the sets chosen before p, or it would
-      have died then (one set alone holds no copy of a pattern with a
-      kernel). So a new copy through a later set j holds p and has j as the
-      image of a maximal element. For the 2- and 3-chains, for D_2 (p is a
-      middle, and in induced mode the other middle is incomparable with p)
-      and for K:a,b with a, b <= 2 in weak mode, the answer is a few unions
-      of comparability masks over the chosen sets, each read off the
-      minimal sets it ranges over, with no freeness query; the larger kernel
-      patterns ask one freeness query per undecided set. The chosen sets
-      only grow, so a set stays dead, and a set is dead exactly when the
-      include test would refuse it, which then reads one bit. The copy
-      bound also leaves out the dead sets' values and counts only the
-      packed copies that avoid them; after an include it takes one step per
-      packed copy that a new dead set meets. Patterns that take the generic
-      search get no dead sets: asking their freeness queries on every
-      include, the n = 7 k = 3 capacity search of K:2,2,2 fell from 366,814
-      nodes (with the packing) to 138,121 but took about 4x as long. Nor do
-      induced patterns without a mask rule (D_k with k >= 3, K:a,b), which
-      would ask one freeness query per undecided set on every include.
-
-    Both bounds cut only subtrees that hold no leaf above the incumbent, and
-    the include test answers as before, so the pass meets the same improving
-    leaves in a subset of the nodes: a search that finishes keeps its value,
-    witness and exhaustive flag.
+    Every cut and every dead or forced-out set leaves F* in the walk for the
+    incumbent u at the time: a dead set lies in no P-free family holding
+    the chosen sets or is forced out, F* leaves out a set of each packed
+    copy ahead, and the rows and chain capacities hold for every P-free
+    family. Each improving leaf is such an F*, so each pass meets the same
+    improving leaves as a walk without these bounds, in a subset of its
+    nodes: a search that finishes keeps its value, witness and exhaustive
+    flag, and one that finishes within a budget without them does so with
+    them.
 
     Hitting the node budget returns a valid lower bound flagged
     non-exhaustive: a stop in the first pass returns its incumbent, which
     need not be the include-first witness; a stop in the second pass returns
-    the proven value v with the first pass's witness. Hosts above
-    MAX_HOST_SETS sets are refused before any work. The comparability masks
-    cost |H| * n mask operations (containment_masks); the cap bounds what
-    still grows faster with the host, the chain partition's matching on
-    hosts that are not unions of full levels and the |H|-bit masks the
-    search carries, to the size of 2^[9], the largest whole cube it accepts.
+    the proven value v with the first pass's witness.
 
-    Per call it builds, besides the rows (whose capacity searches are
-    cached), the EmbeddingSearch and the chain partition, each pass's chain
-    tables (O(cap) per set, _chain_tables) and, with rows, one knapsack per
-    row over at most n + 1 runs (_knapsack_bound). Row steps and orbits are
-    filled as the walk first meets them: a _row_step per (position,
-    capacities left), one signature pass over the sets per partition of [n]
-    (_orbits), one _split_blocks per (partition, set). The copy packing
-    makes one embeds_using call per set, and dead sets one completers call
-    per include.
+    Hosts above MAX_HOST_SETS sets are refused before any work. The
+    comparability masks cost |H| * n mask operations (containment_masks);
+    the cap bounds what still grows faster with the host, the chain
+    partition's matching off full levels and the |H|-bit masks the search
+    carries, to the size of 2^[9], the largest whole cube it accepts. Per
+    call it builds, besides the rows (whose capacity searches are cached),
+    the EmbeddingSearch, the chain partition, each pass's chain tables
+    (O(cap) per set, _chain_tables), one knapsack per row over at most n + 1
+    runs (_knapsack_bound) and the packing, one embeds_using call per set.
+    Row steps and orbits are filled as the walk first meets them: a
+    _row_step per (position, capacities left), one signature pass over the
+    sets per partition of [n] (_orbits), one _split_blocks per (partition,
+    set). Dead sets cost one completers call per include.
     """
     if P.size < 1:
         raise ValueError("pattern must have at least one element")
@@ -419,16 +395,13 @@ def alpha(
     embeds_using = search.embeds_using
     completers = search.completers
 
-    # Orbital branching where every permutation of [n] maps H onto itself and
-    # keeps each set's level: a node's group fixes each chosen set, so it is
-    # the permutations keeping each block of the partition of [n] the chosen
-    # sets cut out. sym is (forced-out mask, blocks), blocks None once the
-    # group is trivial; sym is None on other hosts.
-    root_sym = (0, ((1 << H.n) - 1,)) if H.n >= 2 and levels else None
+    # Orbits where every permutation of [n] maps H onto itself and keeps each
+    # set's level: at the root the one block is [n].
+    root_blocks = ((1 << H.n) - 1,) if H.n >= 2 and levels else None
     # branchings[i]: blocks -> (set i's orbit, the blocks once set i is chosen),
     # kept only where there are orbits; orbits: blocks -> every set's orbit.
     branchings: list[dict[tuple[int, ...], tuple[int, tuple[int, ...] | None]]] = (
-        [{} for _ in range(m)] if root_sym is not None else []
+        [{} for _ in range(m)] if root_blocks else []
     )
     orbits: dict[tuple[int, ...], list[int]] = {}
 
@@ -443,20 +416,18 @@ def alpha(
     # so the walk reads it before asking embeds_using (whose first test it is).
     copies = search.copies
 
-    # Copy bounds where there are neither rows nor orbits, whose one pass runs
-    # in canonical order, so a set's branching position is its index. Dead
-    # sets need the chain bound and a kernel of EmbeddingSearch for P, or a
-    # mask rule of completers without the chain bound; the packing runs with
-    # them, and where there is no chain bound. With the chain bound and no
-    # kernel nothing else would read the packing, which cut almost nothing
-    # there, so it is left out. Sets q from last to first each take a copy
+    # Copy bounds, read only by a walk in canonical order, where a set's
+    # branching position is its index. Dead sets need a mask rule of
+    # completers or, off full levels, the chain bound and a kernel of
+    # EmbeddingSearch for P. The packing runs off full levels, with dead sets
+    # or without the chain bound. Sets q from last to first each take a copy
     # through q among the later sets no copy taken yet holds, if there is
     # one: pack[q] is its mask, ell[q] its least value, owner[j] the q whose
     # copy holds set j, and lost[p] the sum of ell over positions p on.
     kernel = bool(P.diamond_width() or len(P.complete_layer_sizes() or ()) == 2)
-    packing = not rows and root_sym is None and (kernel or not capped)
-    dead_sets = packing and (capped or search.completers_by_masks)
-    if packing:
+    dead_sets = search.completers_by_masks or (capped and kernel and not levels)
+    packing = not levels and (dead_sets or not capped)
+    if dead_sets or packing:
         pack = [0] * m
         ell = [0] * m
         owner = [-1] * m
@@ -464,6 +435,9 @@ def alpha(
         # owned[q]: the sets of the copies packed from position q on.
         owned = [0] * (m + 1)
         everything = (1 << m) - 1
+        # later[p]: the sets after position p.
+        later = [everything >> (p + 1) << (p + 1) for p in range(m)]
+    if packing:
         for q in reversed(range(m)):
             if embeds_using(everything >> q << q & ~owned[q + 1], q):
                 pack[q] = copies[q]
@@ -473,17 +447,14 @@ def alpha(
             lost[q] = lost[q + 1] + ell[q]
             owned[q] = owned[q + 1] | pack[q]
 
-    def bury(grown: int, p: int, full: int, dead: int, ub: int) -> tuple[int, int]:
-        """The dead mask and copy bound once set p is chosen into grown: a
-        later set dies when it is in `full` (its chain now holds cap sets) or
-        completes a copy of P with grown. The bound loses each new dead set's
-        value and gets back ell of each packed copy ahead that the new dead
-        sets meet and the old ones did not. The walk over the new dead sets
-        in owned[p + 1] drops each copy's sets at its first step, so it takes
-        one step per copy met."""
-        ahead = everything >> (p + 1) << (p + 1) & ~dead
-        new = full & ahead
-        new |= completers(grown, p, ahead ^ new)
+    def kill(new: int, p: int, dead: int, ub: int, blocks: tuple[int, ...] | None) -> tuple:
+        """The node state once the sets of `new`, which lie after position p
+        and are not yet dead, die: the copy bound loses each one's value and
+        gets back ell of each packed copy ahead that they meet and the old
+        dead sets did not. The walk over them in owned[p + 1] drops each
+        copy's sets at its first step, so it takes one step per copy met."""
+        if not new:
+            return dead, ub, blocks
         if objective == "cardinality":
             ub -= new.bit_count()
         else:
@@ -498,7 +469,7 @@ def alpha(
             met &= ~pack[q]
             if not pack[q] & dead:
                 ub += ell[q]
-        return dead | new, ub
+        return dead | new, ub, blocks
 
     limit = inf if node_budget is None else node_budget
     best_value = -1
@@ -517,6 +488,10 @@ def alpha(
             root_bound -= lost[0]
             inc = [[d + ell[p] for d in row] for p, row in enumerate(inc)]
             exc = [[d + ell[p] for d in row] for p, row in enumerate(exc)]
+        # The copy bounds' tables are indexed by set, so only a walk in
+        # canonical order reads them (hosts with the packing have no rows and
+        # take that walk alone).
+        buried = dead_sets and order == canonical
         # Per branching position: (set index, its bit, its chain's bits,
         # include and exclude increments, the set's value).
         steps = [
@@ -534,13 +509,17 @@ def alpha(
             ]
         # A stack of exclude branches: (branching position, mask of the chosen
         # sets' canonical indices, value so far, bound, unused capacity per
-        # row, sym), where sym is (dead mask, copy bound) on hosts with dead
-        # sets. A living include branch is taken in place and its exclude
-        # branch pushed, so each include subtree is finished before the
-        # exclude branch under it is popped. When the include branch dies, the
-        # exclude branch, which would be popped next, is taken in place. A
-        # chain's chosen count is read off the mask.
-        root = (0, sum(values) - lost[0]) if dead_sets else root_sym
+        # row, sym), where sym is (dead mask, copy bound, blocks) in a walk
+        # with dead sets, and otherwise (forced-out mask, blocks) on hosts
+        # with orbits and None on the others. A living include branch is taken
+        # in place and its exclude branch pushed, so each include subtree is
+        # finished before the exclude branch under it is popped. When the
+        # include branch dies, the exclude branch, which would be popped next,
+        # is taken in place. A chain's chosen count is read off the mask.
+        if buried:
+            root = (0, sum(values) - lost[0], root_blocks)
+        else:
+            root = root_blocks and (0, root_blocks)
         pending = [(0, 0, 0, root_bound, row_caps, root)]
         while pending:
             p, mask, value, bound, left, sym = pending.pop()
@@ -566,8 +545,8 @@ def alpha(
                     room, taken = got
                     if value + room <= best_value:
                         break
-                elif dead_sets:
-                    dead, ub = sym
+                if buried:
+                    dead, ub, blocks = sym
                     if ub <= best_value:
                         break
                     i, bit, bits, inc_p, exc_p, worth = steps[p]
@@ -576,17 +555,34 @@ def alpha(
                         # The copy packed at i leaves the sets ahead.
                         ub += ell[i]
                     if dead >> i & 1:
-                        p, bound, sym = p + 1, bound + exc_p[k], (dead, ub)
+                        taken = None
+                    else:
+                        # ub is the exclude branch's, and ub + worth the include's.
+                        ub -= worth
+                    if blocks:
+                        orbit, split = branchings[i].get(blocks) or branching(blocks, i)
+                        # Excluding set i kills its whole orbit; including it
+                        # splits the blocks.
+                        excluded = kill(orbit & later[p] & ~dead, p, dead, ub, blocks)
+                    else:
+                        excluded = (dead, ub, None)
+                        split = None
+                    if taken is None:
+                        p, bound, sym = p + 1, bound + exc_p[k], excluded
                         continue
-                    excluded = (dead, ub - worth)
                     pending.append((p + 1, mask, value, bound + exc_p[k], left, excluded))
+                    # A later set dies when its chain now holds cap sets or
+                    # it completes a copy of P with the chosen sets.
                     mask |= bit
-                    sym = bury(mask, i, bits if k + 1 == cap else 0, dead, ub)
-                    p, value, bound = p + 1, value + worth, bound + inc_p[k]
+                    ahead = later[p] & ~dead
+                    new = bits & ahead if k + 1 == cap else 0
+                    new |= completers(mask, i, ahead ^ new)
+                    sym = kill(new, p, dead, ub + worth, split)
+                    p, value, bound, left = p + 1, value + worth, bound + inc_p[k], taken
                     continue
                 i, bit, bits, inc_p, exc_p, worth = steps[p]
                 k = (mask & bits).bit_count()
-                # Other hosts pay one test per node for the orbits.
+                # Walks without orbits pay one test per node for them.
                 if sym is None:
                     excluded = None
                 else:
