@@ -105,10 +105,6 @@ def certainly_less(a: Coefficient, b: Coefficient) -> bool:
     return a < b if _exact(a, b) else _interval(a).b < _interval(b).a
 
 
-def certainly_le(a: Coefficient, b: Coefficient) -> bool:
-    return a <= b if _exact(a, b) else _interval(a).b <= _interval(b).a
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """A named coefficient bound with the parameters that produced it."""

@@ -327,7 +327,7 @@ class EmbeddingSearch:
         _generic, which pins a pattern element to z and runs _extend.
       Both kernels settle their last layer with one middle test, _middles:
       k members, each pair in _incomparable, which in weak mode is any k
-      distinct members.
+      distinct members. embeds_by_kernel tells whether _full is a kernel.
     Every step gives the exact answer, so the caller's results do not depend
     on which one gave it. embeddings() reads and writes neither cache.
 
@@ -487,6 +487,12 @@ class EmbeddingSearch:
         """Whether completers answers from unions of above masks, asking no
         freeness query."""
         return self._grow is not EmbeddingSearch._completers_by_query
+
+    @property
+    def embeds_by_kernel(self) -> bool:
+        """Whether embeds_using searches through a kernel, _diamond or
+        _two_layer, rather than _generic."""
+        return self._full is not EmbeddingSearch._generic
 
     def _completers_by_query(self, grown: int, newest: int, candidates: int) -> int:
         copies = self.copies

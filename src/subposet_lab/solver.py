@@ -303,31 +303,31 @@ def alpha(
       choice of F*.
     - Dead sets, in the canonical walk only, where completers has a mask
       rule for P and, off full levels, also where the chain bound exists
-      and P takes a kernel of EmbeddingSearch (a diamond or two complete
-      layers). A later set dies when its chain comes to hold cap sets, when
+      and P takes a kernel of EmbeddingSearch (embeds_by_kernel: a diamond
+      or two complete layers). A later set dies when its chain comes to hold cap sets, when
       it completes a copy of P with the chosen sets, or when an excluded
       set's orbit takes it (kill), so the forced-out mask is the dead mask.
-      After set p is included, EmbeddingSearch.completers names the later
-      live sets that complete a copy, in one call. Its two preconditions
-      hold in this walk: canonical order sorts sets by size first, so no
-      chosen set strictly contains p or a later set; and a later live set
-      completed no copy with the sets chosen before p, or it would have
-      died then (one set alone holds no copy of a pattern with a kernel).
-      The chosen sets only grow, so a set stays dead.
+      ub is the value so far plus the live undecided values: a set's death
+      takes its value off ub, and a node is cut when ub cannot beat the
+      incumbent. After set p is included, EmbeddingSearch.completers names
+      the later live sets that complete a copy, in one call. Its two
+      preconditions hold in this walk: canonical order sorts sets by size
+      first, so no chosen set strictly contains p or a later set; and a
+      later live set completed no copy with the sets chosen before p, or it
+      would have died then (one set alone holds no copy of a pattern with a
+      kernel). The chosen sets only grow, so a set stays dead.
     - Copy bound. A P-free family leaves out a set of every copy of P in H
       (packing bounds for hitting set, Niedermeier and Rossmanith 2003;
-      forward checking, Haralick and Elliott 1980). Off full levels, with
-      dead sets or without the chain bound, the positions q go from last to
-      first before the walk, and each makes one embeds_using call for a
-      copy through set q among the sets from q on that no copy taken so far
-      holds, and takes it if there is one. The copies taken from position p
-      on are disjoint and undecided at p. ub is the value so far plus the
-      live undecided values, minus the least value of each packed copy
-      ahead that holds no dead set; a set's death takes its value off ub
-      and gives back the least value of a packed copy it is the first dead
-      set of, one step per copy met. Without a cap, where the chain bound is
-      the value so far plus everything ahead, the packing is folded into
-      its increments too, at no cost per node.
+      forward checking, Haralick and Elliott 1980). Off full levels without
+      a cap, where the chain bound is the value so far plus everything
+      ahead, the positions q go from last to first before the walk, and each
+      makes one embeds_using call for a copy through set q among the sets
+      from q on that no copy taken so far holds, and takes it if there is
+      one. The copies taken from position p on are disjoint and undecided
+      at p, so the bound drops the least value of each, folded into the
+      chain increments at no cost per node. Walks with a cap take no
+      packing: there it would need a credit walk per death and a test per
+      node, which cost more time than the nodes it saved.
 
     Every cut and every dead or forced-out set leaves F* in the walk for the
     incumbent u at the time: a dead set lies in no P-free family holding
@@ -352,7 +352,8 @@ def alpha(
     call it builds, besides the rows (whose capacity searches are cached),
     the EmbeddingSearch, the chain partition, each pass's chain tables
     (O(cap) per set, _chain_tables), one knapsack per row over at most n + 1
-    runs (_knapsack_bound) and the packing, one embeds_using call per set.
+    runs (_knapsack_bound) and, where there is one, the packing, one
+    embeds_using call per set.
     Row steps and orbits are filled as the walk first meets them: a
     _row_step per (position, capacities left), one signature pass over the
     sets per partition of [n] (_orbits), one _split_blocks per (partition,
@@ -416,43 +417,29 @@ def alpha(
     # so the walk reads it before asking embeds_using (whose first test it is).
     copies = search.copies
 
-    # Copy bounds, read only by a walk in canonical order, where a set's
-    # branching position is its index. Dead sets need a mask rule of
-    # completers or, off full levels, the chain bound and a kernel of
-    # EmbeddingSearch for P. The packing runs off full levels, with dead sets
-    # or without the chain bound. Sets q from last to first each take a copy
-    # through q among the later sets no copy taken yet holds, if there is
-    # one: pack[q] is its mask, ell[q] its least value, owner[j] the q whose
-    # copy holds set j, and lost[p] the sum of ell over positions p on.
-    kernel = bool(P.diamond_width() or len(P.complete_layer_sizes() or ()) == 2)
-    dead_sets = search.completers_by_masks or (capped and kernel and not levels)
-    packing = not levels and (dead_sets or not capped)
-    if dead_sets or packing:
-        pack = [0] * m
-        ell = [0] * m
-        owner = [-1] * m
-        lost = [0] * (m + 1)
-        # owned[q]: the sets of the copies packed from position q on.
-        owned = [0] * (m + 1)
-        everything = (1 << m) - 1
+    # Dead sets and the copy bound are read only by a walk in canonical
+    # order, where a set's branching position is its index. Dead sets need a
+    # mask rule of completers or, off full levels, the chain bound and a
+    # kernel of EmbeddingSearch for P.
+    dead_sets = search.completers_by_masks or (capped and search.embeds_by_kernel and not levels)
+    if dead_sets:
         # later[p]: the sets after position p.
-        later = [everything >> (p + 1) << (p + 1) for p in range(m)]
-    if packing:
+        later = [((1 << m) - 1) >> (p + 1) << (p + 1) for p in range(m)]
+    # The packing, off full levels without the chain bound only: sets q from
+    # last to first each take a copy through q among the later sets no copy
+    # taken yet holds, if there is one, and ell[q] is its least value.
+    ell: list[int] = []
+    if not (levels or capped):
+        ell = [0] * m
+        owned = 0
         for q in reversed(range(m)):
-            if embeds_using(everything >> q << q & ~owned[q + 1], q):
-                pack[q] = copies[q]
-                ell[q] = min(values[j] for j in _bits(pack[q]))
-                for j in _bits(pack[q]):
-                    owner[j] = q
-            lost[q] = lost[q + 1] + ell[q]
-            owned[q] = owned[q + 1] | pack[q]
+            if embeds_using(((1 << m) - 1) >> q << q & ~owned, q):
+                owned |= copies[q]
+                ell[q] = min(values[j] for j in _bits(copies[q]))
 
-    def kill(new: int, p: int, dead: int, ub: int, blocks: tuple[int, ...] | None) -> tuple:
-        """The node state once the sets of `new`, which lie after position p
-        and are not yet dead, die: the copy bound loses each one's value and
-        gets back ell of each packed copy ahead that they meet and the old
-        dead sets did not. The walk over them in owned[p + 1] drops each
-        copy's sets at its first step, so it takes one step per copy met."""
+    def kill(new: int, dead: int, ub: int, blocks: tuple[int, ...] | None) -> tuple:
+        """The node state once the sets of `new`, which lie ahead and are not
+        yet dead, die: ub loses each one's value."""
         if not new:
             return dead, ub, blocks
         if objective == "cardinality":
@@ -463,12 +450,6 @@ def alpha(
                 low = rest & -rest
                 rest ^= low
                 ub -= values[low.bit_length() - 1]
-        met = new & owned[p + 1]
-        while met:
-            q = owner[(met & -met).bit_length() - 1]
-            met &= ~pack[q]
-            if not pack[q] & dead:
-                ub += ell[q]
         return dead | new, ub, blocks
 
     limit = inf if node_budget is None else node_budget
@@ -482,15 +463,16 @@ def alpha(
         False when the node budget runs out."""
         nonlocal best_value, best_mask, nodes
         chain_of, inc, exc, root_bound = _chain_tables(order, chains, values, cap)
-        if packing and not capped:
+        if ell:
             # Without a cap the chain bound is value + the values from p on;
-            # taking lost[p] off it moves each step by ell[p].
-            root_bound -= lost[0]
+            # taking off ell of the copies packed from p on moves each step
+            # by ell[p] (hosts with the packing have no rows and take the
+            # canonical walk alone).
+            root_bound -= sum(ell)
             inc = [[d + ell[p] for d in row] for p, row in enumerate(inc)]
             exc = [[d + ell[p] for d in row] for p, row in enumerate(exc)]
-        # The copy bounds' tables are indexed by set, so only a walk in
-        # canonical order reads them (hosts with the packing have no rows and
-        # take that walk alone).
+        # Dead sets are indexed by set, so only a walk in canonical order
+        # takes them.
         buried = dead_sets and order == canonical
         # Per branching position: (set index, its bit, its chain's bits,
         # include and exclude increments, the set's value).
@@ -509,15 +491,15 @@ def alpha(
             ]
         # A stack of exclude branches: (branching position, mask of the chosen
         # sets' canonical indices, value so far, bound, unused capacity per
-        # row, sym), where sym is (dead mask, copy bound, blocks) in a walk
-        # with dead sets, and otherwise (forced-out mask, blocks) on hosts
-        # with orbits and None on the others. A living include branch is taken
-        # in place and its exclude branch pushed, so each include subtree is
-        # finished before the exclude branch under it is popped. When the
-        # include branch dies, the exclude branch, which would be popped next,
-        # is taken in place. A chain's chosen count is read off the mask.
+        # row, sym), where sym is (dead mask, ub, blocks) in a walk with dead
+        # sets, and otherwise (forced-out mask, blocks) on hosts with orbits
+        # and None on the others. A living include branch is taken in place
+        # and its exclude branch pushed, so each include subtree is finished
+        # before the exclude branch under it is popped. When the include
+        # branch dies, the exclude branch, which would be popped next, is
+        # taken in place. A chain's chosen count is read off the mask.
         if buried:
-            root = (0, sum(values) - lost[0], root_blocks)
+            root = (0, sum(values), root_blocks)
         else:
             root = root_blocks and (0, root_blocks)
         pending = [(0, 0, 0, root_bound, row_caps, root)]
@@ -551,9 +533,6 @@ def alpha(
                         break
                     i, bit, bits, inc_p, exc_p, worth = steps[p]
                     k = (mask & bits).bit_count()
-                    if not pack[i] & dead:
-                        # The copy packed at i leaves the sets ahead.
-                        ub += ell[i]
                     if dead >> i & 1:
                         taken = None
                     else:
@@ -563,7 +542,7 @@ def alpha(
                         orbit, split = branchings[i].get(blocks) or branching(blocks, i)
                         # Excluding set i kills its whole orbit; including it
                         # splits the blocks.
-                        excluded = kill(orbit & later[p] & ~dead, p, dead, ub, blocks)
+                        excluded = kill(orbit & later[p] & ~dead, dead, ub, blocks)
                     else:
                         excluded = (dead, ub, None)
                         split = None
@@ -577,7 +556,7 @@ def alpha(
                     ahead = later[p] & ~dead
                     new = bits & ahead if k + 1 == cap else 0
                     new |= completers(mask, i, ahead ^ new)
-                    sym = kill(new, p, dead, ub + worth, split)
+                    sym = kill(new, dead, ub + worth, split)
                     p, value, bound, left = p + 1, value + worth, bound + inc_p[k], taken
                     continue
                 i, bit, bits, inc_p, exc_p, worth = steps[p]

@@ -21,6 +21,7 @@ from subposet_lab.families import (
     symmetric_chain_partition,
 )
 from subposet_lab.posets import (
+    EmbeddingSearch,
     Poset,
     antichain,
     chain,
@@ -420,15 +421,15 @@ class TestAgainstBruteForce:
 
     def test_interval_chain_bound_uses_a_minimum_partition(self, monkeypatch):
         # C_3[12] has width 4; its symmetric chain cut has 12 chains, which
-        # put the chain:3 root bound at 24. Before the copy bounds the two
-        # took 95,323 and 567,444 nodes.
+        # put the chain:3 root bound at 24. Before dead sets the two took
+        # 95,323 and 567,444 nodes.
         H = interval_chain(IntervalChainSpec.canonical(12, 3))
         r = alpha(H, chain(3))
-        assert (r.value, r.exhaustive, r.nodes_explored) == (8, True, 3_955)
+        assert (r.value, r.exhaustive, r.nodes_explored) == (8, True, 4_355)
         monkeypatch.setattr(solver, "min_chain_partition", symmetric_chain_partition)
         assert len(symmetric_chain_partition(H)) == 12
         cut = alpha(H, chain(3))
-        assert (cut.value, cut.exhaustive, cut.nodes_explored) == (8, True, 23_509)
+        assert (cut.value, cut.exhaustive, cut.nodes_explored) == (8, True, 25_567)
         assert cut.witness == r.witness
 
     @pytest.mark.parametrize(
@@ -456,7 +457,7 @@ class TestAgainstBruteForce:
         [
             # Hosts without double-count rows.
             ("C_2[10]", "K:2,2", "induced", "lubell", None, (Fraction(151, 63), True, 13_849)),
-            ("random", "diamond:2", "weak", "cardinality", None, (18, True, 2_950)),
+            ("random", "diamond:2", "weak", "cardinality", None, (18, True, 3_006)),
             # Budget stops in the value pass, below the optimum 7/3, and in
             # the include-first witness pass, after the value pass's 562 nodes
             # (582 in all).
@@ -468,10 +469,10 @@ class TestAgainstBruteForce:
                 "2^[4]", "diamond:2", "weak", "lubell", 570,
                 (Fraction(7, 3), False, 571, (0, 8, 4, 10, 6, 9, 5, 3)),
             ),
-            # Runs whose freeness checks go through the diamond kernels.
+            # A run whose freeness answers all come from completers' mask rule.
             (
                 "C_2[10]", "diamond:2", "weak", "cardinality", None,
-                (5, True, 2_861, (2, 1, 5, 3, 11)),
+                (5, True, 3_019, (2, 1, 5, 3, 11)),
             ),
             # The chain-alpha benchmark ops on hosts without rows that stopped
             # at their budgets before the copy bounds (this one and the two
@@ -555,6 +556,31 @@ class TestAgainstBruteForce:
         got = (r.value, r.exhaustive, r.nodes_explored, r.witness.masks())
         assert got[: len(outcome)] == outcome
 
+    def test_only_uncapped_walks_pack_copies(self, monkeypatch):
+        # The copy packing is built only where it folds into the chain
+        # increments, off full levels without a cap. The capped walks below
+        # take their freeness answers from completers' mask rules, so they
+        # ask embeds_using nothing; induced K:2,2 still packs, one call per
+        # set before the walk, which a budget of 0 nodes leaves alone.
+        calls = []
+        asked = EmbeddingSearch.embeds_using
+
+        def counted(search, allowed, z):
+            calls.append(z)
+            return asked(search, allowed, z)
+
+        monkeypatch.setattr(EmbeddingSearch, "embeds_using", counted)
+        for n, k, spec in [(12, 3, "chain:3"), (10, 2, "diamond:2")]:
+            H = interval_chain(IntervalChainSpec.canonical(n, k))
+            assert alpha(H, parse_poset_spec(spec)).exhaustive
+            assert calls == []
+        H = interval_chain(IntervalChainSpec.canonical(14, 2))
+        K22 = parse_poset_spec("K:2,2")
+        assert alpha(H, K22, "induced", "cardinality", 0).nodes_explored == 1
+        assert calls == list(reversed(range(len(H))))
+        got = alpha(H, K22, "induced", "cardinality", 150_000)
+        assert (got.value, got.exhaustive, got.nodes_explored) == (17, True, 110_326)
+
     @pytest.mark.parametrize(
         "host, spec, objective, step, full, digest",
         [
@@ -566,8 +592,8 @@ class TestAgainstBruteForce:
             # One include-first pass with dead sets, through the diamond kernels.
             (
                 interval_chain(IntervalChainSpec.canonical(10, 2)), "diamond:2",
-                "cardinality", 29, 2_861,
-                "d30bb437d7a31d04911b9b32dedc2579a7c8ae27bd4bca6455c1f0a2ce4c28a5",
+                "cardinality", 29, 3_019,
+                "b54b4ec35c49347a33377eb93bda37b7b70d74b126c3eb0fe41ca21fd31b25fb",
             ),
         ],
         ids=["2^[4]-lubell", "C_2[10]-cardinality"],
@@ -791,7 +817,7 @@ class TestHypergraphOracle:
             spec = rng.choice(["chain:3", "diamond:1", "diamond:2", "K:1,2", "K:2,2", "antichain:3"])
         assert (len(H), spec) == (23, "K:2,2")
         got = alpha(H, parse_poset_spec(spec), "weak", "lubell")
-        assert (got.value, got.exhaustive, got.nodes_explored) == (Fraction(11, 5), True, 107_752)
+        assert (got.value, got.exhaustive, got.nodes_explored) == (Fraction(11, 5), True, 107_876)
         assert got.value == hypergraph_alpha(H, parse_poset_spec(spec), "weak", "lubell")
 
     @pytest.mark.parametrize(
@@ -817,9 +843,10 @@ class TestHypergraphOracle:
     def test_copy_bounds_keep_value_and_witness(self, spec, mode, objective):
         # Hosts of at most 12 sets that are not unions of full levels, so
         # they get the copy bounds: dead sets for chain:3 and diamond:2, and
-        # for K:2,2 and K:1,2 in weak mode; the packing alone for K:2,2,2 in
-        # weak mode; the packing folded into the bound for the other induced
-        # patterns. The brute force also checks hypergraph_first_optimum.
+        # for K:2,2 and K:1,2 in weak mode; the packing folded into the bound
+        # for the induced patterns other than chain:3, diamond:2 among them;
+        # neither for K:2,2,2 in weak mode. The brute force also checks
+        # hypergraph_first_optimum.
         rng = random.Random(f"{spec}-{mode}-{objective}")
         P = parse_poset_spec(spec)
         for _ in range(4):
@@ -847,7 +874,7 @@ class TestHypergraphOracle:
         # One oracle call, about 3 s: the value is hypergraph_alpha's search
         # under weights that also break ties.
         value, witness = hypergraph_first_optimum(H, P, "induced")
-        assert (got.value, got.exhaustive, got.nodes_explored) == (15, True, 238_733)
+        assert (got.value, got.exhaustive, got.nodes_explored) == (15, True, 272_593)
         assert got.value == value and got.witness == witness
 
     @pytest.mark.parametrize("objective", ["cardinality", "lubell"])
@@ -873,9 +900,9 @@ def level_windows(n):
 
 
 class TestLevelWindows:
-    """Unions of full levels: rows and orbits in both passes, dead sets and
-    the copy bound in the canonical witness pass, against the copy-hypergraph
-    oracles, which share none of that pruning."""
+    """Unions of full levels: rows and orbits in both passes, dead sets in
+    the canonical witness pass, against the copy-hypergraph oracles, which
+    share none of that pruning."""
 
     @pytest.mark.parametrize("mode", ["weak", "induced"])
     @pytest.mark.parametrize("spec", ["chain:2", "chain:3", "diamond:2", "K:2,2", "K:1,2", "K:1,3"])
