@@ -282,12 +282,18 @@ def alpha(
     nodes_explored counts the nodes of both passes, not those of the
     capacity searches behind the rows.
 
-    Node state. In a walk with dead sets each node carries (dead, ub,
-    blocks); in the other walks it carries (forced-out mask, blocks) on
-    unions of full levels and None elsewhere. blocks is the partition of [n]
-    that the chosen sets cut out, None once the group below is trivial or
-    where there are no orbits. A dead or forced-out set takes only its
-    exclude branch, still counted as a node, with no freeness check.
+    Node state. Every node carries (dead, ub, blocks). dead is the mask of
+    the sets that take only their exclude branch, still counted as a node,
+    with no freeness check. ub is the value so far plus the live undecided
+    values: a set's death takes its value off ub, and a node is cut when ub
+    cannot beat the incumbent. blocks is the partition of [n] that the
+    chosen sets cut out, None once the group below is trivial or where there
+    are no orbits. The chosen sets only grow, so a dead set stays dead. In
+    every walk an excluded set's orbit dies (Orbits). In the canonical walk
+    where completers applies (Dead sets), an include also kills the later
+    members of its chain once the chain holds cap sets and the later sets
+    that now complete a copy, so every live set can be taken; the other
+    walks test each include as it comes.
 
     - Orbits (Margot 2002; Ostrowski et al. 2011), in both passes on every
       union of full levels. Every permutation of [n] maps H onto itself and
@@ -304,18 +310,13 @@ def alpha(
     - Dead sets, in the canonical walk only, where completers has a mask
       rule for P and, off full levels, also where the chain bound exists
       and P takes a kernel of EmbeddingSearch (embeds_by_kernel: a diamond
-      or two complete layers). A later set dies when its chain comes to hold cap sets, when
-      it completes a copy of P with the chosen sets, or when an excluded
-      set's orbit takes it (kill), so the forced-out mask is the dead mask.
-      ub is the value so far plus the live undecided values: a set's death
-      takes its value off ub, and a node is cut when ub cannot beat the
-      incumbent. After set p is included, EmbeddingSearch.completers names
-      the later live sets that complete a copy, in one call. Its two
-      preconditions hold in this walk: canonical order sorts sets by size
-      first, so no chosen set strictly contains p or a later set; and a
-      later live set completed no copy with the sets chosen before p, or it
-      would have died then (one set alone holds no copy of a pattern with a
-      kernel). The chosen sets only grow, so a set stays dead.
+      or two complete layers). After set p is included,
+      EmbeddingSearch.completers names the later live sets that complete a
+      copy, in one call. Its two preconditions hold in this walk: canonical
+      order sorts sets by size first, so no chosen set strictly contains p
+      or a later set; and a later live set completed no copy with the sets
+      chosen before p, or it would have died then (one set alone holds no
+      copy of a pattern with a kernel).
     - Copy bound. A P-free family leaves out a set of every copy of P in H
       (packing bounds for hitting set, Niedermeier and Rossmanith 2003;
       forward checking, Haralick and Elliott 1980). Off full levels without
@@ -325,39 +326,25 @@ def alpha(
       from q on that no copy taken so far holds, and takes it if there is
       one. The copies taken from position p on are disjoint and undecided
       at p, so the bound drops the least value of each, folded into the
-      chain increments at no cost per node. Walks with a cap take no
-      packing: there it would need a credit walk per death and a test per
-      node, which cost more time than the nodes it saved.
+      chain increments.
 
-    Every cut and every dead or forced-out set leaves F* in the walk for the
-    incumbent u at the time: a dead set lies in no P-free family holding
-    the chosen sets or is forced out, F* leaves out a set of each packed
-    copy ahead, and the rows and chain capacities hold for every P-free
-    family. Each improving leaf is such an F*, so each pass meets the same
-    improving leaves as a walk without these bounds, in a subset of its
-    nodes: a search that finishes keeps its value, witness and exhaustive
-    flag, and one that finishes within a budget without them does so with
-    them.
+    Every cut and every dead set leaves F* in the walk for the incumbent u
+    at the time: a dead set lies in no P-free family holding the chosen
+    sets or is forced out by an orbit, F* leaves out a set of each packed
+    copy ahead, and ub, the rows and the chain capacities bound every
+    P-free family below the node that leaves out its dead sets. Each
+    improving leaf is such an F*, so each pass meets the same improving
+    leaves as a walk without these bounds, in a subset of its nodes: a
+    search that finishes keeps its value, witness and exhaustive flag, and
+    one that finishes within a budget without them does so with them.
 
     Hitting the node budget returns a valid lower bound flagged
     non-exhaustive: a stop in the first pass returns its incumbent, which
     need not be the include-first witness; a stop in the second pass returns
     the proven value v with the first pass's witness.
 
-    Hosts above MAX_HOST_SETS sets are refused before any work. The
-    comparability masks cost |H| * n mask operations (containment_masks);
-    the cap bounds what still grows faster with the host, the chain
-    partition's matching off full levels and the |H|-bit masks the search
-    carries, to the size of 2^[9], the largest whole cube it accepts. Per
-    call it builds, besides the rows (whose capacity searches are cached),
-    the EmbeddingSearch, the chain partition, each pass's chain tables
-    (O(cap) per set, _chain_tables), one knapsack per row over at most n + 1
-    runs (_knapsack_bound) and, where there is one, the packing, one
-    embeds_using call per set.
-    Row steps and orbits are filled as the walk first meets them: a
-    _row_step per (position, capacities left), one signature pass over the
-    sets per partition of [n] (_orbits), one _split_blocks per (partition,
-    set). Dead sets cost one completers call per include.
+    Hosts above MAX_HOST_SETS sets are refused before any work. README "The
+    exact search" gives what each part costs and where it pays.
     """
     if P.size < 1:
         raise ValueError("pattern must have at least one element")
@@ -417,14 +404,9 @@ def alpha(
     # so the walk reads it before asking embeds_using (whose first test it is).
     copies = search.copies
 
-    # Dead sets and the copy bound are read only by a walk in canonical
-    # order, where a set's branching position is its index. Dead sets need a
-    # mask rule of completers or, off full levels, the chain bound and a
-    # kernel of EmbeddingSearch for P.
+    # completers' dead sets need a mask rule or, off full levels, the chain
+    # bound and a kernel of EmbeddingSearch for P.
     dead_sets = search.completers_by_masks or (capped and search.embeds_by_kernel and not levels)
-    if dead_sets:
-        # later[p]: the sets after position p.
-        later = [((1 << m) - 1) >> (p + 1) << (p + 1) for p in range(m)]
     # The packing, off full levels without the chain bound only: sets q from
     # last to first each take a copy through q among the later sets no copy
     # taken yet holds, if there is one, and ell[q] is its least value.
@@ -437,20 +419,11 @@ def alpha(
                 owned |= copies[q]
                 ell[q] = min(values[j] for j in _bits(copies[q]))
 
-    def kill(new: int, dead: int, ub: int, blocks: tuple[int, ...] | None) -> tuple:
-        """The node state once the sets of `new`, which lie ahead and are not
-        yet dead, die: ub loses each one's value."""
-        if not new:
-            return dead, ub, blocks
+    def worth_of(mask: int) -> int:
+        """The sum of the values of the sets in mask."""
         if objective == "cardinality":
-            ub -= new.bit_count()
-        else:
-            rest = new
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                ub -= values[low.bit_length() - 1]
-        return dead | new, ub, blocks
+            return mask.bit_count()
+        return sum(values[j] for j in _bits(mask))
 
     limit = inf if node_budget is None else node_budget
     best_value = -1
@@ -471,13 +444,16 @@ def alpha(
             root_bound -= sum(ell)
             inc = [[d + ell[p] for d in row] for p, row in enumerate(inc)]
             exc = [[d + ell[p] for d in row] for p, row in enumerate(exc)]
-        # Dead sets are indexed by set, so only a walk in canonical order
-        # takes them.
-        buried = dead_sets and order == canonical
+        # completers' preconditions need canonical order; the other walks
+        # test each include as it comes.
+        eager = dead_sets and order == canonical
         # Per branching position: (set index, its bit, its chain's bits,
-        # include and exclude increments, the set's value).
+        # include and exclude increments, the set's value, the sets after it).
+        ahead = [0] * m
+        for p in range(m - 1, 0, -1):
+            ahead[p - 1] = ahead[p] | 1 << order[p]
         steps = [
-            (i, 1 << i, chain_bits[chain_of[p]], inc[p], exc[p], values[i])
+            (i, 1 << i, chain_bits[chain_of[p]], inc[p], exc[p], values[i], ahead[p])
             for p, i in enumerate(order)
         ]
         if rows:
@@ -491,20 +467,14 @@ def alpha(
             ]
         # A stack of exclude branches: (branching position, mask of the chosen
         # sets' canonical indices, value so far, bound, unused capacity per
-        # row, sym), where sym is (dead mask, ub, blocks) in a walk with dead
-        # sets, and otherwise (forced-out mask, blocks) on hosts with orbits
-        # and None on the others. A living include branch is taken in place
-        # and its exclude branch pushed, so each include subtree is finished
-        # before the exclude branch under it is popped. When the include
-        # branch dies, the exclude branch, which would be popped next, is
-        # taken in place. A chain's chosen count is read off the mask.
-        if buried:
-            root = (0, sum(values), root_blocks)
-        else:
-            root = root_blocks and (0, root_blocks)
-        pending = [(0, 0, 0, root_bound, row_caps, root)]
+        # row, dead mask, ub, blocks). A living include branch is taken in
+        # place and its exclude branch pushed, so each include subtree is
+        # finished before the exclude branch under it is popped. When the
+        # include branch dies, the exclude branch, which would be popped
+        # next, is taken in place. A chain's chosen count is read off the mask.
+        pending = [(0, 0, 0, root_bound, row_caps, 0, sum(values), root_blocks)]
         while pending:
-            p, mask, value, bound, left, sym = pending.pop()
+            p, mask, value, bound, left, dead, ub, blocks = pending.pop()
             while True:
                 nodes += 1
                 if nodes > limit:
@@ -517,7 +487,7 @@ def alpha(
                         if stop_at_first:
                             return True
                     break
-                if bound <= best_value:
+                if bound <= best_value or ub <= best_value:
                     break
                 taken = left
                 if rows:
@@ -527,68 +497,45 @@ def alpha(
                     room, taken = got
                     if value + room <= best_value:
                         break
-                if buried:
-                    dead, ub, blocks = sym
-                    if ub <= best_value:
-                        break
-                    i, bit, bits, inc_p, exc_p, worth = steps[p]
-                    k = (mask & bits).bit_count()
-                    if dead >> i & 1:
-                        taken = None
-                    else:
-                        # ub is the exclude branch's, and ub + worth the include's.
-                        ub -= worth
-                    if blocks:
-                        orbit, split = branchings[i].get(blocks) or branching(blocks, i)
-                        # Excluding set i kills its whole orbit; including it
-                        # splits the blocks.
-                        excluded = kill(orbit & later[p] & ~dead, dead, ub, blocks)
-                    else:
-                        excluded = (dead, ub, None)
-                        split = None
-                    if taken is None:
-                        p, bound, sym = p + 1, bound + exc_p[k], excluded
-                        continue
-                    pending.append((p + 1, mask, value, bound + exc_p[k], left, excluded))
+                i, bit, bits, inc_p, exc_p, worth, later = steps[p]
+                k = (mask & bits).bit_count()
+                # The exclude branch's dead sets and ub: set i's value leaves
+                # ub unless it is dead already, and its whole orbit dies.
+                out_dead = dead
+                if dead >> i & 1:
+                    taken = None
+                    out_ub = ub
+                else:
+                    out_ub = ub - worth
+                # Including set i splits the blocks.
+                split = blocks
+                if blocks:
+                    orbit, split = branchings[i].get(blocks) or branching(blocks, i)
+                    new = orbit & later & ~dead
+                    if new:
+                        out_dead, out_ub = dead | new, out_ub - worth_of(new)
+                grown = mask | bit
+                if taken is None or not eager and (
+                    k >= cap or not copies[i] & ~grown or embeds_using(grown, i)
+                ):
+                    # A dead set, or outside the eager walk a full chain or a
+                    # copy of P through set i, kills the include branch: go
+                    # on with the exclude branch.
+                    p, bound, dead, ub = p + 1, bound + exc_p[k], out_dead, out_ub
+                    continue
+                pending.append(
+                    (p + 1, mask, value, bound + exc_p[k], left, out_dead, out_ub, blocks)
+                )
+                if eager:
                     # A later set dies when its chain now holds cap sets or
                     # it completes a copy of P with the chosen sets.
-                    mask |= bit
-                    ahead = later[p] & ~dead
-                    new = bits & ahead if k + 1 == cap else 0
-                    new |= completers(mask, i, ahead ^ new)
-                    sym = kill(new, dead, ub + worth, split)
-                    p, value, bound, left = p + 1, value + worth, bound + inc_p[k], taken
-                    continue
-                i, bit, bits, inc_p, exc_p, worth = steps[p]
-                k = (mask & bits).bit_count()
-                # Walks without orbits pay one test per node for them.
-                if sym is None:
-                    excluded = None
-                else:
-                    out, blocks = sym
-                    excluded = sym
-                    if out >> i & 1:
-                        # An earlier exclude branch forced set i out.
-                        taken = None
-                    elif blocks:
-                        orbit, split = branchings[i].get(blocks) or branching(blocks, i)
-                        # Excluding set i excludes its whole orbit; including
-                        # it splits the blocks (sym is the include child's).
-                        excluded = (out | orbit, blocks)
-                        sym = (out, split)
-                grown = mask | bit
-                if (
-                    taken is None
-                    or k >= cap
-                    or not copies[i] & ~grown
-                    or embeds_using(grown, i)
-                ):
-                    # The include branch dies: go on with the exclude branch.
-                    p, bound, sym = p + 1, bound + exc_p[k], excluded
-                    continue
-                pending.append((p + 1, mask, value, bound + exc_p[k], left, excluded))
-                p, mask, value, bound, left = (
-                    p + 1, grown, value + worth, bound + inc_p[k], taken
+                    live = later & ~dead
+                    new = bits & live if k + 1 == cap else 0
+                    new |= completers(grown, i, live ^ new)
+                    if new:
+                        dead, ub = dead | new, ub - worth_of(new)
+                p, mask, value, bound, left, blocks = (
+                    p + 1, grown, value + worth, bound + inc_p[k], taken, split
                 )
         return True
 
