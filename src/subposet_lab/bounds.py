@@ -74,17 +74,6 @@ def log2_coefficient(x: Union[int, Fraction]) -> Coefficient:
     return exact if exact is not None else log2_interval(x)
 
 
-def ceil_log2(x: Fraction) -> int:
-    """Smallest integer t >= 0 with 2^t >= x, computed exactly.
-
-    For x = p/q, 2^t >= p/q exactly when 2^t >= ceil(p/q), that is when
-    2^t > ceil(p/q) - 1 = (p - 1) // q, so t is that quotient's bit length.
-    """
-    if x <= 0:
-        raise InvalidParams(f"ceil_log2 of non-positive value {x}")
-    return ((x.numerator - 1) // x.denominator).bit_length()
-
-
 def _endpoints(x: Interval):
     a_raw, b_raw = x._mpi_
     with mp.workdps(PRECISION + 20):

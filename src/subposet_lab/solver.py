@@ -115,15 +115,17 @@ def _row(
     return k, dict(Counter(mask.bit_count() for mask in G.masks())), found.value
 
 
-def _chain_tables(order: list[int], chains: list[list[int]], values: list[int], cap: int):
-    """Chain-capacity increments for branching through H in `order`.
+def _chain_tables(order: list[int], parts: list[list[int]], values: list[int], cap: int):
+    """Capacity increments for branching through H in `order`, over a
+    partition of H into parts of which a P-free family takes at most cap
+    sets each (chains, or copies of P and single sets).
 
-    For the set at position p of its chain with k of the chain's earlier sets
+    For the set at position p of its part with k of the part's earlier sets
     chosen, the bound moves by inc[p][k] on include and exc[p][k] on exclude,
-    where a chain's share is top(p, k) = the cap - k largest values among its
+    where a part's share is top(p, k) = the cap - k largest values among its
     members from position p on. Tables are indexed by branching position.
 
-    Each chain is walked once from its last member back. As values are
+    Each part is walked once from its last member back. As values are
     positive, top(q, .) at the member q after p holds the cap largest values
     from q on as its differences, so top(p, .) and p's increments follow from
     it and p's value in O(cap). They are worked out once per (value,
@@ -132,16 +134,16 @@ def _chain_tables(order: list[int], chains: list[list[int]], values: list[int], 
     position = [0] * len(order)
     for p, i in enumerate(order):
         position[i] = p
-    chain_of = [0] * len(order)
+    part_of = [0] * len(order)
     inc: list[list[int]] = [[]] * len(order)
     exc: list[list[int]] = [[]] * len(order)
     root_bound = 0
     steps: dict[tuple, tuple[list[int], list[int], tuple[int, ...]]] = {}
-    for c, members in enumerate(chains):
+    for c, members in enumerate(parts):
         after = (0,) * (cap + 1)  # top(q, k) for k = 0..cap
         j = len(members)
         for p in sorted([position[i] for i in members], reverse=True):
-            j -= 1  # the chain's members before p
+            j -= 1  # the part's members before p
             worth = values[order[p]]
             key = (worth, after, min(j, cap))
             got = steps.get(key)
@@ -156,10 +158,10 @@ def _chain_tables(order: list[int], chains: list[list[int]], values: list[int], 
                     [after[k] - now[k] for k in range(min(cap, j) + 1)],
                     now,
                 )
-            chain_of[p] = c
+            part_of[p] = c
             inc[p], exc[p], after = got
         root_bound += after[0]
-    return chain_of, inc, exc, root_bound
+    return part_of, inc, exc, root_bound
 
 
 def _knapsack_bound(weights: list[int], values: list[int]):
@@ -254,13 +256,19 @@ def alpha(
     values are scaled to integers by the lcm of the binomials involved, so
     no node does Fraction arithmetic.
 
-    Chain bound. H is cut into as few chains as its width
-    (min_chain_partition), and any |P| sets on one chain hold a weak copy of
-    P (an induced one when P is a chain), so a P-free family takes at most
-    cap = |P| - 1 sets of each chain. A node is cut when the value so far
-    plus, per chain, the cap - chosen largest undecided values cannot beat
-    the incumbent; with no cap (induced mode, P not a chain) the bound is
-    the value so far plus everything still ahead. A chain holding cap sets
+    Capacity bound. H is cut into parts in which any |P| sets hold a copy
+    of P, so a P-free family takes at most cap = |P| - 1 sets of each part.
+    Any |P| sets on one chain hold a weak copy of P (an induced one when P
+    is a chain), so in weak mode or for P a chain the parts are as few
+    chains as H's width (min_chain_partition). Otherwise (induced mode, P
+    not a chain) they are disjoint copies of P and single sets (packing
+    bounds for hitting set, Niedermeier and Rossmanith 2003): off full
+    levels the sets q go from last to first, and each makes one
+    embeds_using call for a copy through set q among the sets from q on
+    that no copy taken so far holds, and takes it if there is one (on
+    unions of full levels every set is a part of its own). A node is cut
+    when the value so far plus, per part, the cap - chosen largest
+    undecided values cannot beat the incumbent, and a part holding cap sets
     refuses further sets without a freeness check.
 
     Rows and passes. When H is a union of full levels of 2^[n] with a level
@@ -291,7 +299,7 @@ def alpha(
     are no orbits. The chosen sets only grow, so a dead set stays dead. In
     every walk an excluded set's orbit dies (Orbits). In the canonical walk
     where completers applies (Dead sets), an include also kills the later
-    members of its chain once the chain holds cap sets and the later sets
+    members of its part once the part holds cap sets and the later sets
     that now complete a copy, so every live set can be taken; the other
     walks test each include as it comes.
 
@@ -308,31 +316,21 @@ def alpha(
       chosen set and A, and so earlier than F* in that order, against the
       choice of F*.
     - Dead sets, in the canonical walk only, where completers has a mask
-      rule for P and, off full levels, also where the chain bound exists
-      and P takes a kernel of EmbeddingSearch (embeds_by_kernel: a diamond
-      or two complete layers). After set p is included,
+      rule for P and, off full levels, also where the parts are chains and
+      P takes a kernel of EmbeddingSearch (embeds_by_kernel: a diamond or
+      two complete layers). After set p is included,
       EmbeddingSearch.completers names the later live sets that complete a
       copy, in one call. Its two preconditions hold in this walk: canonical
       order sorts sets by size first, so no chosen set strictly contains p
       or a later set; and a later live set completed no copy with the sets
       chosen before p, or it would have died then (one set alone holds no
       copy of a pattern with a kernel).
-    - Copy bound. A P-free family leaves out a set of every copy of P in H
-      (packing bounds for hitting set, Niedermeier and Rossmanith 2003;
-      forward checking, Haralick and Elliott 1980). Off full levels without
-      a cap, where the chain bound is the value so far plus everything
-      ahead, the positions q go from last to first before the walk, and each
-      makes one embeds_using call for a copy through set q among the sets
-      from q on that no copy taken so far holds, and takes it if there is
-      one. The copies taken from position p on are disjoint and undecided
-      at p, so the bound drops the least value of each, folded into the
-      chain increments.
 
     Every cut and every dead set leaves F* in the walk for the incumbent u
     at the time: a dead set lies in no P-free family holding the chosen
-    sets or is forced out by an orbit, F* leaves out a set of each packed
-    copy ahead, and ub, the rows and the chain capacities bound every
-    P-free family below the node that leaves out its dead sets. Each
+    sets or is forced out by an orbit, and ub, the rows and the part
+    capacities bound every P-free family below the node that leaves out its
+    dead sets. Each
     improving leaf is such an F*, so each pass meets the same improving
     leaves as a walk without these bounds, in a subset of its nodes: a
     search that finishes keeps its value, witness and exhaustive flag, and
@@ -367,21 +365,32 @@ def alpha(
     unit = lcm(*(binomials[w] for w in set(sizes)))
     share = [unit // binomials[w] for w in sizes]
     values = [1] * m if objective == "cardinality" else share
+    embeds_using = search.embeds_using
+    completers = search.completers
+    # The last copy of P found through each set: a mask holding it has a copy,
+    # so the walk reads it before asking embeds_using (whose first test it is).
+    copies = search.copies
+    cap = P.size - 1
     capped = mode == "weak" or P.height() == P.size
     if capped:
         index = {mask: i for i, mask in enumerate(set_masks)}
-        chains = [[index[s.mask] for s in c] for c in min_chain_partition(H)]
-        cap = P.size - 1
+        parts = [[index[s.mask] for s in c] for c in min_chain_partition(H)]
     else:
-        # No cap: every set is a chain of its own that may hold it.
-        chains = [[i] for i in range(m)]
-        cap = 1
+        # Disjoint copies of P, off full levels: sets q from last to first
+        # each take a copy through q among the later sets no copy taken yet
+        # holds, if there is one. Every other set is a part of its own.
+        parts = []
+        owned = 0
+        if not levels:
+            for q in reversed(range(m)):
+                if embeds_using(((1 << m) - 1) >> q << q & ~owned, q):
+                    owned |= copies[q]
+                    parts.append(list(_bits(copies[q])))
+        parts += [[i] for i in range(m) if not owned >> i & 1]
+    part_bits = [sum(1 << i for i in c) for c in parts]
     # Row weights N_w / C(n, w) and capacities, scaled by the same unit.
     row_weights = [[counts[w] * s for w, s in zip(sizes, share)] for _, counts, _ in rows]
     row_caps = tuple(capacity * unit for _, _, capacity in rows)
-    chain_bits = [sum(1 << i for i in c) for c in chains]
-    embeds_using = search.embeds_using
-    completers = search.completers
 
     # Orbits where every permutation of [n] maps H onto itself and keeps each
     # set's level: at the root the one block is [n].
@@ -400,24 +409,9 @@ def alpha(
         got = branchings[i][blocks] = (of[i], _split_blocks(blocks, set_masks[i]))
         return got
 
-    # The last copy of P found through each set: a mask holding it has a copy,
-    # so the walk reads it before asking embeds_using (whose first test it is).
-    copies = search.copies
-
-    # completers' dead sets need a mask rule or, off full levels, the chain
-    # bound and a kernel of EmbeddingSearch for P.
+    # completers' dead sets need a mask rule or, off full levels, chains as
+    # parts and a kernel of EmbeddingSearch for P.
     dead_sets = search.completers_by_masks or (capped and search.embeds_by_kernel and not levels)
-    # The packing, off full levels without the chain bound only: sets q from
-    # last to first each take a copy through q among the later sets no copy
-    # taken yet holds, if there is one, and ell[q] is its least value.
-    ell: list[int] = []
-    if not (levels or capped):
-        ell = [0] * m
-        owned = 0
-        for q in reversed(range(m)):
-            if embeds_using(((1 << m) - 1) >> q << q & ~owned, q):
-                owned |= copies[q]
-                ell[q] = min(values[j] for j in _bits(copies[q]))
 
     def worth_of(mask: int) -> int:
         """The sum of the values of the sets in mask."""
@@ -435,25 +429,17 @@ def alpha(
         with stop_at_first the first improving leaf ends the walk. Returns
         False when the node budget runs out."""
         nonlocal best_value, best_mask, nodes
-        chain_of, inc, exc, root_bound = _chain_tables(order, chains, values, cap)
-        if ell:
-            # Without a cap the chain bound is value + the values from p on;
-            # taking off ell of the copies packed from p on moves each step
-            # by ell[p] (hosts with the packing have no rows and take the
-            # canonical walk alone).
-            root_bound -= sum(ell)
-            inc = [[d + ell[p] for d in row] for p, row in enumerate(inc)]
-            exc = [[d + ell[p] for d in row] for p, row in enumerate(exc)]
+        part_of, inc, exc, root_bound = _chain_tables(order, parts, values, cap)
         # completers' preconditions need canonical order; the other walks
         # test each include as it comes.
         eager = dead_sets and order == canonical
-        # Per branching position: (set index, its bit, its chain's bits,
+        # Per branching position: (set index, its bit, its part's bits,
         # include and exclude increments, the set's value, the sets after it).
         ahead = [0] * m
         for p in range(m - 1, 0, -1):
             ahead[p - 1] = ahead[p] | 1 << order[p]
         steps = [
-            (i, 1 << i, chain_bits[chain_of[p]], inc[p], exc[p], values[i], ahead[p])
+            (i, 1 << i, part_bits[part_of[p]], inc[p], exc[p], values[i], ahead[p])
             for p, i in enumerate(order)
         ]
         if rows:
@@ -471,7 +457,7 @@ def alpha(
         # place and its exclude branch pushed, so each include subtree is
         # finished before the exclude branch under it is popped. When the
         # include branch dies, the exclude branch, which would be popped
-        # next, is taken in place. A chain's chosen count is read off the mask.
+        # next, is taken in place. A part's chosen count is read off the mask.
         pending = [(0, 0, 0, root_bound, row_caps, 0, sum(values), root_blocks)]
         while pending:
             p, mask, value, bound, left, dead, ub, blocks = pending.pop()
@@ -480,7 +466,7 @@ def alpha(
                 if nodes > limit:
                     return False
                 if p == m:
-                    # At a leaf every chain is decided and bound is the family's value.
+                    # At a leaf every part is decided and bound is the family's value.
                     if bound > best_value:
                         best_value = bound
                         best_mask = mask
@@ -518,7 +504,7 @@ def alpha(
                 if taken is None or not eager and (
                     k >= cap or not copies[i] & ~grown or embeds_using(grown, i)
                 ):
-                    # A dead set, or outside the eager walk a full chain or a
+                    # A dead set, or outside the eager walk a full part or a
                     # copy of P through set i, kills the include branch: go
                     # on with the exclude branch.
                     p, bound, dead, ub = p + 1, bound + exc_p[k], out_dead, out_ub
@@ -527,7 +513,7 @@ def alpha(
                     (p + 1, mask, value, bound + exc_p[k], left, out_dead, out_ub, blocks)
                 )
                 if eager:
-                    # A later set dies when its chain now holds cap sets or
+                    # A later set dies when its part now holds cap sets or
                     # it completes a copy of P with the chosen sets.
                     live = later & ~dead
                     new = bits & live if k + 1 == cap else 0

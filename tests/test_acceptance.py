@@ -27,7 +27,6 @@ from subposet_lab.bounds import (
     bound_corollary_diamond,
     bound_corollary_interval,
     bound_main,
-    ceil_log2,
     certainly_less,
     min_valid_n,
     to_interval,
@@ -210,13 +209,19 @@ def test_criterion_06_optimized_minima():
     )
 
 
+def _ceil_log2(x: Fraction) -> int:
+    """The least t >= 0 with 2^t >= x > 0: 2^t >= ceil(x) exactly when
+    2^t > ceil(x) - 1, so t is the bit length of ceil(x) - 1."""
+    return ((x.numerator - 1) // x.denominator).bit_length()
+
+
 def test_criterion_07_log_bound_chain():
     points = 0
     for sizeP in range(1, GRID_MAX + 1):
         for h in range(1, sizeP + 1):
             if sizeP <= 2 * h:
                 continue
-            k = ceil_log2(Fraction(sizeP, h))
+            k = _ceil_log2(Fraction(sizeP, h))
             assert k >= 2
             lhs = bound_main(sizeP, h, k).coefficient
             rhs = bound_corollary_interval(sizeP, h).coefficient

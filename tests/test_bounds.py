@@ -17,7 +17,6 @@ from subposet_lab.bounds import (
     bound_dk_any,
     bound_main,
     bound_product_composition,
-    ceil_log2,
     certainly_less,
     coefficient_str,
     exact_log2,
@@ -143,10 +142,12 @@ class TestBestParameterSweeps:
                 assert report.coefficient <= bound_chen_li(7, 2, probe).coefficient
 
     def test_prescribed_k_definition(self):
-        assert ceil_log2(Fraction(8)) == 3
-        assert ceil_log2(Fraction(9)) == 4
-        assert ceil_log2(Fraction(1)) == 0
-        assert ceil_log2(Fraction(7, 2)) == 2
+        # ceil(log2(|P|/h)), reported only from 2 on.
+        assert best_main_k(8, 1).params["prescribed_k"] == 3
+        assert best_main_k(9, 1).params["prescribed_k"] == 4
+        assert best_main_k(7, 2).params["prescribed_k"] == 2
+        assert best_main_k(1, 1).params["prescribed_k"] is None
+        assert best_main_k(4, 2).params["prescribed_k"] is None
 
 
     def test_best_main_k_boundary_minimum_raises(self, monkeypatch):
@@ -241,17 +242,6 @@ class TestClosedFormsMatchSweeps:
                 report = sweep(sizeP, h)
                 assert made == [name] and report.name == name
         assert called == []
-
-    def test_ceil_log2(self):
-        for p in range(1, 300):
-            for q in range(1, 41):
-                x = Fraction(p, q)
-                assert ceil_log2(x) == _ceil_log2_loop(x)
-        for t in range(0, 200, 7):
-            assert ceil_log2(Fraction(2**t)) == t
-            assert ceil_log2(Fraction(2**t + 1)) == t + 1
-        with pytest.raises(InvalidParams):
-            ceil_log2(Fraction(0))
 
 
 class TestLogarithmicBounds:

@@ -456,7 +456,7 @@ class TestAgainstBruteForce:
         "host, spec, mode, objective, budget, outcome",
         [
             # Hosts without double-count rows.
-            ("C_2[10]", "K:2,2", "induced", "lubell", None, (Fraction(151, 63), True, 13_849)),
+            ("C_2[10]", "K:2,2", "induced", "lubell", None, (Fraction(151, 63), True, 13_753)),
             ("random", "diamond:2", "weak", "cardinality", None, (18, True, 3_006)),
             # Budget stops in the value pass, below the optimum 7/3, and in
             # the include-first witness pass, after the value pass's 535 nodes
@@ -499,7 +499,7 @@ class TestAgainstBruteForce:
             (
                 "C_2[14]", "K:2,2", "induced", "cardinality", 150_000,
                 (
-                    17, True, 110_326,
+                    17, True, 108_561,
                     (0, 2, 1, 5, 3, 11, 15, 47, 63, 191, 255, 767, 1023, 3071, 4095,
                      12287, 16383),
                 ),
@@ -557,11 +557,12 @@ class TestAgainstBruteForce:
         assert got[: len(outcome)] == outcome
 
     def test_only_uncapped_walks_pack_copies(self, monkeypatch):
-        # The copy packing is built only where it folds into the chain
-        # increments, off full levels without a cap. The capped walks below
-        # take their freeness answers from completers' mask rules, so they
-        # ask embeds_using nothing; induced K:2,2 still packs, one call per
-        # set before the walk, which a budget of 0 nodes leaves alone.
+        # The copy packing is built only off full levels without a chain
+        # cap, where its copies become parts of the capacity partition. The
+        # capped walks below take their freeness answers from completers'
+        # mask rules, so they ask embeds_using nothing; induced K:2,2 still
+        # packs, one call per set before the walk, which a budget of 0 nodes
+        # leaves alone.
         calls = []
         asked = EmbeddingSearch.embeds_using
 
@@ -579,7 +580,26 @@ class TestAgainstBruteForce:
         assert alpha(H, K22, "induced", "cardinality", 0).nodes_explored == 1
         assert calls == list(reversed(range(len(H))))
         got = alpha(H, K22, "induced", "cardinality", 150_000)
-        assert (got.value, got.exhaustive, got.nodes_explored) == (17, True, 110_326)
+        assert (got.value, got.exhaustive, got.nodes_explored) == (17, True, 108_561)
+
+    def test_a_packed_copy_refuses_its_last_set(self, monkeypatch):
+        # {1}, {2}, {1,2,3}, {1,2,4} are one induced copy of K:2,2, packed
+        # as one part with cap |P| - 1 = 3: once the first three sets are
+        # taken, the part is full and refuses the last set without asking
+        # embeds_using whether the whole host holds a copy through it.
+        calls = []
+        asked = EmbeddingSearch.embeds_using
+
+        def counted(search, allowed, z):
+            calls.append((allowed, z))
+            return asked(search, allowed, z)
+
+        monkeypatch.setattr(EmbeddingSearch, "embeds_using", counted)
+        H = SetFamily.from_masks(4, [0b0001, 0b0010, 0b0111, 0b1011])
+        got = alpha(H, parse_poset_spec("K:2,2"), "induced")
+        assert (got.value, got.exhaustive, got.nodes_explored) == (3, True, 8)
+        assert len(calls) == 7
+        assert (0b1111, 3) not in calls
 
     @pytest.mark.parametrize(
         "host, spec, objective, step, full, digest",
@@ -843,9 +863,9 @@ class TestHypergraphOracle:
     def test_copy_bounds_keep_value_and_witness(self, spec, mode, objective):
         # Hosts of at most 12 sets that are not unions of full levels, so
         # they get the copy bounds: dead sets for chain:3 and diamond:2, and
-        # for K:2,2 and K:1,2 in weak mode; the packing folded into the bound
-        # for the induced patterns other than chain:3, diamond:2 among them;
-        # neither for K:2,2,2 in weak mode. The brute force also checks
+        # for K:2,2 and K:1,2 in weak mode; packed copies as parts of the
+        # capacity partition for the induced patterns other than chain:3,
+        # diamond:2 among them; neither for K:2,2,2 in weak mode. The brute force also checks
         # hypergraph_first_optimum.
         rng = random.Random(f"{spec}-{mode}-{objective}")
         P = parse_poset_spec(spec)
@@ -874,7 +894,7 @@ class TestHypergraphOracle:
         # One oracle call, about 3 s: the value is hypergraph_alpha's search
         # under weights that also break ties.
         value, witness = hypergraph_first_optimum(H, P, "induced")
-        assert (got.value, got.exhaustive, got.nodes_explored) == (15, True, 272_593)
+        assert (got.value, got.exhaustive, got.nodes_explored) == (15, True, 263_465)
         assert got.value == value and got.witness == witness
 
     @pytest.mark.parametrize("objective", ["cardinality", "lubell"])
