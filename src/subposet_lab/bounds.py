@@ -346,14 +346,6 @@ class InducedExponentTrace:
     def min_index(self) -> int:
         return len(self.exponents) - 1
 
-    def constant_interval(self, C: Union[int, Fraction]) -> Interval:
-        """Numeric enclosure of the final constant for a concrete C."""
-        g, b = self.constant_ledger[-1]
-        geom = _iv.mpf(2) * _iv.sqrt(_iv.mpf(2)) / _iv.sqrt(_iv.pi)
-        return to_interval(Fraction(g)) * geom * to_interval(Fraction(C)) + to_interval(
-            Fraction(b)
-        )
-
 
 def induced_exponent_chain(target: Union[Fraction, str, float]) -> InducedExponentTrace:
     """Run the exponent recursion until it drops below `target` (> 1/2)."""

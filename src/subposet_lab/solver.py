@@ -262,14 +262,14 @@ def alpha(
     is a chain), so in weak mode or for P a chain the parts are as few
     chains as H's width (min_chain_partition). Otherwise (induced mode, P
     not a chain) they are disjoint copies of P and single sets (packing
-    bounds for hitting set, Niedermeier and Rossmanith 2003): off full
-    levels the sets q go from last to first, and each makes one
-    embeds_using call for a copy through set q among the sets from q on
-    that no copy taken so far holds, and takes it if there is one (on
-    unions of full levels every set is a part of its own). A node is cut
-    when the value so far plus, per part, the cap - chosen largest
-    undecided values cannot beat the incumbent, and a part holding cap sets
-    refuses further sets without a freeness check.
+    bounds for hitting set, Niedermeier and Rossmanith 2003): the sets q go
+    from last to first, and each makes one embeds_using call for a copy
+    through set q among the sets from q on that no copy taken so far holds,
+    and takes it if there is one. So the kind of part depends on the mode
+    and the pattern alone, on any host. A node is cut when the value so far
+    plus, per part, the cap - chosen largest undecided values cannot beat
+    the incumbent, and a part holding cap sets refuses further sets without
+    a freeness check.
 
     Rows and passes. When H is a union of full levels of 2^[n] with a level
     strictly between 0 and n, the knapsack rows of double_count_rows prune
@@ -376,16 +376,15 @@ def alpha(
         index = {mask: i for i, mask in enumerate(set_masks)}
         parts = [[index[s.mask] for s in c] for c in min_chain_partition(H)]
     else:
-        # Disjoint copies of P, off full levels: sets q from last to first
-        # each take a copy through q among the later sets no copy taken yet
-        # holds, if there is one. Every other set is a part of its own.
+        # Disjoint copies of P: sets q from last to first each take a copy
+        # through q among the later sets no copy taken yet holds, if there is
+        # one. Every other set is a part of its own.
         parts = []
         owned = 0
-        if not levels:
-            for q in reversed(range(m)):
-                if embeds_using(((1 << m) - 1) >> q << q & ~owned, q):
-                    owned |= copies[q]
-                    parts.append(list(_bits(copies[q])))
+        for q in reversed(range(m)):
+            if embeds_using(((1 << m) - 1) >> q << q & ~owned, q):
+                owned |= copies[q]
+                parts.append(list(_bits(copies[q])))
         parts += [[i] for i in range(m) if not owned >> i & 1]
     part_bits = [sum(1 << i for i in c) for c in parts]
     # Row weights N_w / C(n, w) and capacities, scaled by the same unit.

@@ -437,8 +437,8 @@ class TestAgainstBruteForce:
         [
             ((5, None), "chain:3", "weak", "cardinality", 88),
             ((4, None), "diamond:2", "weak", "cardinality", 566),
-            ((4, None), "K:2,2", "induced", "cardinality", 144),
-            ((4, None), "K:1,2", "induced", "cardinality", 750),
+            ((4, None), "K:2,2", "induced", "cardinality", 90),
+            ((4, None), "K:1,2", "induced", "cardinality", 649),
             ((4, None), "diamond:1", "induced", "lubell", 36),
             ((5, None), "chain:2", "induced", "lubell", 67),
             ((6, (2, 4)), "chain:3", "weak", "cardinality", 61),
@@ -557,12 +557,14 @@ class TestAgainstBruteForce:
         assert got[: len(outcome)] == outcome
 
     def test_only_uncapped_walks_pack_copies(self, monkeypatch):
-        # The copy packing is built only off full levels without a chain
-        # cap, where its copies become parts of the capacity partition. The
+        # The copy packing is built in every walk without a chain cap, on any
+        # host, where its copies become parts of the capacity partition. The
         # capped walks below take their freeness answers from completers'
-        # mask rules, so they ask embeds_using nothing; induced K:2,2 still
-        # packs, one call per set before the walk, which a budget of 0 nodes
-        # leaves alone.
+        # mask rules, so they ask embeds_using nothing; induced K:2,2 packs,
+        # one call per set from last to first before the walk, which a
+        # budget of 0 nodes leaves alone. On the whole cube, the rows are
+        # built first, so that their capacity searches' own packing calls
+        # are not counted.
         calls = []
         asked = EmbeddingSearch.embeds_using
 
@@ -581,6 +583,11 @@ class TestAgainstBruteForce:
         assert calls == list(reversed(range(len(H))))
         got = alpha(H, K22, "induced", "cardinality", 150_000)
         assert (got.value, got.exhaustive, got.nodes_explored) == (17, True, 108_561)
+        cube = SetFamily.power_set(4)
+        double_count_rows(cube, K22, "induced")
+        calls.clear()
+        assert alpha(cube, K22, "induced", "cardinality", 0).nodes_explored == 1
+        assert calls == list(reversed(range(len(cube))))
 
     def test_a_packed_copy_refuses_its_last_set(self, monkeypatch):
         # {1}, {2}, {1,2,3}, {1,2,4} are one induced copy of K:2,2, packed
@@ -1028,6 +1035,16 @@ class TestLaExact:
         assert r.value == 20 and r.exhaustive
         assert r.nodes_explored <= 200_000
         assert sorted(s.weight for s in r.witness) == [2] * 10 + [3] * 10
+
+    def test_induced_claw_and_its_dual_agree_at_five(self):
+        # Complementing every set maps induced K:3,1-free families of 2^[5]
+        # onto induced K:1,3-free ones. Packed copies of K:3,1 as parts of
+        # the capacity partition prove 19 in 1,285,445 nodes.
+        got = la_exact(5, parse_poset_spec("K:3,1"), "induced", node_budget=1_500_000)
+        assert (got.value, got.exhaustive) == (19, True)
+        assert la_exact(5, parse_poset_spec("K:1,3"), "induced").value == 19
+        complements = SetFamily.from_masks(5, [0b11111 ^ mask for mask in got.witness.masks()])
+        assert not brute_contains(complements, parse_poset_spec("K:1,3"), "induced")
 
     def test_guard(self):
         with pytest.raises(GuardRefused):
