@@ -133,7 +133,9 @@ class SetFamily:
         return cls(n, (Subset(n, m) for m in masks))
 
     @classmethod
+    @lru_cache(maxsize=16)
     def power_set(cls, n: int) -> "SetFamily":
+        """2^[n], one shared family per n (families are immutable)."""
         return cls.from_masks(n, range(1 << n))
 
     @classmethod
@@ -221,9 +223,11 @@ def symmetric_chain_partition(fam: SetFamily) -> tuple[tuple[Subset, ...], ...]:
     return tuple(tuple(c) for c in chains.values())
 
 
+@lru_cache(maxsize=32)
 def containment_masks(fam: SetFamily) -> tuple[list[int], list[int]]:
     """For each canonical index i, the index masks of the strict supersets
-    (above[i]) and the strict subsets (below[i]) of set i.
+    (above[i]) and the strict subsets (below[i]) of set i. Memoised per
+    family, so the lists are shared: no caller may change them.
 
     holds[e] is the mask of the indices whose set contains element e. A set
     contains A_i exactly when it holds every element of A_i, and lies inside
@@ -256,8 +260,10 @@ def containment_masks(fam: SetFamily) -> tuple[list[int], list[int]]:
     return above, below
 
 
+@lru_cache(maxsize=32)
 def min_chain_partition(fam: SetFamily) -> tuple[tuple[Subset, ...], ...]:
-    """A partition of the family into as few chains as its width (Dilworth).
+    """A partition of the family into as few chains as its width (Dilworth),
+    memoised per family.
 
     Starts from the symmetric chain cut, which is already minimum when it has
     as many chains as the family's largest level (an antichain), as on any

@@ -332,13 +332,14 @@ class EmbeddingSearch:
     on which one gave it. embeddings() reads and writes neither cache.
 
     completers() asks embeds_using's question for many sets at once, after
-    one set joins the chosen ones. Its rule, _grow, is chosen once like
-    _full: a few unions of above masks for the 2- and 3-chains and D_2 in
-    either mode (induced D_2 reads _incomparable for its middles), and for
-    K:a,b with a, b <= 2 in weak mode; one embeds_using call per candidate
-    for every other pattern or mode (completers_by_masks tells which). Each
-    union of above masks over a mask is read off the mask's minimal members
-    (_union_above).
+    one set joins the chosen ones, in any order of the host. Its rule,
+    _grow, is chosen once like _full: a few unions of above and below masks
+    for the 2- and 3-chains and D_2 in either mode (induced D_2 reads
+    _incomparable for its middles), and for K:a,b with a, b <= 2 in weak
+    mode; one embeds_using call per candidate for every other pattern or
+    mode (completers_by_masks tells which). A union of above masks over a
+    mask is read off the mask's minimal members (_union_above), and one of
+    below masks off its maximal members (_union_below).
     """
 
     __slots__ = (
@@ -413,7 +414,9 @@ class EmbeddingSearch:
         # D_1 and D_2 take their rule in either mode; K:a,b only where its
         # induced copies are its weak copies, in weak mode or as the 2-chain.
         weak = mode == "weak" or len(layers) == q
-        if layers in ((1, 1, 1), (1, 2, 1)):
+        if layers == (1, 1, 1):
+            self._grow = EmbeddingSearch._chain_completers
+        elif layers == (1, 2, 1):
             self._grow = EmbeddingSearch._diamond_completers
         elif weak and len(layers) == 2 and max(layers) <= 2:
             self._grow = EmbeddingSearch._two_layer_completers
@@ -460,32 +463,37 @@ class EmbeddingSearch:
     def completers(self, grown: int, newest: int, candidates: int) -> int:
         """The mask of the candidates j (host indices outside `grown`) for
         which grown | 1 << j holds a copy of the pattern through j, when the
-        set `newest` has just been added to `grown`. Two preconditions:
+        set `newest` has just been added to `grown`. One precondition: no
+        candidate completes a copy without newest (grown minus newest, with
+        j, holds no copy through j).
 
-        - no member of grown lies strictly above newest or above a candidate;
-        - no candidate completes a copy without newest: grown minus newest,
-          with j, holds no copy through j.
-
-        A copy through j then has j as the image of a maximal element and
-        holds newest. The rules read that off a few mask unions, where lows
-        are the members of grown below newest:
-        - the 2-chain: j above newest;
-        - the 3-chain D_1: j above newest, when lows is not empty;
-        - D_2: j above newest and above some other member of grown that
-          lies above a member of lows and, in induced mode, is incomparable
-          with newest (the copy's other middle);
-        - K:a,b in weak mode with a, b <= 2: with one top, newest is a bottom
-          and j lies above it (and, for a = 2, above another member); with
-          two tops, newest is the other one and j lies above a members of
-          lows.
-        Every other pattern, or mode, asks embeds_using once per candidate,
-        which needs neither precondition."""
+        A copy through j then holds newest, and j may be any element of it,
+        so the rules hold in any order of the host. They read the copy off a
+        few unions of above and below masks over ups and downs, the members
+        of grown above and below newest:
+        - the 2-chain: j above or below newest;
+        - the 3-chain D_1: j above newest, with a down, or with an up above
+          or below j; or the mirror below newest;
+        - D_2, j above newest: j the top over two ups (the middles, newest
+          the bottom), or over a member of grown that lies above a down
+          (newest a middle), or j a middle below a member of grown that lies
+          above an up (newest the bottom); the mirror below newest; or j a
+          middle between a down and an up. In induced mode the two middles
+          are incomparable (_incomparable);
+        - K:a,b in weak mode with a, b <= 2: j in the other layer from
+          newest, with the copy's other members in grown; or in newest's
+          layer, above a downs (two tops) or below b ups (two bottoms).
+        With no up and no candidate below newest, as in an order that
+        extends inclusion, every case but j above newest with the rest of
+        the copy below j falls away at its first test. Every other pattern,
+        or mode, asks embeds_using once per candidate, which needs no
+        precondition."""
         return self._grow(self, grown, newest, candidates)
 
     @property
     def completers_by_masks(self) -> bool:
-        """Whether completers answers from unions of above masks, asking no
-        freeness query."""
+        """Whether completers answers from unions of above and below masks,
+        asking no freeness query."""
         return self._grow is not EmbeddingSearch._completers_by_query
 
     @property
@@ -505,42 +513,121 @@ class EmbeddingSearch:
                 found |= low
         return found
 
-    def _diamond_completers(self, grown: int, newest: int, candidates: int) -> int:
-        # j is the top, and newest a middle: as the bottom it would need a
-        # middle above it, and only j lies above it.
+    def _chain_completers(self, grown: int, newest: int, candidates: int) -> int:
+        # The 3-chain: the third member lies past newest from j, or past j.
         above = self.above
-        lows = grown & self.below[newest]
-        if not lows:
-            return 0
-        found = candidates & above[newest]
-        if self._layers[1] == 1 or not found:
+        below = self.below
+        ups = grown & above[newest]
+        downs = grown & below[newest]
+        high = candidates & above[newest]
+        low = candidates & below[newest]
+        found = 0
+        if high:
+            if downs:
+                found = high
+            elif ups:
+                found = high & (_union_above(above, ups) | _union_below(below, ups))
+        if low:
+            if ups:
+                found |= low
+            elif downs:
+                found |= low & (_union_above(above, downs) | _union_below(below, downs))
+        return found
+
+    def _diamond_completers(self, grown: int, newest: int, candidates: int) -> int:
+        above = self.above
+        below = self.below
+        ups = grown & above[newest]
+        downs = grown & below[newest]
+        high = candidates & above[newest]
+        low = candidates & below[newest]
+        found = 0
+        if high and downs:
+            # newest a middle and j the top, over the other middle, which
+            # lies over a down.
+            middles = grown & self._incomparable[newest] & _union_above(above, downs)
+            if middles:
+                found = high & _union_above(above, middles)
+        if not ups and not low:
+            # No up and no candidate below newest: no other case is left.
             return found
-        # The other middle: a member above a member of lows and, in induced
-        # mode, incomparable with newest (in weak mode the row is every other
-        # index, so this only drops newest).
-        middles = _union_above(above, lows) & grown & self._incomparable[newest]
-        return found & _union_above(above, middles)
+        apart = self._incomparable[newest]
+        if low and ups:
+            # The mirror: j the bottom.
+            middles = grown & apart & _union_below(below, ups)
+            if middles:
+                found |= low & _union_below(below, middles)
+        if high and ups:
+            found |= high & self._diamond_end(grown, ups, above, below, _union_above, _union_below)
+        if low and downs:
+            found |= low & self._diamond_end(grown, downs, below, above, _union_below, _union_above)
+        if ups and downs:
+            # j and newest the middles, between a down and an up.
+            found |= candidates & apart & _union_above(above, downs) & _union_below(below, ups)
+        return found
+
+    def _diamond_end(self, grown: int, near: int, toward, back, over, under) -> int:
+        """The sets above newest that complete a D_2 with newest as its
+        bottom, where near holds the ups, toward and back are above and
+        below, and over and under their unions; or, mirrored, the sets below
+        newest with newest as the top. Such a set is the top over two nears
+        (the middles), or a middle under a member of grown over a near (in
+        induced mode incomparable with that near)."""
+        weak = self.mode == "weak"
+        apart = None if weak else self._incomparable
+        found = _twice(toward, near, apart) if near & (near - 1) else 0
+        if weak:
+            tops = grown & over(toward, near)
+            if tops:
+                found |= under(back, tops)
+            return found
+        while near:
+            low = near & -near
+            near ^= low
+            z = low.bit_length() - 1
+            found |= apart[z] & under(back, grown & toward[z])
+        return found
 
     def _two_layer_completers(self, grown: int, newest: int, candidates: int) -> int:
         bottoms, tops = self._layers
         above = self.above
-        if tops == 1:
-            # newest is a bottom under j.
-            found = candidates & above[newest]
-            if bottoms == 1 or not found:
-                return found
-            return found & _union_above(above, grown ^ 1 << newest)
-        # newest is the other top: j lies above `bottoms` members of lows,
-        # counted once and twice per set.
-        lows = grown & self.below[newest]
-        once = twice = 0
-        while lows:
-            low = lows & -lows
-            lows ^= low
-            up = above[low.bit_length() - 1]
-            twice |= once & up
-            once |= up
-        return candidates & (once if bottoms == 1 else twice)
+        below = self.below
+        ups = grown & above[newest]
+        downs = grown & below[newest]
+        rest = grown ^ 1 << newest
+        found = 0
+        high = candidates & above[newest]
+        if high:
+            # newest a bottom and j a top: the other top is an up, and the
+            # other bottom a member below j and below the other top.
+            if bottoms == 1:
+                if tops == 1 or ups:
+                    found = high
+            elif tops == 1:
+                found = high & _union_above(above, rest)
+            elif ups:
+                found = high & _union_above(above, rest & _union_below(below, ups))
+        low = candidates & below[newest]
+        if low:
+            # The mirror: newest a top and j a bottom.
+            if tops == 1:
+                if bottoms == 1 or downs:
+                    found |= low
+            elif bottoms == 1:
+                found |= low & _union_below(below, rest)
+            elif downs:
+                found |= low & _union_below(below, rest & _union_above(above, downs))
+        if tops == 2 and downs:
+            # newest and j the tops, over `bottoms` downs.
+            found |= candidates & (
+                _union_above(above, downs) if bottoms == 1 else _twice(above, downs)
+            )
+        if bottoms == 2 and ups:
+            # newest and j the bottoms, under `tops` ups.
+            found |= candidates & (
+                _union_below(below, ups) if tops == 1 else _twice(below, ups)
+            )
+        return found
 
     def _generic(self, allowed: int, z: int) -> int:
         """Mask of a copy inside `allowed` through z, or 0, by pinning each
@@ -733,10 +820,52 @@ def _union_above(above: Sequence[int], mask: int) -> int:
     the steps are the mask's minimal members, at most its width."""
     ups = 0
     while mask:
-        a = (mask & -mask).bit_length() - 1
-        ups |= above[a]
-        mask &= ~above[a] ^ 1 << a
+        low = mask & -mask
+        row = above[low.bit_length() - 1]
+        ups |= row
+        mask &= ~(row | low)
     return ups
+
+
+def _union_below(below: Sequence[int], mask: int) -> int:
+    """The union of below[x] over the members x of mask, read off its
+    maximal members: the mirror of _union_above, highest index first."""
+    downs = 0
+    while mask:
+        d = mask.bit_length() - 1
+        row = below[d]
+        downs |= row
+        mask &= ~(row | 1 << d)
+    return downs
+
+
+def _twice(rows: Sequence[int], mask: int, apart: Sequence[int] | None = None) -> int:
+    """The indices in the rows of two members of mask; given apart, of two
+    members y and z with y in apart[z]."""
+    once = twice = 0
+    if apart is None:
+        # Count each index once and twice over the rows.
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            row = rows[low.bit_length() - 1]
+            twice |= once & row
+            once |= row
+        return twice
+    # Pair by pair, each member with the ones taken before it.
+    taken = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        z = low.bit_length() - 1
+        row = rows[z]
+        pairs = taken & apart[z]
+        while pairs:
+            y = pairs & -pairs
+            pairs ^= y
+            twice |= row & rows[y.bit_length() - 1]
+        taken |= low
+    return twice
 
 
 def _extend(

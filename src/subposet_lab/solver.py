@@ -297,11 +297,11 @@ def alpha(
     cannot beat the incumbent. blocks is the partition of [n] that the
     chosen sets cut out, None once the group below is trivial or where there
     are no orbits. The chosen sets only grow, so a dead set stays dead. In
-    every walk an excluded set's orbit dies (Orbits). In the canonical walk
-    where completers applies (Dead sets), an include also kills the later
-    members of its part once the part holds cap sets and the later sets
-    that now complete a copy, so every live set can be taken; the other
-    walks test each include as it comes.
+    every walk an excluded set's orbit dies (Orbits). Where completers
+    applies (Dead sets), an include also kills the later members of its
+    part once the part holds cap sets and the later sets that now complete
+    a copy, so every live set can be taken; elsewhere each include is
+    tested as it comes.
 
     - Orbits (Margot 2002; Ostrowski et al. 2011), in both passes on every
       union of full levels. Every permutation of [n] maps H onto itself and
@@ -315,16 +315,15 @@ def alpha(
       s(B) = A would give s(F*): P-free, of the same value, holding every
       chosen set and A, and so earlier than F* in that order, against the
       choice of F*.
-    - Dead sets, in the canonical walk only, where completers has a mask
-      rule for P and, off full levels, also where the parts are chains and
-      P takes a kernel of EmbeddingSearch (embeds_by_kernel: a diamond or
-      two complete layers). After set p is included,
-      EmbeddingSearch.completers names the later live sets that complete a
-      copy, in one call. Its two preconditions hold in this walk: canonical
-      order sorts sets by size first, so no chosen set strictly contains p
-      or a later set; and a later live set completed no copy with the sets
-      chosen before p, or it would have died then (one set alone holds no
-      copy of a pattern with a kernel).
+    - Dead sets, in every pass where completers has a mask rule for P (its
+      rules hold in any order) and, off full levels, where only the
+      canonical pass runs, also where the parts are chains and P takes a
+      kernel of EmbeddingSearch (embeds_by_kernel: a diamond or two
+      complete layers). After set p is included, EmbeddingSearch.completers
+      names the later live sets that complete a copy, in one call. Its
+      precondition holds in every walk: a later live set completed no copy
+      with the sets chosen before p, or it would have died then (one set
+      alone holds no copy of a pattern with a kernel).
 
     Every cut and every dead set leaves F* in the walk for the incumbent u
     at the time: a dead set lies in no P-free family holding the chosen
@@ -408,9 +407,11 @@ def alpha(
         got = branchings[i][blocks] = (of[i], _split_blocks(blocks, set_masks[i]))
         return got
 
-    # completers' dead sets need a mask rule or, off full levels, chains as
-    # parts and a kernel of EmbeddingSearch for P.
-    dead_sets = search.completers_by_masks or (capped and search.embeds_by_kernel and not levels)
+    # Where completers applies, every include kills the later sets it dooms;
+    # elsewhere each include is tested as it comes. completers needs a mask
+    # rule or, off full levels, chains as parts and a kernel of
+    # EmbeddingSearch for P.
+    eager = search.completers_by_masks or (capped and search.embeds_by_kernel and not levels)
 
     def worth_of(mask: int) -> int:
         """The sum of the values of the sets in mask."""
@@ -429,9 +430,6 @@ def alpha(
         False when the node budget runs out."""
         nonlocal best_value, best_mask, nodes
         part_of, inc, exc, root_bound = _chain_tables(order, parts, values, cap)
-        # completers' preconditions need canonical order; the other walks
-        # test each include as it comes.
-        eager = dead_sets and order == canonical
         # Per branching position: (set index, its bit, its part's bits,
         # include and exclude increments, the set's value, the sets after it).
         ahead = [0] * m
@@ -503,8 +501,8 @@ def alpha(
                 if taken is None or not eager and (
                     k >= cap or not copies[i] & ~grown or embeds_using(grown, i)
                 ):
-                    # A dead set, or outside the eager walk a full part or a
-                    # copy of P through set i, kills the include branch: go
+                    # A dead set, or where includes are tested a full part or
+                    # a copy of P through set i, kills the include branch: go
                     # on with the exclude branch.
                     p, bound, dead, ub = p + 1, bound + exc_p[k], out_dead, out_ub
                     continue

@@ -31,6 +31,7 @@ from subposet_lab.families import (
     unrelated_below_count,
     worst_set,
 )
+from subposet_lab.posets import EmbeddingSearch, parse_poset_spec
 
 
 def subsets_of(n, *element_lists):
@@ -613,6 +614,23 @@ class TestContainmentMasks:
         full = (1 << len(fam)) - 1
         assert above[0] == full ^ 1
         assert below[-1] == full ^ 1 << (len(fam) - 1)
+
+    def test_tables_are_built_once_per_family(self):
+        # 2^[n] is one family per n, and its containment masks and chain
+        # partition are memoised per family (equal families share them);
+        # the embedding searches that read the masks leave them as built.
+        cube = SetFamily.power_set(5)
+        assert SetFamily.power_set(5) is cube
+        masks = containment_masks(cube)
+        assert containment_masks(SetFamily.levels(5, range(6))) is masks
+        assert min_chain_partition(SetFamily.from_masks(5, range(32))) is min_chain_partition(cube)
+        for spec, mode in [("diamond:2", "weak"), ("K:2,2", "induced"), ("K:1,1,2", "weak")]:
+            search = EmbeddingSearch(cube, parse_poset_spec(spec), mode)
+            search.embeddings(5)
+            for z in range(len(cube)):
+                search.embeds_using((1 << len(cube)) - 1, z)
+        assert containment_masks(cube) is masks
+        assert masks == self.pairwise(cube)
 
     def test_empty_family_and_single_sets(self):
         assert containment_masks(SetFamily(4)) == ([], [])

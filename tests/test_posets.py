@@ -767,11 +767,11 @@ def completers_by_query(search, grown, candidates):
 
 def include_first_states(search, rng, order=None):
     """(grown, newest, candidates) at each include of a random include-first
-    walk that keeps alpha's dead sets, through `order`, an order of the host
-    indices that extends inclusion (the host's index order by default, which
-    is canonical for a family). A set dies when it completes a copy with the
-    sets taken, by completers_by_query, or at random, as the later members of
-    a full chain do. The oracle, not the method under test, steers the walk."""
+    walk that keeps alpha's dead sets, through `order`, any order of the host
+    indices (the host's index order by default, which is canonical for a
+    family). A set dies when it completes a copy with the sets taken, by
+    completers_by_query, or at random, as the later members of a full chain
+    do. The oracle, not the method under test, steers the walk."""
     m = len(search.above)
     later = (1 << m) - 1
     grown = dead = 0
@@ -789,8 +789,8 @@ def include_first_states(search, rng, order=None):
 
 class TestCompleters:
     """EmbeddingSearch.completers against one embeds_using query per
-    candidate, on the states of include-first walks in canonical order,
-    where its preconditions hold."""
+    candidate, on the states of include-first walks, where its precondition
+    holds: in canonical order and in orders that do not extend inclusion."""
 
     # Shapes with a mask rule in weak mode (and in induced mode for the
     # chains and D_2), and some that ask embeds_using per candidate.
@@ -872,6 +872,60 @@ class TestCompleters:
                     seen[got != 0] += 1
             assert fast.copies == [-1] * host.size
         assert min(seen) >= 10 and unsorted >= 10, (seen, unsorted)
+
+    @staticmethod
+    def _windows(rng):
+        # Whole cubes and level windows, the hosts of alpha's value pass.
+        for n in (3, 4, 5):
+            low = rng.randint(0, n - 1)
+            yield SetFamily.power_set(n)
+            yield SetFamily.levels(n, range(low, rng.randint(low + 1, n) + 1))
+
+    @staticmethod
+    def _walk_order(host, kind, rng):
+        """An order of the host's indices that need not extend inclusion:
+        shuffled, middle-out (alpha's value pass for cardinality) or from
+        the outer levels inward (its value pass for Lubell mass)."""
+        order = list(range(len(host)))
+        if kind == "shuffled":
+            rng.shuffle(order)
+            return order
+        outward = 1 if kind == "middle-out" else -1
+        distance = [outward * abs(2 * mask.bit_count() - host.n) for mask in host.masks()]
+        return sorted(order, key=lambda i: (distance[i], i))
+
+    @pytest.mark.parametrize("kind", ["shuffled", "middle-out", "outward"])
+    @pytest.mark.parametrize(
+        "spec, mode",
+        [(spec, "weak") for spec in RULES + QUERIES]
+        + [(spec, "induced") for spec in INDUCED_RULES + ["K:1,2", "K:2,2"]],
+    )
+    def test_rules_hold_in_any_walk_order(self, spec, mode, kind):
+        # Walks whose order does not extend inclusion, so a chosen set may lie
+        # above newest and a candidate below it: each rule's cases for j below
+        # newest, or newest not a bottom, answer too, still asking no query.
+        rng = random.Random(f"walk:{spec}:{mode}:{kind}")
+        rules = spec in (self.RULES if mode == "weak" else self.INDUCED_RULES)
+        # Answers, empty or not, at includes where such a case is in play
+        # (for the 2-chain every such answer holds the candidates below).
+        seen = [0, 0]
+        for host in [*self._hosts(rng), *self._windows(rng)]:
+            pattern = relabelled(parse_poset_spec(spec), rng)
+            fast = EmbeddingSearch(host, pattern, mode)
+            oracle = EmbeddingSearch(host, pattern, mode)
+            assert fast.completers_by_masks == rules
+            for _ in range(3):
+                order = self._walk_order(host, kind, rng)
+                for grown, p, candidates in include_first_states(oracle, rng, order):
+                    got = fast.completers(grown, p, candidates)
+                    assert got == completers_by_query(oracle, grown, candidates), (
+                        host.masks(), spec, mode, order, bin(grown), p, bin(candidates)
+                    )
+                    if grown & oracle.above[p] or candidates & oracle.below[p]:
+                        seen[got != 0] += 1
+            if rules:
+                assert fast.copies == [-1] * len(host)
+        assert seen[1] >= 10, seen
 
     @pytest.mark.parametrize("spec", ["K:2,2", "K:1,2", "diamond:3"])
     def test_induced_non_chains_ask_per_candidate(self, spec):

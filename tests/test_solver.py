@@ -436,7 +436,7 @@ class TestAgainstBruteForce:
         "host, spec, mode, objective, nodes",
         [
             ((5, None), "chain:3", "weak", "cardinality", 88),
-            ((4, None), "diamond:2", "weak", "cardinality", 566),
+            ((4, None), "diamond:2", "weak", "cardinality", 230),
             ((4, None), "K:2,2", "induced", "cardinality", 90),
             ((4, None), "K:1,2", "induced", "cardinality", 649),
             ((4, None), "diamond:1", "induced", "lubell", 36),
@@ -459,15 +459,15 @@ class TestAgainstBruteForce:
             ("C_2[10]", "K:2,2", "induced", "lubell", None, (Fraction(151, 63), True, 13_753)),
             ("random", "diamond:2", "weak", "cardinality", None, (18, True, 3_006)),
             # Budget stops in the value pass, below the optimum 7/3, and in
-            # the include-first witness pass, after the value pass's 535 nodes
-            # (555 in all).
+            # the include-first witness pass, after the value pass's 265 nodes
+            # (285 in all).
             (
-                "2^[4]", "diamond:2", "weak", "lubell", 80,
-                (Fraction(9, 4), False, 81, (0, 8, 15)),
+                "2^[4]", "diamond:2", "weak", "lubell", 40,
+                (Fraction(9, 4), False, 41, (0, 8, 15)),
             ),
             (
-                "2^[4]", "diamond:2", "weak", "lubell", 545,
-                (Fraction(7, 3), False, 546, (0, 8, 4, 10, 6, 9, 5, 3)),
+                "2^[4]", "diamond:2", "weak", "lubell", 275,
+                (Fraction(7, 3), False, 276, (0, 8, 4, 10, 6, 9, 5, 3)),
             ),
             # A run whose freeness answers all come from completers' mask rule.
             (
@@ -486,11 +486,11 @@ class TestAgainstBruteForce:
                 ),
             ),
             # Whole-cube search whose budget runs out in the canonical witness
-            # pass, after the value pass's 2,980 nodes (4,811 in all): the
+            # pass, after the value pass's 825 nodes (2,656 in all): the
             # value pass's optimum and witness, flagged non-exhaustive.
             (
-                "2^[5]", "diamond:2", "weak", "cardinality", 3_000,
-                (20, False, 3_001, level_masks(5, 2, 3)),
+                "2^[5]", "diamond:2", "weak", "cardinality", 1_000,
+                (20, False, 1_001, level_masks(5, 2, 3)),
             ),
             (
                 "C_4[14]", "chain:3", "weak", "lubell", 400_000,
@@ -516,7 +516,7 @@ class TestAgainstBruteForce:
             ("2^[5]", "chain:2", "weak", "cardinality", None, (10, True, 78, level_masks(5, 2))),
             (
                 "2^[4]", "diamond:2", "weak", "cardinality", None,
-                (10, True, 566, level_masks(4, 1, 2)),
+                (10, True, 230, level_masks(4, 1, 2)),
             ),
             ("2^[4]", "K:2,2", "weak", "cardinality", None, (10, True, 45, level_masks(4, 1, 2))),
             (
@@ -527,7 +527,7 @@ class TestAgainstBruteForce:
             ("2^[5]", "chain:2", "induced", "lubell", None, (1, True, 67, level_masks(5, 0))),
             (
                 "2^[5]", "diamond:2", "weak", "cardinality", 300_000,
-                (20, True, 4_811, level_masks(5, 2, 3)),
+                (20, True, 2_656, level_masks(5, 2, 3)),
             ),
             (
                 "2^[5]", "K:2,2", "weak", "cardinality", 300_000,
@@ -611,10 +611,10 @@ class TestAgainstBruteForce:
     @pytest.mark.parametrize(
         "host, spec, objective, step, full, digest",
         [
-            # Two passes, rows and orbits, and dead sets in the second.
+            # Two passes, rows, orbits and dead sets in both.
             (
-                SetFamily.power_set(4), "diamond:2", "lubell", 1, 555,
-                "bbaa02d4b8ce30f1687234e7500dd78c3384020ec2a330b79eb644d3e4b64ceb",
+                SetFamily.power_set(4), "diamond:2", "lubell", 1, 285,
+                "f041062bf9c8658c99b99631f100ef458936d053a3e71d141f8652cf7d54be95",
             ),
             # One include-first pass with dead sets, through the diamond kernels.
             (
@@ -964,8 +964,8 @@ class TestLevelWindows:
 
 
 class TestIncludeRules:
-    """The walk's two include rules: completers' dead sets in the canonical
-    walk, or the include test as each set comes."""
+    """The walk's two include rules: completers' dead sets in every pass, or
+    the include test as each set comes."""
 
     def test_dead_sets_match_the_include_test(self, monkeypatch):
         # Patterns and modes with a mask rule of completers; C_3[9] takes
@@ -1045,6 +1045,28 @@ class TestLaExact:
         assert la_exact(5, parse_poset_spec("K:1,3"), "induced").value == 19
         complements = SetFamily.from_masks(5, [0b11111 ^ mask for mask in got.witness.masks()])
         assert not brute_contains(complements, parse_poset_spec("K:1,3"), "induced")
+
+    @pytest.mark.parametrize(
+        "spec, dual, nodes", [("K:1,2", "K:2,1", 5_041_907), ("K:2,1", "K:1,2", 3_871_184)]
+    )
+    def test_v_free_values_at_six(self, spec, dual, nodes):
+        # La(6, V) for the V-free families of Katona and Tarjan (1983) and
+        # their duals, proved unseeded by the value pass's dead sets.
+        # Complementing every set maps a family free of one onto a family
+        # free of the other.
+        P = parse_poset_spec(spec)
+        got = la_exact(6, P)
+        assert (got.value, got.exhaustive, got.nodes_explored) == (24, True, nodes)
+        assert find_subposet(got.witness, P) is None
+        complements = SetFamily.from_masks(6, [0b111111 ^ mask for mask in got.witness.masks()])
+        assert find_subposet(complements, parse_poset_spec(dual)) is None
+
+    @pytest.mark.parametrize("spec, mode", [("K:2,2", "induced"), ("diamond:2", "weak")])
+    def test_repeated_searches_take_the_same_nodes(self, spec, mode):
+        # Calls share 2^[n] and its tables, but each builds its own
+        # EmbeddingSearch, whose kept copies choose the induced packing.
+        first = la_exact(4, parse_poset_spec(spec), mode)
+        assert la_exact(4, parse_poset_spec(spec), mode) == first
 
     def test_guard(self):
         with pytest.raises(GuardRefused):
