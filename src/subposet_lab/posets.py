@@ -305,7 +305,7 @@ class EmbeddingSearch:
     holds that image again, and the images stay distinct.
 
     embeds_using(allowed, z) asks for a copy inside `allowed` through host
-    index z, and answers in three steps. Containing the pattern is monotone in
+    index z, and answers in four steps. Containing the pattern is monotone in
     the allowed mask, so two answers are kept per host index:
     - copies[z] is the mask of the last copy found through z (-1, no copy,
       at first). It answers True for every later mask that holds it, since a
@@ -315,6 +315,12 @@ class EmbeddingSearch:
     - _misses[z] is the last mask with no copy through z (0 at first). It
       answers False for every mask inside it, since a copy there would lie
       inside the miss too.
+    - In induced mode, where every element of the pattern is incomparable
+      to another (K:a,b with a, b >= 2, K:2,2,2, antichains of two or
+      more), a copy through z holds a set of _incomparable[z], since an
+      induced copy keeps non-relations; a mask with none answers False
+      and writes neither cache. _screen, decided once from the pattern
+      and the mode, says whether this step runs.
     - Otherwise _full(allowed, z) searches, and its answer is stored in one
       of the two. _full is chosen once, from the pattern's complete layer
       sizes, so relabelled patterns qualify:
@@ -339,7 +345,10 @@ class EmbeddingSearch:
     mode; one embeds_using call per candidate for every other pattern or
     mode (completers_by_masks tells which). A union of above masks over a
     mask is read off the mask's minimal members (_union_above), and one of
-    below masks off its maximal members (_union_below).
+    below masks off its maximal members (_union_below). The exact search
+    calls the rule itself, completers_rule(search, grown, newest,
+    candidates), one call per include; completers() is the same answer
+    through one more call.
     """
 
     __slots__ = (
@@ -358,6 +367,7 @@ class EmbeddingSearch:
         "_layers",
         "_full",
         "_grow",
+        "_screen",
     )
 
     def __init__(self, host: Union[Poset, SetFamily], pattern: Poset, mode: str):
@@ -403,6 +413,12 @@ class EmbeddingSearch:
         self.copies = [-1] * size
         self._misses = [0] * size
         self._incomparable = incomparable
+        # An induced copy keeps its non-relations, so where every element of
+        # the pattern is incomparable to another, each copy through z holds a
+        # member of _incomparable[z].
+        self._screen = mode == "induced" and all(
+            pattern.degree(e) < q - 1 for e in range(q)
+        )
         # _full and _grow hold plain functions, so the search is not a cycle.
         self._layers = layers = pattern.complete_layer_sizes() or ()
         if pattern.diamond_width():
@@ -453,6 +469,8 @@ class EmbeddingSearch:
             return True
         if not allowed_mask & ~self._misses[host_idx]:
             return False
+        if self._screen and not allowed_mask & self._incomparable[host_idx]:
+            return False
         copy = self._full(self, allowed_mask, host_idx)
         if copy:
             self.copies[host_idx] = copy
@@ -489,6 +507,12 @@ class EmbeddingSearch:
         or mode, asks embeds_using once per candidate, which needs no
         precondition."""
         return self._grow(self, grown, newest, candidates)
+
+    @property
+    def completers_rule(self) -> Callable[[EmbeddingSearch, int, int, int], int]:
+        """The plain function completers calls: rule(search, grown, newest,
+        candidates) gives the same answer in one call."""
+        return self._grow
 
     @property
     def completers_by_masks(self) -> bool:
@@ -604,7 +628,7 @@ class EmbeddingSearch:
                 if tops == 1 or ups:
                     found = high
             elif tops == 1:
-                found = high & _union_above(above, rest)
+                found = _meets(high, rest, below, above, _union_above)
             elif ups:
                 found = high & _union_above(above, rest & _union_below(below, ups))
         low = candidates & below[newest]
@@ -614,7 +638,7 @@ class EmbeddingSearch:
                 if bottoms == 1 or downs:
                     found |= low
             elif bottoms == 1:
-                found |= low & _union_below(below, rest)
+                found |= _meets(low, rest, above, below, _union_below)
             elif downs:
                 found |= low & _union_below(below, rest & _union_above(above, downs))
         if tops == 2 and downs:
@@ -837,6 +861,29 @@ def _union_below(below: Sequence[int], mask: int) -> int:
         downs |= row
         mask &= ~(row | 1 << d)
     return downs
+
+
+def _meets(
+    mask: int,
+    other: int,
+    rows: Sequence[int],
+    back: Sequence[int],
+    union: Callable[[Sequence[int], int], int],
+) -> int:
+    """The members j of mask whose rows[j] meets other, where back is the
+    converse of rows and union(back, other) the union of back over other
+    (_union_above or _union_below). Walks the side with fewer members: each
+    member of mask on its own where mask is the smaller, else other's
+    extremal members through union."""
+    if mask.bit_count() >= other.bit_count():
+        return mask & union(back, other)
+    found = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        if rows[low.bit_length() - 1] & other:
+            found |= low
+    return found
 
 
 def _twice(rows: Sequence[int], mask: int, apart: Sequence[int] | None = None) -> int:

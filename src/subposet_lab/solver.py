@@ -365,7 +365,8 @@ def alpha(
     share = [unit // binomials[w] for w in sizes]
     values = [1] * m if objective == "cardinality" else share
     embeds_using = search.embeds_using
-    completers = search.completers
+    # completers' rule, called with the search as its first argument.
+    grow = search.completers_rule
     # The last copy of P found through each set: a mask holding it has a copy,
     # so the walk reads it before asking embeds_using (whose first test it is).
     copies = search.copies
@@ -413,11 +414,12 @@ def alpha(
     # EmbeddingSearch for P.
     eager = search.completers_by_masks or (capped and search.embeds_by_kernel and not levels)
 
-    def worth_of(mask: int) -> int:
-        """The sum of the values of the sets in mask."""
-        if objective == "cardinality":
-            return mask.bit_count()
-        return sum(values[j] for j in _bits(mask))
+    if objective == "cardinality":
+        worth_of = int.bit_count
+    else:
+        def worth_of(mask: int) -> int:
+            """The sum of the values of the sets in mask."""
+            return sum(values[j] for j in _bits(mask))
 
     limit = inf if node_budget is None else node_budget
     best_value = -1
@@ -514,7 +516,7 @@ def alpha(
                     # it completes a copy of P with the chosen sets.
                     live = later & ~dead
                     new = bits & live if k + 1 == cap else 0
-                    new |= completers(grown, i, live ^ new)
+                    new |= grow(search, grown, i, live ^ new)
                     if new:
                         dead, ub = dead | new, ub - worth_of(new)
                 p, mask, value, bound, left, blocks = (

@@ -467,10 +467,15 @@ class TestEmbedsUsing:
     def test_matches_brute_force(self, mode):
         # One search answers a walk of masks that grow, shrink and jump, as
         # the solver's DFS does, so later answers come from the copy and miss
-        # kept for set z by earlier ones.
+        # kept for set z by earlier ones. In induced mode the antichains and
+        # K:a,b with a, b >= 2 answer masks with no set incomparable to z
+        # before the kernel; K:1,2 and D_2 have an element comparable to all.
         rng = random.Random(6)
-        twins = [antichain(3), complete_multilevel((2, 2)), diamond(2)]
-        for trial in range(120):
+        twins = [
+            antichain(3), complete_multilevel((2, 2)), diamond(2),
+            antichain(2), complete_multilevel((2, 2, 2)), complete_multilevel((1, 2)),
+        ]
+        for trial in range(240):
             n = rng.randint(1, 4)
             host = SetFamily.from_masks(
                 n, rng.sample(range(1 << n), rng.randint(1, min(8, 1 << n)))
@@ -485,6 +490,56 @@ class TestEmbedsUsing:
                 assert search.embeds_using(allowed, z) == expected, (
                     host.masks(), pattern, mode, bin(allowed), z
                 )
+
+    def test_screen_answers_without_a_kernel(self, monkeypatch):
+        # An induced copy keeps its non-relations, so where every element of
+        # the pattern is incomparable to another, a mask holding no set
+        # incomparable to z has no copy through z, and no kernel runs.
+        def kernel(search, allowed, z):
+            raise AssertionError("kernel reached")
+
+        for name in ("_diamond", "_two_layer", "_generic"):
+            monkeypatch.setattr(EmbeddingSearch, name, kernel)
+        host = SetFamily.power_set(4)
+        screened = [("K:2,2", "induced"), ("K:2,3", "induced"), ("K:2,2,2", "induced"),
+                    ("antichain:2", "induced")]
+        kept = [("K:2,2", "weak"), ("K:2,2,2", "weak"), ("K:1,2", "induced"),
+                ("diamond:2", "induced")]
+        for spec, mode in screened + kept:
+            search = EmbeddingSearch(host, parse_poset_spec(spec), mode)
+            for z in range(len(host)):
+                related = search.above[z] | search.below[z] | 1 << z
+                if (spec, mode) in kept:
+                    with pytest.raises(AssertionError, match="kernel reached"):
+                        search.embeds_using(related, z)
+                    continue
+                assert not search.embeds_using(related, z)
+                # A screened answer writes neither cache.
+                assert search.copies[z] == -1 and search._misses[z] == 0
+
+    def test_screened_patterns_find_planted_copies(self):
+        # The screen's other side: masks that hold a copy through z, on an
+        # induced K:2,2,2 and an induced K:2,3 planted in 2^[6] beside a
+        # random set.
+        rng = random.Random("planted")
+        planted = {
+            "K:2,2,2": [0b1, 0b10, 0b111, 0b1011, 0b11111, 0b101111],
+            "K:2,3": [0b1, 0b10, 0b111, 0b1011, 0b10011],
+        }
+        for spec, sets in planted.items():
+            pattern = parse_poset_spec(spec)
+            found = 0
+            for _ in range(3):
+                extra = rng.choice([m for m in range(1 << 6) if m not in sets])
+                host = SetFamily.from_masks(6, sets + [extra])
+                search = EmbeddingSearch(host, pattern, "induced")
+                for allowed, z in mask_walk(rng, len(host), checks=100):
+                    expected = brute_contains_through(host, pattern, "induced", allowed, z)
+                    assert search.embeds_using(allowed, z) == expected, (
+                        host.masks(), spec, bin(allowed), z
+                    )
+                    found += expected
+            assert found, spec
 
     @pytest.mark.parametrize("mode", ["weak", "induced"])
     def test_family_and_inclusion_poset_hosts_agree(self, mode):
